@@ -44,6 +44,55 @@ void BM_MaxMinAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinAllocate)->Arg(16)->Arg(64)->Arg(256);
 
+// The flow set a production simulation event presents: ~60 flows, of which
+// 50 are background processes alone on their own disk/NIC resource and 10
+// are transfers whose 7 uses (disk, CPU, NIC, WAN, NIC, CPU, disk) meet at
+// a few shared endpoints. BM_MaxMinAllocate's random uses make one dense
+// component instead.
+void BM_MaxMinAllocateProduction(benchmark::State& state) {
+  constexpr int kEndpoints = 40;
+  constexpr int kBackgrounds = 50;
+  constexpr int kTransfers = 10;
+  Rng rng(2);
+  sim::ResourcePool pool;
+  // Per endpoint: disk_read, disk_write, nic_in, nic_out, cpu.
+  for (int r = 0; r < kEndpoints * 5; ++r)
+    pool.add("e" + std::to_string(r), rng.uniform(1e8, 2e9));
+  std::vector<sim::FlowSpec> flows;
+  for (int t = 0; t < kTransfers; ++t) {
+    // Transfers run among the first 6 endpoints; backgrounds sit on the
+    // other 34, one resource each.
+    const int src = static_cast<int>(rng.uniform_int(0, 5));
+    const int dst = (src + 1 + static_cast<int>(rng.uniform_int(0, 4))) % 6;
+    const double procs = rng.uniform_int(1, 8);
+    const double streams = procs * 4.0;
+    const auto wan = pool.add("wan" + std::to_string(t), rng.uniform(1e9, 1e10));
+    auto id = [](int endpoint, int component) {
+      return static_cast<sim::ResourceId>(endpoint * 5 + component);
+    };
+    sim::FlowSpec flow;
+    flow.usage = {{id(src, 0), procs, 1.0},   {id(src, 4), procs, 1.2},
+                  {id(src, 3), streams, 1.0}, {wan, streams, 1.0},
+                  {id(dst, 2), streams, 1.0}, {id(dst, 4), procs, 1.2},
+                  {id(dst, 1), procs, 1.0}};
+    flow.cap_Bps = rng.uniform(1e8, 2e9);
+    flows.push_back(std::move(flow));
+  }
+  for (int b = 0; b < kBackgrounds; ++b) {
+    sim::FlowSpec flow;
+    flow.usage = {{static_cast<sim::ResourceId>(30 + b * 3), 256.0, 1.0}};
+    flow.cap_Bps = rng.uniform(1e7, 1e9);
+    flows.push_back(std::move(flow));
+  }
+  for (auto _ : state) {
+    auto rates = sim::maxmin_allocate(pool, flows);
+    benchmark::DoNotOptimize(rates);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(flows.size()));
+}
+BENCHMARK(BM_MaxMinAllocateProduction);
+
 logs::LogStore synthetic_log(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   logs::LogStore log;

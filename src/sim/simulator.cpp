@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -22,6 +23,9 @@ struct SimMetrics {
   obs::Counter& runs = obs::counter("sim.runs");
   obs::Counter& events = obs::counter("sim.events");
   obs::Counter& transfers = obs::counter("sim.transfers");
+  obs::Counter& reallocations = obs::counter("sim.reallocations");
+  obs::Counter& flows_offered = obs::counter("sim.flows_offered");
+  obs::Counter& flows_resolved = obs::counter("sim.flows_resolved");
   obs::Histogram& run_us = obs::histogram("sim.run_us");
 };
 
@@ -89,21 +93,22 @@ void Simulator::add_background(const BackgroundSpec& spec) {
   state.spec = spec;
   switch (spec.component) {
     case Component::kDiskRead:
-      state.resource = endpoint_resources_.at(spec.endpoint).disk_read;
+      state.use.resource = endpoint_resources_.at(spec.endpoint).disk_read;
       break;
     case Component::kDiskWrite:
-      state.resource = endpoint_resources_.at(spec.endpoint).disk_write;
+      state.use.resource = endpoint_resources_.at(spec.endpoint).disk_write;
       break;
     case Component::kNicIn:
-      state.resource = endpoint_resources_.at(spec.endpoint).nic_in;
+      state.use.resource = endpoint_resources_.at(spec.endpoint).nic_in;
       break;
     case Component::kNicOut:
-      state.resource = endpoint_resources_.at(spec.endpoint).nic_out;
+      state.use.resource = endpoint_resources_.at(spec.endpoint).nic_out;
       break;
     case Component::kWan:
-      state.resource = wan_resource(spec.wan_src, spec.wan_dst);
+      state.use.resource = wan_resource(spec.wan_src, spec.wan_dst);
       break;
   }
+  state.use.weight = spec.weight;
   backgrounds_.push_back(state);
 }
 
@@ -178,35 +183,52 @@ void Simulator::build_usage(ActiveTransfer& transfer) {
     transfer.usage.push_back({dres.disk_write, procs, 1.0});
 }
 
+void Simulator::refresh_cpu(endpoint::EndpointId id) {
+  // CPU efficiency decays with the number of GridFTP process pairs alive at
+  // the endpoint (startup, running, or stalled).
+  const ResourceId cpu = endpoint_resources_[id].cpu;
+  const double capacity =
+      endpoints_[id].cpu_Bps *
+      endpoint::cpu_efficiency(instances_[id], config_.cpu_knee);
+  if (std::bit_cast<std::uint64_t>(capacity) ==
+      std::bit_cast<std::uint64_t>(pool_.capacity(cpu)))
+    return;
+  pool_.set_capacity(cpu, capacity);
+  solver_.mark_dirty(cpu);
+}
+
+void Simulator::mark_dirty(std::span<const ResourceUsage> usage) {
+  for (const auto& use : usage) solver_.mark_dirty(use.resource);
+}
+
 void Simulator::reallocate(double /*now*/) {
-  // 1. Refresh CPU capacities: efficiency decays with the number of GridFTP
-  //    process pairs alive at the endpoint (startup, running, or stalled).
-  //    Instance counts are maintained incrementally on arrival/completion.
-  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-    const auto& spec = endpoints_[static_cast<endpoint::EndpointId>(e)];
-    const double eff =
-        endpoint::cpu_efficiency(instances_[e], config_.cpu_knee);
-    pool_.set_capacity(endpoint_resources_[e].cpu, spec.cpu_Bps * eff);
-  }
-
-  // 2. Collect flows: running transfers first, then active backgrounds.
+  // 1. Collect flows: running transfers first, then active backgrounds.
+  //    Flows the solver will not re-solve keep their current rates.
   running_.clear();
-  std::vector<FlowSpec> flows;
+  active_backgrounds_.clear();
+  flows_.clear();
+  rates_.clear();
   for (const std::size_t i : live_) {
-    if (transfers_[i].state != TransferState::kRunning) continue;
+    const auto& transfer = transfers_[i];
+    if (transfer.state != TransferState::kRunning) continue;
     running_.push_back(i);
-    flows.push_back({transfers_[i].usage, transfers_[i].tcp_cap_Bps});
+    flows_.push_back({transfer.usage, transfer.tcp_cap_Bps});
+    rates_.push_back(transfer.rate_Bps);
   }
-  const std::size_t transfer_flows = flows.size();
-  for (const auto& bg : backgrounds_) {
+  const std::size_t transfer_flows = flows_.size();
+  for (std::size_t b = 0; b < backgrounds_.size(); ++b) {
+    const auto& bg = backgrounds_[b];
     if (!bg.on || bg.demand_Bps <= 0.0) continue;
-    FlowSpec flow;
-    flow.usage.push_back({bg.resource, bg.spec.weight, 1.0});
-    flow.cap_Bps = bg.demand_Bps;
-    flows.push_back(std::move(flow));
+    active_backgrounds_.push_back(b);
+    flows_.push_back({{&bg.use, 1}, bg.demand_Bps});
+    rates_.push_back(bg.rate_Bps);
   }
 
-  std::vector<double> rates = maxmin_allocate(pool_, flows);
+  // 2. Re-solve the components an event changed (resources.hpp).
+  ++reallocations_;
+  flows_offered_ += flows_.size();
+  flows_resolved_ += solver_.plan(pool_, flows_);
+  solver_.solve(pool_, flows_, rates_);
 
   // 3. Fixed-point pass for per-file overhead efficiency (DESIGN.md §5.2):
   //    cap each transfer at the throughput its pass-1 burst rate sustains
@@ -214,29 +236,36 @@ void Simulator::reallocate(double /*now*/) {
   //    released capacity benefits other flows.
   if (config_.allocation_passes >= 2 && transfer_flows > 0) {
     for (std::size_t f = 0; f < transfer_flows; ++f) {
+      if (!solver_.selected(f)) continue;
       const auto& transfer = transfers_[running_[f]];
       const double per_pair =
-          rates[f] / static_cast<double>(transfer.procs);
+          rates_[f] / static_cast<double>(transfer.procs);
       const double effective =
           static_cast<double>(transfer.procs) *
           storage::file_overhead_efficiency_Bps(per_pair,
                                                 transfer.mean_file_bytes,
                                                 transfer.per_file_overhead_s);
-      flows[f].cap_Bps =
+      flows_[f].cap_Bps =
           std::max(kMinCapBps, std::min(transfer.tcp_cap_Bps, effective));
     }
-    rates = maxmin_allocate(pool_, flows);
+    solver_.solve(pool_, flows_, rates_);
   }
 
-  // 4. Record per-resource consumption and per-transfer rate/utilisation.
+  // 4. Record per-resource consumption, then the rate and utilisation of
+  //    each re-solved transfer. A transfer in a clean component keeps both:
+  //    its rate, and the loads and capacities of its resources, are as
+  //    they were.
   resource_load_.assign(pool_.size(), 0.0);
-  for (std::size_t f = 0; f < flows.size(); ++f)
-    for (const auto& use : flows[f].usage)
-      resource_load_[use.resource] += rates[f] * use.consumption_factor;
+  for (std::size_t f = 0; f < flows_.size(); ++f)
+    for (const auto& use : flows_[f].usage)
+      resource_load_[use.resource] += rates_[f] * use.consumption_factor;
 
+  for (std::size_t f = transfer_flows; f < flows_.size(); ++f)
+    backgrounds_[active_backgrounds_[f - transfer_flows]].rate_Bps = rates_[f];
   for (std::size_t f = 0; f < transfer_flows; ++f) {
+    if (!solver_.selected(f)) continue;
     auto& transfer = transfers_[running_[f]];
-    transfer.rate_Bps = rates[f];
+    transfer.rate_Bps = rates_[f];
     // Utilisation drives the fault model and must measure *external*
     // contention: the load others place on the transfer's resources. A lone
     // transfer saturating its own bottleneck is not a stressed system, so
@@ -245,7 +274,7 @@ void Simulator::reallocate(double /*now*/) {
     for (const auto& use : transfer.usage) {
       const double cap = pool_.capacity(use.resource);
       if (cap <= 0.0) continue;
-      const double own = rates[f] * use.consumption_factor;
+      const double own = rates_[f] * use.consumption_factor;
       const double external = std::max(0.0, resource_load_[use.resource] - own);
       util = std::max(util, external / cap);
     }
@@ -290,9 +319,15 @@ void Simulator::complete_transfer(std::size_t index, double now) {
   ++completed_;
   instances_[transfer.req.src] -= transfer.procs;
   instances_[transfer.req.dst] -= transfer.procs;
-  // Swap-remove from the live list.
+  refresh_cpu(transfer.req.src);
+  refresh_cpu(transfer.req.dst);
+  mark_dirty(transfer.usage);
+  // Swap-remove from the live list. The moved transfer now precedes the
+  // ones it jumped over, which changes flow order on its resources.
   const std::size_t slot = live_pos_[index];
   const std::size_t last = live_.back();
+  if (last != index && transfers_[last].state == TransferState::kRunning)
+    mark_dirty(transfers_[last].usage);
   live_[slot] = last;
   live_pos_[last] = slot;
   live_.pop_back();
@@ -371,6 +406,8 @@ void Simulator::admit(std::size_t index, double now) {
   live_.push_back(index);
   instances_[transfer.req.src] += transfer.procs;
   instances_[transfer.req.dst] += transfer.procs;
+  refresh_cpu(transfer.req.src);
+  refresh_cpu(transfer.req.dst);
   ++active_transfers_[transfer.req.src];
   ++active_transfers_[transfer.req.dst];
   result_.stats.peak_active =
@@ -426,6 +463,7 @@ void Simulator::handle_event(const Event& event, double now) {
           transfer.state != TransferState::kStartup)
         break;
       transfer.state = TransferState::kRunning;
+      mark_dirty(transfer.usage);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -449,6 +487,7 @@ void Simulator::handle_event(const Event& event, double now) {
                                rng_.uniform());
         transfer.remaining_bytes += refetch;
         transfer.state = TransferState::kStalled;
+        mark_dirty(transfer.usage);
         ++transfer.epoch;
         push_event(now + policy.retry_delay_s, EventType::kResume, event.index,
                    transfer.epoch);
@@ -464,6 +503,7 @@ void Simulator::handle_event(const Event& event, double now) {
           transfer.state != TransferState::kStalled)
         break;
       transfer.state = TransferState::kRunning;
+      mark_dirty(transfer.usage);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -471,6 +511,7 @@ void Simulator::handle_event(const Event& event, double now) {
     case EventType::kBackgroundToggle: {
       auto& bg = backgrounds_[event.index];
       bg.on = !bg.on;
+      mark_dirty({&bg.use, 1});
       double next_mean;
       if (bg.on) {
         bg.demand_Bps =
@@ -533,6 +574,8 @@ SimResult Simulator::run() {
   for (std::size_t m = 0; m < wan_monitors_.size(); ++m)
     push_event(wan_monitors_[m].interval_s, EventType::kWanSample, m);
 
+  for (std::size_t e = 0; e < endpoints_.size(); ++e)
+    refresh_cpu(static_cast<endpoint::EndpointId>(e));
   double now = 0.0;
   reallocate(now);
 
@@ -576,6 +619,9 @@ SimResult Simulator::run() {
   metrics.runs.add(1);
   metrics.events.add(result_.stats.events);
   metrics.transfers.add(transfers_.size());
+  metrics.reallocations.add(reallocations_);
+  metrics.flows_offered.add(flows_offered_);
+  metrics.flows_resolved.add(flows_resolved_);
   metrics.run_us.record(static_cast<double>(elapsed_us));
   XFL_LOG(debug) << "sim run complete"
                  << obs::kv("transfers", transfers_.size())

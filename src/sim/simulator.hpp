@@ -5,7 +5,8 @@
 // flows over shared rate resources (disk read/write, NIC in/out, CPU, WAN
 // paths). Rates are piecewise constant: on every event (arrival, data-phase
 // start, completion, fault, resume, background toggle) the weighted max-min
-// solver in resources.hpp recomputes all rates. See DESIGN.md §5 for the
+// solver in resources.hpp recomputes the rates of every flow the event can
+// affect, bit-identical to a full re-solve. See DESIGN.md §5 for the
 // modeling decisions.
 //
 // Lifecycle of a transfer:
@@ -20,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -180,7 +182,8 @@ class Simulator {
     BackgroundSpec spec;
     bool on = false;
     double demand_Bps = 0.0;
-    ResourceId resource = 0;
+    double rate_Bps = 0.0;
+    ResourceUsage use;  ///< Its one resource, at spec.weight.
   };
 
   struct MonitorState {
@@ -207,6 +210,8 @@ class Simulator {
   ResourceId wan_resource(net::SiteId src_site, net::SiteId dst_site);
   const net::WanPath& wan_path(net::SiteId src_site, net::SiteId dst_site);
   void build_usage(ActiveTransfer& transfer);
+  void refresh_cpu(endpoint::EndpointId id);
+  void mark_dirty(std::span<const ResourceUsage> usage);
   void reallocate(double now);
   void advance_progress(double from, double to);
   std::optional<std::pair<double, std::size_t>> next_completion(double now) const;
@@ -235,10 +240,18 @@ class Simulator {
   std::size_t completed_ = 0;
   bool ran_ = false;
 
-  // Flow bookkeeping refreshed by reallocate(): indices of transfers in the
-  // running state, parallel to the FlowSpec list handed to the solver.
+  // Flow table rebuilt in place by reallocate() (no per-event allocation
+  // once warm): running transfers in live_ order, then active backgrounds.
+  // running_ and active_backgrounds_ map flow slots back to their owners.
+  MaxMinSolver solver_;
+  std::vector<FlowRef> flows_;
+  std::vector<double> rates_;
   std::vector<std::size_t> running_;
+  std::vector<std::size_t> active_backgrounds_;
   std::vector<double> resource_load_;  ///< Consumption per resource.
+  std::uint64_t reallocations_ = 0;
+  std::uint64_t flows_offered_ = 0;   ///< Flows handed to the solver.
+  std::uint64_t flows_resolved_ = 0;  ///< Of those, flows re-solved.
 
   // Incremental state so that reallocate() never scans the full (possibly
   // enormous) submitted-transfer list: transfers that have arrived but not

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "maxmin_reference.hpp"
 
 namespace xfl::sim {
 namespace {
@@ -117,6 +123,50 @@ TEST(MaxMin, FlowWithoutResourcesGetsCap) {
   EXPECT_DOUBLE_EQ(maxmin_allocate(pool, {flow})[0], 42.0);
 }
 
+TEST(MaxMin, FlowWithoutResourcesGetsInfiniteCap) {
+  // The contract promises empty-usage flows their cap; +inf is a cap too.
+  ResourcePool pool;
+  const auto r = pool.add("r", 10.0);
+  FlowSpec unbounded;
+  unbounded.cap_Bps = std::numeric_limits<double>::infinity();
+  FlowSpec bounded;
+  bounded.usage = {{r, 1.0, 1.0}};
+  const auto lone = maxmin_allocate(pool, {unbounded});
+  EXPECT_EQ(lone[0], std::numeric_limits<double>::infinity());
+  const auto mixed = maxmin_allocate(pool, {unbounded, bounded, unbounded});
+  EXPECT_EQ(mixed[0], std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(mixed[1], 10.0);
+  EXPECT_EQ(mixed[2], std::numeric_limits<double>::infinity());
+}
+
+TEST(MaxMin, RejectsNanCapAsPrecondition) {
+  ResourcePool pool;
+  const auto r = pool.add("r", 10.0);
+  FlowSpec nan_cap;
+  nan_cap.usage = {{r, 1.0, 1.0}};
+  nan_cap.cap_Bps = std::numeric_limits<double>::quiet_NaN();
+  FlowSpec no_usage;
+  no_usage.cap_Bps = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& flow : {nan_cap, no_usage}) {
+    try {
+      maxmin_allocate(pool, {flow});
+      ADD_FAILURE() << "NaN cap accepted";
+    } catch (const xfl::ContractViolation& violation) {
+      EXPECT_EQ(std::string(violation.what()).rfind("precondition", 0), 0u)
+          << violation.what();
+    }
+  }
+}
+
+TEST(MaxMin, RejectsNegativeCap) {
+  ResourcePool pool;
+  const auto r = pool.add("r", 10.0);
+  FlowSpec flow;
+  flow.usage = {{r, 1.0, 1.0}};
+  flow.cap_Bps = -1.0;
+  EXPECT_THROW(maxmin_allocate(pool, {flow}), xfl::ContractViolation);
+}
+
 TEST(MaxMin, RejectsBadUsage) {
   ResourcePool pool;
   pool.add("r", 10.0);
@@ -173,6 +223,307 @@ TEST_P(MaxMinRandom, FeasibleAndPositive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinRandom,
                          ::testing::Values(1ULL, 2ULL, 3ULL, 5ULL, 8ULL, 13ULL,
                                            21ULL, 34ULL, 55ULL, 89ULL));
+
+// --- Oracle: the component-wise solver against the global one -----------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_bit_identical(const std::vector<double>& got,
+                          const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t f = 0; f < got.size(); ++f)
+    EXPECT_TRUE(same_bits(got[f], want[f]))
+        << "flow " << f << ": " << got[f] << " vs oracle " << want[f];
+}
+
+struct Instance {
+  ResourcePool pool;
+  std::vector<FlowSpec> flows;
+};
+
+enum class Shape {
+  kProduction,  ///< Many lone one-resource flows + a few 7-use transfers.
+  kDense,       ///< Random uses over few resources: one big component.
+  kTies,        ///< Identical capacities, weights and caps: exact ties.
+  kConsumption, ///< Consumption factors != 1 and mixed weights.
+  kZeroCapacity,///< Some disabled (capacity 0) resources.
+  kEmptyUsage,  ///< Some flows cross no resource.
+};
+
+/// Random instances of each shape. `unit` forces weight = consumption = 1
+/// (classic max-min, where the certificate below holds exactly).
+Instance make_instance(Shape shape, std::uint64_t seed, bool unit = false) {
+  Rng rng(seed);
+  Instance inst;
+  auto weight = [&](double lo, double hi) {
+    return unit ? 1.0 : rng.uniform(lo, hi);
+  };
+  auto factor = [&](double lo, double hi) {
+    return unit ? 1.0 : rng.uniform(lo, hi);
+  };
+  auto add_resources = [&](std::size_t n, double lo, double hi) {
+    for (std::size_t r = 0; r < n; ++r)
+      inst.pool.add("r" + std::to_string(r), rng.uniform(lo, hi));
+  };
+  auto random_flow = [&](std::size_t resources, std::int64_t max_uses) {
+    FlowSpec flow;
+    const auto uses = rng.uniform_int(1, max_uses);
+    for (std::int64_t u = 0; u < uses; ++u)
+      flow.usage.push_back(
+          {static_cast<ResourceId>(rng.uniform_int(0, resources - 1)),
+           weight(0.5, 16.0), factor(1.0, 2.0)});
+    flow.cap_Bps = rng.uniform(1.0, 2000.0);
+    return flow;
+  };
+
+  switch (shape) {
+    case Shape::kProduction: {
+      // 40 endpoints x 5 resources, then WAN paths; transfers among the
+      // first 6 endpoints, backgrounds alone on other resources (a few
+      // land on a transfer's resource or share one).
+      add_resources(200, 1e8, 2e9);
+      for (int t = 0; t < 10; ++t) {
+        const auto src = rng.uniform_int(0, 5);
+        const auto dst = (src + 1 + rng.uniform_int(0, 4)) % 6;
+        const double procs = unit ? 1.0 : static_cast<double>(rng.uniform_int(1, 8));
+        const double streams = unit ? 1.0 : procs * 4.0;
+        const double cpu = factor(1.0, 1.5);
+        const auto wan = inst.pool.add("wan", rng.uniform(1e9, 1e10));
+        auto id = [](std::int64_t endpoint, int component) {
+          return static_cast<ResourceId>(endpoint * 5 + component);
+        };
+        FlowSpec flow;
+        flow.usage = {{id(src, 0), procs, 1.0},   {id(src, 4), procs, cpu},
+                      {id(src, 3), streams, 1.0}, {wan, streams, 1.0},
+                      {id(dst, 2), streams, 1.0}, {id(dst, 4), procs, cpu},
+                      {id(dst, 1), procs, 1.0}};
+        flow.cap_Bps = rng.uniform(1e8, 2e9);
+        inst.flows.push_back(std::move(flow));
+      }
+      for (int b = 0; b < 50; ++b) {
+        FlowSpec flow;
+        flow.usage = {{static_cast<ResourceId>(rng.uniform_int(25, 199)),
+                       weight(1.0, 256.0), 1.0}};
+        flow.cap_Bps = rng.uniform(1e7, 1e9);
+        inst.flows.push_back(std::move(flow));
+      }
+      // Interleave: transfers and backgrounds in random order.
+      for (std::size_t f = inst.flows.size(); f > 1; --f)
+        std::swap(inst.flows[f - 1],
+                  inst.flows[static_cast<std::size_t>(rng.uniform_int(0, f - 1))]);
+      break;
+    }
+    case Shape::kDense:
+      add_resources(8, 10.0, 1000.0);
+      for (int f = 0; f < 40; ++f) inst.flows.push_back(random_flow(8, 6));
+      break;
+    case Shape::kTies:
+      for (int r = 0; r < 6; ++r) inst.pool.add("r", 120.0);
+      for (int f = 0; f < 30; ++f) {
+        FlowSpec flow;
+        const auto uses = rng.uniform_int(1, 3);
+        for (std::int64_t u = 0; u < uses; ++u)
+          flow.usage.push_back(
+              {static_cast<ResourceId>(rng.uniform_int(0, 5)),
+               unit ? 1.0 : static_cast<double>(rng.uniform_int(1, 2)), 1.0});
+        const double caps[] = {10.0, 20.0, 40.0, 1e15};
+        flow.cap_Bps = caps[rng.uniform_int(0, 3)];
+        inst.flows.push_back(std::move(flow));
+      }
+      break;
+    case Shape::kConsumption:
+      add_resources(12, 10.0, 1000.0);
+      for (int f = 0; f < 30; ++f) {
+        auto flow = random_flow(12, 4);
+        for (auto& use : flow.usage) use.consumption_factor = factor(0.25, 4.0);
+        inst.flows.push_back(std::move(flow));
+      }
+      break;
+    case Shape::kZeroCapacity:
+      add_resources(10, 10.0, 1000.0);
+      inst.pool.set_capacity(2, 0.0);
+      inst.pool.set_capacity(7, 0.0);
+      for (int f = 0; f < 30; ++f) inst.flows.push_back(random_flow(10, 3));
+      break;
+    case Shape::kEmptyUsage:
+      add_resources(10, 10.0, 1000.0);
+      for (int f = 0; f < 30; ++f) {
+        auto flow = random_flow(10, 3);
+        if (rng.bernoulli(0.25)) flow.usage.clear();
+        inst.flows.push_back(std::move(flow));
+      }
+      break;
+  }
+  return inst;
+}
+
+constexpr Shape kShapes[] = {Shape::kProduction,   Shape::kDense,
+                             Shape::kTies,         Shape::kConsumption,
+                             Shape::kZeroCapacity, Shape::kEmptyUsage};
+
+TEST(MaxMinOracle, BitIdenticalToGlobalSolve) {
+  for (const Shape shape : kShapes)
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+      for (const bool unit : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "shape " << static_cast<int>(shape)
+                                        << " seed " << seed << " unit " << unit);
+        const auto inst = make_instance(shape, seed, unit);
+        expect_bit_identical(maxmin_allocate(inst.pool, inst.flows),
+                             oracle::reference_maxmin_allocate(inst.pool,
+                                                               inst.flows));
+      }
+}
+
+// Max-min certificate (classic, unit weights and consumption): every flow
+// is at its cap, or crosses a saturated resource on which no other flow
+// gets more.
+TEST(MaxMinOracle, UnitWeightCertificate) {
+  constexpr double kTol = 1e-9;
+  for (const Shape shape : kShapes)
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(testing::Message() << "shape " << static_cast<int>(shape)
+                                      << " seed " << seed);
+      const auto inst = make_instance(shape, seed, /*unit=*/true);
+      const auto rates = maxmin_allocate(inst.pool, inst.flows);
+      std::vector<double> load(inst.pool.size(), 0.0);
+      std::vector<double> top(inst.pool.size(), 0.0);
+      for (std::size_t f = 0; f < inst.flows.size(); ++f)
+        for (const auto& use : inst.flows[f].usage) {
+          load[use.resource] += rates[f];
+          top[use.resource] = std::max(top[use.resource], rates[f]);
+        }
+      for (std::size_t f = 0; f < inst.flows.size(); ++f) {
+        const auto& flow = inst.flows[f];
+        bool certified = rates[f] >= flow.cap_Bps * (1.0 - kTol);
+        for (const auto& use : flow.usage) {
+          const double capacity = inst.pool.capacity(use.resource);
+          const bool saturated = load[use.resource] >= capacity * (1.0 - kTol);
+          if (saturated && rates[f] >= top[use.resource] * (1.0 - kTol))
+            certified = true;
+        }
+        EXPECT_TRUE(certified) << "flow " << f << " rate " << rates[f];
+      }
+    }
+}
+
+// The solver freezes the flow with the smallest *rate*, not the smallest
+// per-weight level, so with unequal weight/consumption ratios it is not
+// exact weighted max-min: here f freezes at 10 before g settles at 50 on
+// s, and r ends unsaturated. Pinned so that a change of that semantics
+// (which would move every simulated rate) is deliberate.
+TEST(MaxMinOracle, WeightedFreezeOrderIsByRate) {
+  ResourcePool pool;
+  const auto r = pool.add("r", 110.0);
+  const auto s = pool.add("s", 50.0);
+  FlowSpec f, g;
+  f.usage = {{r, 1.0, 1.0}};
+  g.usage = {{r, 10.0, 1.0}, {s, 10.0, 1.0}};
+  const auto rates = maxmin_allocate(pool, {f, g});
+  EXPECT_EQ(rates[0], 10.0);
+  EXPECT_EQ(rates[1], 50.0);
+}
+
+// Incremental re-solve: drive MaxMinSolver the way the simulator does —
+// joins, leaves, capacity and cap changes, swap-removes and reorders, each
+// marking the resources it touches — with the simulator's two passes (the
+// second re-caps re-solved flows from their first-pass rate). After every
+// step, every rate must equal a from-scratch oracle solve bit for bit.
+struct Tracked {
+  FlowSpec spec;
+  double rate = 0.0;
+};
+
+class IncrementalSequence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IncrementalSequence, MatchesFromScratchAfterEveryStep) {
+  Rng rng(GetParam());
+  auto inst = make_instance(Shape::kProduction, GetParam());
+  ResourcePool& pool = inst.pool;
+  std::vector<Tracked> flows;
+  for (auto& spec : inst.flows) flows.push_back({std::move(spec), 0.0});
+  std::vector<FlowSpec> spares;  // Flows that left, to rejoin later.
+
+  MaxMinSolver solver;
+  auto touch = [&](const FlowSpec& spec) {
+    for (const auto& use : spec.usage) solver.mark_dirty(use.resource);
+  };
+  auto second_cap = [](const FlowSpec& spec, double first_rate) {
+    return std::max(1.0, std::min(spec.cap_Bps, 0.75 * first_rate + 1e7));
+  };
+
+  std::uint64_t offered = 0, resolved = 0;
+  std::vector<FlowRef> refs;
+  std::vector<double> rates;
+  for (int step = 0; step < 300; ++step) {
+    const auto action = step == 0 ? -1 : rng.uniform_int(0, 5);
+    const auto pick = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(0, flows.size() - 1));
+    };
+    if (action == 0 && !spares.empty()) {  // Join at a random slot.
+      const auto at = static_cast<std::ptrdiff_t>(rng.uniform_int(0, flows.size()));
+      touch(spares.back());
+      flows.insert(flows.begin() + at, {std::move(spares.back()), 0.0});
+      spares.pop_back();
+    } else if (action == 1 && flows.size() > 2) {  // Leave, order kept.
+      const auto k = pick();
+      touch(flows[k].spec);
+      spares.push_back(flows[k].spec);
+      flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (action == 2 && flows.size() > 2) {  // Swap-remove.
+      const auto k = pick();
+      touch(flows[k].spec);
+      spares.push_back(flows[k].spec);
+      if (k + 1 != flows.size()) {
+        touch(flows.back().spec);
+        flows[k] = std::move(flows.back());
+      }
+      flows.pop_back();
+    } else if (action == 3) {  // Capacity change (or a no-op rewrite).
+      const auto r = static_cast<ResourceId>(rng.uniform_int(0, pool.size() - 1));
+      pool.set_capacity(r, rng.bernoulli(0.1) ? 0.0 : rng.uniform(1e8, 2e9));
+      solver.mark_dirty(r);
+    } else if (action == 4) {  // Demand (cap) change.
+      auto& flow = flows[pick()];
+      flow.spec.cap_Bps = rng.uniform(1e7, 2e9);
+      touch(flow.spec);
+    } else if (action == 5) {  // Two flows trade places.
+      const auto a = pick(), b = pick();
+      touch(flows[a].spec);
+      touch(flows[b].spec);
+      std::swap(flows[a], flows[b]);
+    }
+
+    refs.clear();
+    rates.clear();
+    for (const auto& flow : flows) {
+      refs.push_back({flow.spec.usage, flow.spec.cap_Bps});
+      rates.push_back(flow.rate);
+    }
+    offered += flows.size();
+    resolved += solver.plan(pool, refs);
+    solver.solve(pool, refs, rates);
+    for (std::size_t f = 0; f < flows.size(); ++f)
+      if (solver.selected(f)) refs[f].cap_Bps = second_cap(flows[f].spec, rates[f]);
+    solver.solve(pool, refs, rates);
+    for (std::size_t f = 0; f < flows.size(); ++f) flows[f].rate = rates[f];
+
+    std::vector<FlowSpec> specs;
+    for (const auto& flow : flows) specs.push_back(flow.spec);
+    const auto first = oracle::reference_maxmin_allocate(pool, specs);
+    for (std::size_t f = 0; f < specs.size(); ++f)
+      specs[f].cap_Bps = second_cap(specs[f], first[f]);
+    SCOPED_TRACE(testing::Message() << "step " << step << " action " << action);
+    expect_bit_identical(rates, oracle::reference_maxmin_allocate(pool, specs));
+    if (HasFailure()) return;
+  }
+  EXPECT_LT(resolved, offered);  // Clean components were skipped.
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSequence,
+                         ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL,
+                                           7ULL, 8ULL));
 
 }  // namespace
 }  // namespace xfl::sim

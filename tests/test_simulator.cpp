@@ -8,6 +8,8 @@
 #include "common/units.hpp"
 #include "endpoint/endpoint.hpp"
 #include "net/site.hpp"
+#include "obs/metrics.hpp"
+#include "sim/scenario.hpp"
 
 namespace xfl::sim {
 namespace {
@@ -276,6 +278,34 @@ TEST(Simulator, DeterministicAcrossRuns) {
     EXPECT_DOUBLE_EQ(first.log[i].end_s, second.log[i].end_s);
     EXPECT_EQ(first.log[i].faults, second.log[i].faults);
   }
+}
+
+TEST(Simulator, ReallocationCountersShowPartialResolve) {
+  // Transfers on disjoint endpoint pairs, and background processes alone
+  // on their resource (a few hours of the production preset), form
+  // separate max-min components: an event re-solves
+  // only the components it touched, so fewer flows are re-solved than are
+  // offered. The counters are added once, at the end of run().
+  auto& reallocations = obs::counter("sim.reallocations");
+  auto& offered = obs::counter("sim.flows_offered");
+  auto& resolved = obs::counter("sim.flows_resolved");
+  const auto reallocations_before = reallocations.value();
+  const auto offered_before = offered.value();
+  const auto resolved_before = resolved.value();
+
+  ProductionConfig config;
+  config.duration_s = 4.0 * 3600.0;
+  const auto scenario = make_production(config);
+  const auto result = scenario.run();
+  ASSERT_EQ(result.log.size(), scenario.workload.size());
+
+  const auto reallocation_count = reallocations.value() - reallocations_before;
+  const auto offered_count = offered.value() - offered_before;
+  const auto resolved_count = resolved.value() - resolved_before;
+  EXPECT_GT(reallocation_count, 0u);
+  EXPECT_LE(reallocation_count, result.stats.events + 1);
+  EXPECT_GT(resolved_count, 0u);
+  EXPECT_LT(resolved_count, offered_count);
 }
 
 TEST(Simulator, ByteConservationUnderContention) {

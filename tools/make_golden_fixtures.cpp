@@ -8,6 +8,7 @@
 //   golden_gbt_predictions.csv      - feature rows + expected predictions
 //   golden_predictor.txt            - a small fitted TransferPredictor
 //   golden_predictor_predictions.csv- planned transfers + expected rates
+//   golden_sim_digest.txt           - simulator output digests (sim/digest.hpp)
 //
 // Everything is derived from fixed seeds and an explicit splitmix64
 // generator (no std::<random> distributions), so the fixtures are
@@ -22,6 +23,7 @@
 #include "core/predictor.hpp"
 #include "ml/gbt.hpp"
 #include "ml/matrix.hpp"
+#include "sim/digest.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -157,6 +159,19 @@ int main(int argc, char** argv) {
           << g17(interval.expected_mbps) << "," << g17(interval.low_mbps)
           << "," << g17(interval.high_mbps) << "\n";
     }
+  }
+
+  // --- Simulator digest: log + samples of the golden digest cases -------
+  {
+    std::ofstream out(dir + "/golden_sim_digest.txt");
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s/golden_sim_digest.txt\n",
+                   dir.c_str());
+      return 1;
+    }
+    for (const auto& digest_case : sim::golden_digest_cases())
+      out << sim::digest_line(digest_case.name, digest_case.scenario.run())
+          << "\n";
   }
 
   std::printf("wrote golden fixtures to %s\n", dir.c_str());
