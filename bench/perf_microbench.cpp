@@ -4,8 +4,6 @@
 // boosting training, and MIC estimation.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -208,11 +206,12 @@ void BM_GbtPredict(benchmark::State& state) {
 BENCHMARK(BM_GbtPredict)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // Kernel-family ablation on the BM_GbtPredict workload: arg 0 is the
-// forced ml::Kernel (1 = scalar, 2 = avx2, 3 = quantized), arg 1 selects
-// serial (0) or a hardware-concurrency pool (1). Rows whose kernel this
-// host/build cannot run (e.g. avx2 under XFL_DISABLE_SIMD) are skipped
-// rather than silently measuring the fallback; every runnable row is
-// bit-identical to BM_GbtPredict/2, so the times are directly comparable.
+// forced ml::Kernel (1 = scalar, 2 = quantized; the portable quantized
+// walk on non-AVX2 hosts and XFL_DISABLE_SIMD builds), arg 1 selects
+// serial (0) or a hardware-concurrency pool (1). A row whose ensemble
+// cannot run the kernel is skipped rather than silently measuring the
+// fallback; every row is bit-identical to BM_GbtPredict/2, so the times
+// are directly comparable.
 void BM_GbtPredictKernel(benchmark::State& state) {
   Rng rng(4);
   ml::Matrix x(2000, 15);
@@ -244,10 +243,8 @@ BENCHMARK(BM_GbtPredictKernel)
     ->ArgNames({"kernel", "pool"})
     ->Args({1, 0})
     ->Args({2, 0})
-    ->Args({3, 0})
     ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({3, 1});
+    ->Args({2, 1});
 
 // Batch prediction over row blocks; arg is GbtConfig::threads.
 void BM_GbtPredictBatch(benchmark::State& state) {
@@ -284,33 +281,4 @@ BENCHMARK(BM_Mic)->Arg(250)->Arg(1000);
 
 }  // namespace
 
-// BENCHMARK_MAIN plus a --kernel {auto,scalar,avx2,quantized} flag: forces
-// the process-wide default kernel (the same lever as XFL_KERNEL) before
-// any benchmark runs, so the non-kernel rows can be A/B-ed too.
-int main(int argc, char** argv) {
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      const auto kernel = xfl::ml::parse_kernel(arg + 9);
-      if (!kernel) {
-        std::fprintf(stderr,
-                     "unknown --kernel value '%s' "
-                     "(want auto|scalar|avx2|quantized)\n",
-                     arg + 9);
-        return 1;
-      }
-      xfl::ml::set_active_kernel(*kernel);
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -178,7 +179,7 @@ void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
 
   Model model;
   // Per-edge feature layout: kFeatureNames minus Nflt (prediction
-  // features only), the order feature_vector() emits.
+  // features only), the order write_features() emits.
   for (const char* name : features::kFeatureNames)
     if (std::string_view(name) != "Nflt") model.feature_names.emplace_back(name);
 
@@ -189,10 +190,8 @@ void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
     const EdgeSample& sample = samples[r];
     XFL_EXPECTS(std::isfinite(sample.observed_mbps) &&
                 sample.observed_mbps > 0.0);
-    const auto row =
-        feature_vector(sample.transfer, sample.load, /*with_capabilities=*/false);
-    XFL_EXPECTS(row.size() == model.feature_names.size());
-    for (std::size_t c = 0; c < row.size(); ++c) raw.at(r, c) = row[c];
+    write_features(sample.transfer, sample.load, /*with_capabilities=*/false,
+                   raw.row(r));
     y.push_back(sample.observed_mbps);
   }
 
@@ -218,36 +217,35 @@ bool TransferPredictor::has_edge_model(const logs::EdgeKey& edge) const {
   return edge_models_.contains(edge);
 }
 
-std::vector<double> TransferPredictor::feature_vector(
+void TransferPredictor::write_features(
     const PlannedTransfer& transfer,
-    const features::ContentionFeatures& load, bool with_capabilities) const {
+    const features::ContentionFeatures& load, bool with_capabilities,
+    std::span<double> out) const {
   // Mirrors features::kFeatureNames order with Nflt removed (prediction
   // features only; Fig. 9 order): Ksout Kdin C P Ssout Ssin Sdout Sdin
   // Ksin Kdout Nd Nb Gsrc Gdst Nf [ROmax_src RImax_dst].
-  std::vector<double> row = {
-      to_mbps(load.k_sout),
-      to_mbps(load.k_din),
-      static_cast<double>(transfer.concurrency),
-      static_cast<double>(transfer.parallelism),
-      load.s_sout,
-      load.s_sin,
-      load.s_dout,
-      load.s_din,
-      to_mbps(load.k_sin),
-      to_mbps(load.k_dout),
-      static_cast<double>(transfer.dirs),
-      transfer.bytes,
-      load.g_src,
-      load.g_dst,
-      static_cast<double>(transfer.files),
-  };
+  XFL_EXPECTS(out.size() == (with_capabilities ? 17u : 15u));
+  out[0] = to_mbps(load.k_sout);
+  out[1] = to_mbps(load.k_din);
+  out[2] = static_cast<double>(transfer.concurrency);
+  out[3] = static_cast<double>(transfer.parallelism);
+  out[4] = load.s_sout;
+  out[5] = load.s_sin;
+  out[6] = load.s_dout;
+  out[7] = load.s_din;
+  out[8] = to_mbps(load.k_sin);
+  out[9] = to_mbps(load.k_dout);
+  out[10] = static_cast<double>(transfer.dirs);
+  out[11] = transfer.bytes;
+  out[12] = load.g_src;
+  out[13] = load.g_dst;
+  out[14] = static_cast<double>(transfer.files);
   if (with_capabilities) {
     const auto* src_capability = capability(transfer.src);
     const auto* dst_capability = capability(transfer.dst);
-    row.push_back(src_capability ? to_mbps(src_capability->ro_max_Bps) : 0.0);
-    row.push_back(dst_capability ? to_mbps(dst_capability->ri_max_Bps) : 0.0);
+    out[15] = src_capability ? to_mbps(src_capability->ro_max_Bps) : 0.0;
+    out[16] = dst_capability ? to_mbps(dst_capability->ri_max_Bps) : 0.0;
   }
-  return row;
 }
 
 const TransferPredictor::Model& TransferPredictor::model_for(
@@ -256,74 +254,114 @@ const TransferPredictor::Model& TransferPredictor::model_for(
   return it != edge_models_.end() ? it->second : global_model_;
 }
 
+namespace {
+const features::ContentionFeatures kIdle{};
+
+/// A rate prediction is never non-positive.
+double served_rate(double raw_mbps) { return std::max(raw_mbps, 0.01); }
+
+/// The served rate for a raw model output, with the serving model's
+/// empirical residual band around it.
+RateInterval rate_band(double raw_mbps, double ratio_p10, double ratio_p90) {
+  RateInterval band;
+  band.expected_mbps = served_rate(raw_mbps);
+  band.low_mbps = std::max(0.01, band.expected_mbps * ratio_p10);
+  band.high_mbps = std::max(band.low_mbps, band.expected_mbps * ratio_p90);
+  return band;
+}
+}  // namespace
+
+template <typename Emit>
+void TransferPredictor::serve_batch(
+    std::span<const PlannedTransfer> transfers,
+    std::span<const features::ContentionFeatures> loads, ThreadPool* pool,
+    bool explain, Emit&& emit) const {
+  XFL_EXPECTS(fitted_);
+  XFL_EXPECTS(loads.empty() || loads.size() == transfers.size());
+  // Sort the row indices by (serving model, index): each model's rows
+  // become one ascending run, and the groups come out in one fixed order.
+  // Grouping only batches rows that share a model — every row is
+  // standardised with its own model's moments and walked independently,
+  // so the answers are bit-identical in any batch composition.
+  std::vector<const Model*> model_of(transfers.size());
+  std::vector<std::size_t> order(transfers.size());
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    XFL_EXPECTS(transfers[i].bytes >= 0.0 && transfers[i].files >= 1);
+    model_of[i] = &model_for({transfers[i].src, transfers[i].dst});
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (model_of[a] != model_of[b])
+      return std::less<const Model*>{}(model_of[a], model_of[b]);
+    return a < b;
+  });
+
+  auto& metrics = predictor_metrics();
+  std::vector<double> raw;
+  std::vector<double> bias;
+  std::vector<double> contributions;
+  for (std::size_t begin = 0; begin < order.size();) {
+    const Model& model = *model_of[order[begin]];
+    std::size_t end = begin + 1;
+    while (end < order.size() && model_of[order[end]] == &model) ++end;
+    const std::span<const std::size_t> indices(order.data() + begin,
+                                               end - begin);
+    begin = end;
+    const bool dedicated = &model != &global_model_;
+    if (explain)
+      (dedicated ? metrics.explain_edge_hits : metrics.explain_global_fallbacks)
+          .add(indices.size());
+    else
+      (dedicated ? metrics.edge_hits : metrics.global_fallbacks)
+          .add(indices.size());
+
+    // Feature rows are written straight into the group matrix, then
+    // standardised in place with the model's training moments.
+    const auto& means = model.scaler.means();
+    const auto& sigmas = model.scaler.sigmas();
+    const std::size_t cols = means.size();
+    ml::Matrix x(indices.size(), cols);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      const std::size_t i = indices[k];
+      const auto row = x.row(k);
+      write_features(transfers[i], loads.empty() ? kIdle : loads[i],
+                     !dedicated, row);
+      for (std::size_t c = 0; c < cols; ++c)
+        row[c] = (row[c] - means[c]) / sigmas[c];
+    }
+    raw.resize(indices.size());
+    if (explain) {
+      bias.resize(indices.size());
+      contributions.resize(indices.size() * cols);
+      model.boosted->explain_batch(x, raw, bias, contributions, pool);
+    } else {
+      model.boosted->predict_batch(x, raw, pool);
+    }
+    emit(Group{model, dedicated, indices, raw, bias, contributions});
+  }
+}
+
 double TransferPredictor::predict_rate_mbps(
     const PlannedTransfer& transfer,
     const features::ContentionFeatures& expected_load) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(transfer.bytes >= 0.0 && transfer.files >= 1);
-  XFL_SPAN("predictor.predict");
-  const logs::EdgeKey edge{transfer.src, transfer.dst};
-  const bool dedicated = has_edge_model(edge);
-  auto& metrics = predictor_metrics();
-  (dedicated ? metrics.edge_hits : metrics.global_fallbacks).add(1);
-  const Model& model = model_for(edge);
-  auto row = feature_vector(transfer, expected_load, !dedicated);
-
-  // Standardise with the model's training statistics.
-  XFL_EXPECTS(row.size() == model.scaler.means().size());
-  for (std::size_t c = 0; c < row.size(); ++c)
-    row[c] = (row[c] - model.scaler.means()[c]) / model.scaler.sigmas()[c];
-  const double rate = model.boosted->predict(row);
-  return std::max(rate, 0.01);  // A rate prediction is never non-positive.
+  return predict_rate_interval(transfer, expected_load).expected_mbps;
 }
 
 std::vector<double> TransferPredictor::predict_rates_mbps(
     std::span<const PlannedTransfer> transfers,
     std::span<const features::ContentionFeatures> expected_loads,
     ThreadPool* pool) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(expected_loads.empty() ||
-              expected_loads.size() == transfers.size());
   XFL_SPAN("predictor.predict_batch");
   const std::uint64_t start_us = obs::monotonic_us();
   std::vector<double> rates(transfers.size());
-  if (transfers.empty()) return rates;
-  static const features::ContentionFeatures kIdle{};
-
-  // Group rows by serving model, then run each group through the model's
-  // flattened batch engine in one shot. Grouping only batches rows that
-  // share a model — every row is standardised with its own model's
-  // moments and walked independently, so the answers are bit-identical to
-  // per-transfer predict_rate_mbps calls.
-  std::map<const Model*, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    XFL_EXPECTS(transfers[i].bytes >= 0.0 && transfers[i].files >= 1);
-    groups[&model_for({transfers[i].src, transfers[i].dst})].push_back(i);
-  }
-  for (const auto& [model, indices] : groups) {
-    const bool dedicated = model != &global_model_;
-    auto& metrics = predictor_metrics();
-    (dedicated ? metrics.edge_hits : metrics.global_fallbacks)
-        .add(indices.size());
-    const auto& means = model->scaler.means();
-    const auto& sigmas = model->scaler.sigmas();
-    ml::Matrix x(indices.size(), means.size());
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      const auto row = feature_vector(
-          transfers[i], expected_loads.empty() ? kIdle : expected_loads[i],
-          !dedicated);
-      XFL_EXPECTS(row.size() == means.size());
-      for (std::size_t c = 0; c < row.size(); ++c)
-        x.at(k, c) = (row[c] - means[c]) / sigmas[c];
-    }
-    std::vector<double> predicted(indices.size());
-    model->boosted->predict_batch(x, predicted, pool);
-    for (std::size_t k = 0; k < indices.size(); ++k)
-      rates[indices[k]] = std::max(predicted[k], 0.01);
-  }
-  predictor_metrics().batch_latency.record(
-      static_cast<double>(obs::monotonic_us() - start_us));
+  serve_batch(transfers, expected_loads, pool, /*explain=*/false,
+              [&](const Group& group) {
+                for (std::size_t k = 0; k < group.indices.size(); ++k)
+                  rates[group.indices[k]] = served_rate(group.raw[k]);
+              });
+  if (!transfers.empty())
+    predictor_metrics().batch_latency.record(
+        static_cast<double>(obs::monotonic_us() - start_us));
   return rates;
 }
 
@@ -331,77 +369,43 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
     std::span<const PlannedTransfer> transfers,
     std::span<const features::ContentionFeatures> expected_loads,
     ThreadPool* pool) const {
-  XFL_EXPECTS(fitted_);
-  XFL_EXPECTS(expected_loads.empty() ||
-              expected_loads.size() == transfers.size());
   XFL_SPAN("predictor.explain_batch");
   const std::uint64_t start_us = obs::monotonic_us();
   std::vector<RateExplanation> out(transfers.size());
-  if (transfers.empty()) return out;
-  static const features::ContentionFeatures kIdle{};
-
-  // Same per-model grouping and standardisation as predict_rates_mbps, so
-  // the explained rate for a transfer is bit-identical to the rate the
-  // predict path serves for it in any batch composition.
-  std::map<const Model*, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    XFL_EXPECTS(transfers[i].bytes >= 0.0 && transfers[i].files >= 1);
-    groups[&model_for({transfers[i].src, transfers[i].dst})].push_back(i);
-  }
   auto& metrics = predictor_metrics();
-  for (const auto& [model, indices] : groups) {
-    const bool dedicated = model != &global_model_;
-    (dedicated ? metrics.explain_edge_hits : metrics.explain_global_fallbacks)
-        .add(indices.size());
-    const bool calibrated =
-        model->ratio_p10 != 1.0 || model->ratio_p90 != 1.0;
+  const auto emit = [&](const Group& group) {
+    const Model& model = group.model;
+    const bool calibrated = model.ratio_p10 != 1.0 || model.ratio_p90 != 1.0;
     (calibrated ? metrics.explain_calibrated : metrics.explain_uncalibrated)
-        .add(indices.size());
-    const auto& means = model->scaler.means();
-    const auto& sigmas = model->scaler.sigmas();
-    const std::size_t cols = means.size();
-    ml::Matrix x(indices.size(), cols);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      const auto row = feature_vector(
-          transfers[i], expected_loads.empty() ? kIdle : expected_loads[i],
-          !dedicated);
-      XFL_EXPECTS(row.size() == cols);
-      for (std::size_t c = 0; c < cols; ++c)
-        x.at(k, c) = (row[c] - means[c]) / sigmas[c];
-    }
-    std::vector<double> predicted(indices.size());
-    std::vector<double> bias(indices.size());
-    std::vector<double> contributions(indices.size() * cols);
-    model->boosted->explain_batch(x, predicted, bias, contributions, pool);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      RateExplanation& explanation = out[indices[k]];
-      explanation.raw_mbps = predicted[k];
-      explanation.bias_mbps = bias[k];
-      // Identical clamp and band arithmetic as the predict path.
-      explanation.rate_mbps = std::max(predicted[k], 0.01);
-      explanation.low_mbps =
-          std::max(0.01, explanation.rate_mbps * model->ratio_p10);
-      explanation.high_mbps = std::max(
-          explanation.low_mbps, explanation.rate_mbps * model->ratio_p90);
-      explanation.edge_model = dedicated;
-      explanation.feature_names = model->feature_names;
-      explanation.contributions.assign(
-          contributions.begin() + static_cast<std::ptrdiff_t>(k * cols),
-          contributions.begin() + static_cast<std::ptrdiff_t>((k + 1) * cols));
+        .add(group.indices.size());
+    const std::size_t cols = model.scaler.means().size();
+    for (std::size_t k = 0; k < group.indices.size(); ++k) {
+      RateExplanation& explanation = out[group.indices[k]];
+      explanation.raw_mbps = group.raw[k];
+      explanation.bias_mbps = group.bias[k];
+      const RateInterval band =
+          rate_band(group.raw[k], model.ratio_p10, model.ratio_p90);
+      explanation.rate_mbps = band.expected_mbps;
+      explanation.low_mbps = band.low_mbps;
+      explanation.high_mbps = band.high_mbps;
+      explanation.edge_model = group.dedicated;
+      explanation.feature_names = model.feature_names;
+      const auto row = group.contributions.subspan(k * cols, cols);
+      explanation.contributions.assign(row.begin(), row.end());
     }
     // Rolling per-feature attribution magnitudes: one registry lookup per
     // feature per group (explain traffic is low-rate by design), then
     // lock-free records.
-    for (std::size_t c = 0; c < cols && c < model->feature_names.size();
-         ++c) {
+    for (std::size_t c = 0; c < cols && c < model.feature_names.size(); ++c) {
       auto& histogram = obs::histogram(
-          "predictor.attribution." + model->feature_names[c],
+          "predictor.attribution." + model.feature_names[c],
           attribution_bounds());
-      for (std::size_t k = 0; k < indices.size(); ++k)
-        histogram.record(std::abs(contributions[k * cols + c]));
+      for (std::size_t k = 0; k < group.indices.size(); ++k)
+        histogram.record(std::abs(group.contributions[k * cols + c]));
     }
-  }
+  };
+  serve_batch(transfers, expected_loads, pool, /*explain=*/true, emit);
+  if (transfers.empty()) return out;
   metrics.explain_rows.add(transfers.size());
   metrics.explain_latency.record(
       static_cast<double>(obs::monotonic_us() - start_us));
@@ -411,12 +415,13 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
 RateInterval TransferPredictor::predict_rate_interval(
     const PlannedTransfer& transfer,
     const features::ContentionFeatures& expected_load) const {
-  const double expected = predict_rate_mbps(transfer, expected_load);
-  const Model& model = model_for({transfer.src, transfer.dst});
+  XFL_SPAN("predictor.predict");
   RateInterval interval;
-  interval.expected_mbps = expected;
-  interval.low_mbps = std::max(0.01, expected * model.ratio_p10);
-  interval.high_mbps = std::max(interval.low_mbps, expected * model.ratio_p90);
+  serve_batch({&transfer, 1}, {&expected_load, 1}, nullptr, /*explain=*/false,
+              [&](const Group& group) {
+                interval = rate_band(group.raw[0], group.model.ratio_p10,
+                                     group.model.ratio_p90);
+              });
   return interval;
 }
 

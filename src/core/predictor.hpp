@@ -178,11 +178,10 @@ class TransferPredictor {
       const PlannedTransfer& transfer,
       const features::ContentionFeatures& expected_load = {}) const;
 
-  /// Name of the batch-inference kernel the serving path would run right
-  /// now ("scalar" / "avx2" / "quantized"): the process-wide dispatch
-  /// (XFL_KERNEL / --kernel / CPU detection) resolved against the global
-  /// model's compiled ensemble. Surfaced in the serve startup log and the
-  /// `stats` admin reply. Requires fit() (or load()).
+  /// Name of the batch-inference kernel the serving path runs ("scalar" /
+  /// "quantized"), as the global model's compiled ensemble chooses it from
+  /// its quantized form and the CPU. Surfaced in the serve startup log and
+  /// the `stats` admin reply. Requires fit() (or load()).
   const char* serving_kernel() const;
 
   /// Feature importances of the model serving this edge (name, weight),
@@ -225,13 +224,38 @@ class TransferPredictor {
     double ratio_p90 = 1.0;
   };
 
+  /// One serving-model group of a batch, as serve_batch hands it over:
+  /// batch rows `indices` (ascending) went through `model`, and `raw`
+  /// holds their unclamped outputs. The explain pass also fills `bias`
+  /// and row-major `contributions` (model width per row).
+  struct Group {
+    const Model& model;
+    bool dedicated;
+    std::span<const std::size_t> indices;
+    std::span<const double> raw;
+    std::span<const double> bias;
+    std::span<const double> contributions;
+  };
+
   static void calibrate_interval(Model& model, const ml::Matrix& x,
                                  const std::vector<double>& y);
-  std::vector<double> feature_vector(
-      const PlannedTransfer& transfer,
-      const features::ContentionFeatures& expected_load,
-      bool with_capabilities) const;
+  /// Write one transfer's feature row (per-edge layout, plus the endpoint
+  /// capabilities when `with_capabilities`) into `out`, which must be
+  /// exactly that wide.
+  void write_features(const PlannedTransfer& transfer,
+                      const features::ContentionFeatures& expected_load,
+                      bool with_capabilities, std::span<double> out) const;
   const Model& model_for(const logs::EdgeKey& edge) const;
+  /// The one batch routine behind every predict and explain entry point:
+  /// group the transfers by serving model, standardise each group's
+  /// feature rows straight into one matrix, run the model's flat engine
+  /// (explain_batch when `explain`, else predict_batch), count the rows
+  /// per model class, and hand each group to `emit`. `loads` is empty
+  /// (all idle) or parallel to `transfers`.
+  template <typename Emit>
+  void serve_batch(std::span<const PlannedTransfer> transfers,
+                   std::span<const features::ContentionFeatures> loads,
+                   ThreadPool* pool, bool explain, Emit&& emit) const;
 
   Options options_;
   bool fitted_ = false;

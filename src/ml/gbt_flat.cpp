@@ -1,10 +1,8 @@
 #include "ml/gbt_flat.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -14,12 +12,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// The vectorized kernels are x86-only and gated: gcc/clang `target("avx2")`
-// function attributes let one TU carry AVX2 bodies without -mavx2 on the
-// whole build, and runtime dispatch (CPUID, probed once) keeps them off
-// the execution path on older CPUs. -DXFL_DISABLE_SIMD compiles them out
-// entirely (forced-scalar builds; the quantized kernel keeps its portable
-// scalar form).
+// The vectorized quantized walk is x86-only and gated: gcc/clang
+// `target("avx2")` function attributes let one TU carry AVX2 bodies
+// without -mavx2 on the whole build, and runtime dispatch (CPUID, probed
+// once) keeps them off the execution path on older CPUs.
+// -DXFL_DISABLE_SIMD compiles them out entirely (forced-scalar builds; the
+// quantized kernel keeps its portable scalar form).
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(XFL_DISABLE_SIMD)
 #define XFL_X86_KERNELS 1
 #include <immintrin.h>
@@ -33,22 +31,12 @@ const char* kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kAvx2:
-      return "avx2";
     case Kernel::kQuantized:
       return "quantized";
     case Kernel::kAuto:
       break;
   }
   return "auto";
-}
-
-std::optional<Kernel> parse_kernel(std::string_view text) {
-  if (text == "auto") return Kernel::kAuto;
-  if (text == "scalar") return Kernel::kScalar;
-  if (text == "avx2") return Kernel::kAvx2;
-  if (text == "quantized") return Kernel::kQuantized;
-  return std::nullopt;
 }
 
 bool cpu_supports_avx2() noexcept {
@@ -58,44 +46,6 @@ bool cpu_supports_avx2() noexcept {
 #else
   return false;
 #endif
-}
-
-Kernel resolve_kernel(Kernel requested) noexcept {
-  // Auto picks the fastest exact kernel this host runs: the quantized
-  // walk when its AVX2 form is available, the scalar oracle otherwise
-  // (the portable scalar-quantized walk stays opt-in — explicit requests
-  // pass through).
-  if (requested == Kernel::kAuto)
-    return cpu_supports_avx2() ? Kernel::kQuantized : Kernel::kScalar;
-  if (requested == Kernel::kAvx2 && !cpu_supports_avx2())
-    return Kernel::kScalar;
-  return requested;
-}
-
-namespace {
-
-Kernel kernel_from_env() {
-  const char* env = std::getenv("XFL_KERNEL");
-  if (env == nullptr || *env == '\0') return Kernel::kAuto;
-  if (const auto parsed = parse_kernel(env)) return *parsed;
-  XFL_LOG(warn) << "unknown XFL_KERNEL value; using auto"
-                << obs::kv("value", env);
-  return Kernel::kAuto;
-}
-
-std::atomic<Kernel>& active_kernel_slot() {
-  static std::atomic<Kernel> slot{kernel_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-Kernel active_kernel() noexcept {
-  return active_kernel_slot().load(std::memory_order_relaxed);
-}
-
-void set_active_kernel(Kernel kernel) noexcept {
-  active_kernel_slot().store(kernel, std::memory_order_relaxed);
 }
 
 namespace {
@@ -135,21 +85,13 @@ ExplainMetrics& explain_metrics() {
   return metrics;
 }
 
-/// Per-kernel row counters, so A/B runs (--kernel / XFL_KERNEL) show up
-/// in the registry without parsing logs.
+/// Per-kernel row counters, so the registry shows which kernel served
+/// the traffic without parsing logs.
 obs::Counter& kernel_rows_counter(Kernel kernel) {
   static obs::Counter& scalar = obs::counter("gbt.predict.kernel.scalar.rows");
-  static obs::Counter& avx2 = obs::counter("gbt.predict.kernel.avx2.rows");
   static obs::Counter& quantized =
       obs::counter("gbt.predict.kernel.quantized.rows");
-  switch (kernel) {
-    case Kernel::kAvx2:
-      return avx2;
-    case Kernel::kQuantized:
-      return quantized;
-    default:
-      return scalar;
-  }
+  return kernel == Kernel::kQuantized ? quantized : scalar;
 }
 }  // namespace
 
@@ -471,11 +413,13 @@ void FlatEnsemble::build_quantized() {
 }
 
 Kernel FlatEnsemble::effective_kernel(Kernel requested) const {
-  Kernel kernel =
-      resolve_kernel(requested == Kernel::kAuto ? active_kernel() : requested);
-  if (kernel == Kernel::kQuantized && !quantized_ok_)
-    kernel = cpu_supports_avx2() ? Kernel::kAvx2 : Kernel::kScalar;
-  return kernel;
+  // Auto runs the quantized walk only in its AVX2 form (the portable
+  // scalar-quantized walk stays reachable by explicit request); an
+  // ensemble without the quantized form always runs the scalar oracle.
+  if (requested == Kernel::kAuto)
+    requested = cpu_supports_avx2() ? Kernel::kQuantized : Kernel::kScalar;
+  return requested == Kernel::kQuantized && quantized_ok_ ? Kernel::kQuantized
+                                                          : Kernel::kScalar;
 }
 
 double FlatEnsemble::predict_one(std::span<const double> features) const {
@@ -505,9 +449,6 @@ namespace {
 /// (row pointers, node cursors, accumulators) stays in registers / L1;
 /// large enough that the dependent-load chains of the walks overlap.
 constexpr std::size_t kRowBlock = 16;
-/// Features whose per-block scratch (transposed values / rank codes) fits
-/// on the stack; wider models fall back to a per-call heap buffer.
-constexpr std::size_t kStackFeatures = 64;
 }  // namespace
 
 void FlatEnsemble::predict_rows_scalar(const Matrix& x, std::size_t begin,
@@ -626,18 +567,8 @@ void FlatEnsemble::build_block_masks(const Matrix& x, std::size_t block,
 
 namespace {
 
-/// Raw views of the SoA arrays for the kernel bodies (free functions:
-/// the target("avx2") attribute stays off the class interface).
-struct FlatView {
-  const std::int32_t* feat;
-  const double* val;
-  const std::int32_t* left;
-  const std::int32_t* roots;
-  const std::int32_t* depth;
-  std::size_t tree_count;
-  double scale;
-};
-
+/// Raw view of the quantized arrays for the kernel bodies (free
+/// functions: the target("avx2") attribute stays off the class interface).
 struct QuantView {
   const std::int32_t* qmask_idx;
   const double* qleaf;
@@ -681,66 +612,6 @@ inline void quant_tree_scalar(const QuantView& m, std::size_t t,
 #if XFL_X86_KERNELS
 
 namespace {
-
-/// One 16-row block through every tree, AVX2 double form. `xs` is the
-/// block-transposed feature scratch (xs[f * 16 + r]); `acc` holds all 16
-/// lane accumulators (callers seed base_score and store only live lanes).
-// GCC's unmasked-gather intrinsics source an undefined vector internally
-// (`__Y = __Y`), which trips -Wmaybe-uninitialized; there is no actual
-// read of uninitialized state.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx2"))) void flat_block_avx2(const FlatView& m,
-                                                     const double* xs,
-                                                     double* acc) {
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i neg_one = _mm_set1_epi32(-1);
-  // Narrows a 4x64-bit compare mask to its 4x32-bit low halves.
-  const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  const __m128i lanes[4] = {
-      _mm_setr_epi32(0, 1, 2, 3), _mm_setr_epi32(4, 5, 6, 7),
-      _mm_setr_epi32(8, 9, 10, 11), _mm_setr_epi32(12, 13, 14, 15)};
-  double leaf[kRowBlock];
-  for (std::size_t t = 0; t < m.tree_count; ++t) {
-    const std::int32_t steps = m.depth[t];
-    __m128i idx[4];
-    for (int q = 0; q < 4; ++q) idx[q] = _mm_set1_epi32(m.roots[t]);
-    for (std::int32_t s = 0; s < steps; ++s) {
-      for (int q = 0; q < 4; ++q) {
-        const __m128i i = idx[q];
-        const __m128i f = _mm_i32gather_epi32(m.feat, i, 4);
-        // Internal lanes step; leaf lanes hold. The feature-value gather
-        // is masked on internal lanes only, so a leaf's f = -1 never
-        // forms an address (masked-off gather elements do not fault).
-        const __m128i internal = _mm_cmpgt_epi32(f, neg_one);
-        const __m256d threshold = _mm256_i32gather_pd(m.val, i, 8);
-        const __m128i fidx =
-            _mm_add_epi32(_mm_slli_epi32(f, 4), lanes[q]);
-        const __m256d mask =
-            _mm256_castsi256_pd(_mm256_cvtepi32_epi64(internal));
-        const __m256d value = _mm256_mask_i32gather_pd(
-            _mm256_setzero_pd(), xs, fidx, mask, 8);
-        // Same predicate as the scalar walk: x <= t left, NaN right
-        // (ordered compare is false on NaN).
-        const __m256d le = _mm256_cmp_pd(value, threshold, _CMP_LE_OQ);
-        const __m128i lf = _mm_i32gather_epi32(m.left, i, 4);
-        const __m128i le32 = _mm256_castsi256_si128(
-            _mm256_permutevar8x32_epi32(_mm256_castpd_si256(le), narrow));
-        // le32 is -1 for left: left + 1 + (-1) = left; 0 for right.
-        const __m128i stepped =
-            _mm_add_epi32(lf, _mm_add_epi32(one, le32));
-        idx[q] = _mm_blendv_epi8(i, stepped, internal);
-      }
-    }
-    for (int q = 0; q < 4; ++q)
-      _mm256_storeu_pd(leaf + 4 * q, _mm256_i32gather_pd(m.val, idx[q], 8));
-    // Scalar accumulation in tree order: the identical mul-then-add
-    // sequence as the scalar kernel, hence bit-identical outputs.
-    for (std::size_t r = 0; r < kRowBlock; ++r)
-      acc[r] += m.scale * leaf[r];
-  }
-}
-#pragma GCC diagnostic pop
 
 /// Pass 1 of the AVX2 quantized block: resolve every vector-walkable
 /// tree's node masks out of the block's predicate-mask table into that
@@ -897,41 +768,6 @@ __attribute__((target("avx2"))) void quant_block_avx2(
 
 #endif  // XFL_X86_KERNELS
 
-void FlatEnsemble::predict_rows_avx2(const Matrix& x, std::size_t begin,
-                                     std::size_t end, double* out) const {
-#if XFL_X86_KERNELS
-  const FlatView view{feature_.data(), value_.data(),  left_.data(),
-                      roots_.data(),   depth_.data(),  roots_.size(),
-                      scale_};
-  const std::size_t features = x.cols();
-  double xs_stack[kStackFeatures * kRowBlock];
-  std::vector<double> xs_heap;
-  double* xs = xs_stack;
-  if (features > kStackFeatures) {
-    xs_heap.resize(features * kRowBlock);
-    xs = xs_heap.data();
-  }
-  double acc[kRowBlock];
-  for (std::size_t block = begin; block < end; block += kRowBlock) {
-    const std::size_t count = std::min(kRowBlock, end - block);
-    // Block transpose: one shared base for the per-level value gathers.
-    for (std::size_t r = 0; r < count; ++r) {
-      const double* row = x.row(block + r).data();
-      for (std::size_t f = 0; f < features; ++f) xs[f * kRowBlock + r] = row[f];
-    }
-    if (count < kRowBlock)  // Pad tail lanes: walked but never stored.
-      for (std::size_t f = 0; f < features; ++f)
-        for (std::size_t r = count; r < kRowBlock; ++r)
-          xs[f * kRowBlock + r] = 0.0;
-    for (std::size_t r = 0; r < kRowBlock; ++r) acc[r] = base_score_;
-    flat_block_avx2(view, xs, acc);
-    for (std::size_t r = 0; r < count; ++r) out[block + r] = acc[r];
-  }
-#else
-  predict_rows_scalar(x, begin, end, out);
-#endif
-}
-
 void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
                                           std::size_t end, double* out) const {
   XFL_EXPECTS(quantized_ok_);
@@ -1053,22 +889,6 @@ void FlatEnsemble::explain_batch(const Matrix& x,
   metrics.batch_us.record(static_cast<double>(obs::monotonic_us() - start_us));
 }
 
-void FlatEnsemble::predict_rows(const Matrix& x, std::size_t begin,
-                                std::size_t end, double* out,
-                                Kernel kernel) const {
-  switch (effective_kernel(kernel)) {
-    case Kernel::kAvx2:
-      predict_rows_avx2(x, begin, end, out);
-      return;
-    case Kernel::kQuantized:
-      predict_rows_quantized(x, begin, end, out);
-      return;
-    default:
-      predict_rows_scalar(x, begin, end, out);
-      return;
-  }
-}
-
 void FlatEnsemble::predict_batch(const Matrix& x, std::span<double> out,
                                  ThreadPool* pool, Kernel kernel) const {
   XFL_EXPECTS(out.size() == x.rows());
@@ -1076,21 +896,19 @@ void FlatEnsemble::predict_batch(const Matrix& x, std::span<double> out,
   XFL_SPAN("gbt.predict.batch");
   auto& metrics = serve_metrics();
   const std::uint64_t start_us = obs::monotonic_us();
-  // Resolve once: the whole batch runs one kernel even if the process
-  // default flips mid-flight (a resolved kernel re-resolves to itself).
   const Kernel resolved = effective_kernel(kernel);
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    if (resolved == Kernel::kQuantized)
+      predict_rows_quantized(x, begin, end, out.data());
+    else
+      predict_rows_scalar(x, begin, end, out.data());
+  };
   // Blocks of at least 128 rows: each index owns its output slot, so the
   // block boundaries (and hence the worker count) cannot change results.
-  if (pool != nullptr && pool->thread_count() > 1 && x.rows() >= 256) {
-    pool->parallel_for_blocks(
-        x.rows(),
-        [&](std::size_t begin, std::size_t end) {
-          predict_rows(x, begin, end, out.data(), resolved);
-        },
-        128);
-  } else {
-    predict_rows(x, 0, x.rows(), out.data(), resolved);
-  }
+  if (pool != nullptr && pool->thread_count() > 1 && x.rows() >= 256)
+    pool->parallel_for_blocks(x.rows(), run, 128);
+  else
+    run(0, x.rows());
   metrics.rows.add(x.rows());
   metrics.batches.add(1);
   metrics.batch_rows.record(static_cast<double>(x.rows()));

@@ -46,17 +46,13 @@
 // zeroed). `GradientBoostedTrees::explain_nodewalk` is the kept per-row
 // reference, sharing the same expectation arithmetic and finalize.
 //
-// Kernel family (PR 6): the lockstep walk above is the `scalar` kernel and
-// stays the oracle. Two explicitly vectorized kernels sit beside it behind
-// runtime dispatch (CPUID probed once; compile-time on non-x86):
+// Kernel family: the lockstep walk above is the `scalar` kernel and stays
+// the oracle. One more member sits beside it, and the code picks between
+// the two from what it observes: kAuto runs `quantized` when the ensemble
+// compiled to the quantized form and the CPU executes AVX2 (CPUID probed
+// once; compiled out on non-x86 and under XFL_DISABLE_SIMD), and `scalar`
+// otherwise.
 //
-//   * `avx2` — walks the same SoA arrays, but a 16-row block's features
-//     are first transposed into a contiguous scratch so every per-level
-//     load is a single-base AVX2 gather: node features/thresholds/links
-//     are gathered by node index, compares run 4 doubles per vector, and
-//     the index update is a compare/blend — no per-lane branches. Leaf
-//     accumulation stays scalar (`acc += scale * leaf` per row in tree
-//     order), so outputs remain bit-identical to the scalar kernel.
 //   * `quantized` — built at FlatEnsemble compile time: each feature's
 //     distinct split thresholds are sorted into a rank table and every
 //     split node stores one int32 index into a *global predicate-mask
@@ -90,14 +86,12 @@
 // beyond the int16 code space, or a padded form over the size cap),
 // build() *refuses* the quantized form — structured warn log plus the
 // `gbt.flat.quantize_fallback` counter — and dispatch falls back to the
-// exact avx2/scalar kernel instead of silently degrading accuracy.
+// exact scalar kernel instead of silently degrading accuracy.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ml/matrix.hpp"
@@ -108,37 +102,19 @@ class ThreadPool;
 
 namespace xfl::ml {
 
-/// Batch-inference kernel selector. kAuto defers to the process-wide
-/// active kernel (XFL_KERNEL env / set_active_kernel), which itself
-/// resolves to the best kernel this CPU and build support.
-enum class Kernel : std::uint8_t { kAuto = 0, kScalar, kAvx2, kQuantized };
+/// Batch-inference kernel selector. kAuto lets the ensemble choose (see
+/// FlatEnsemble::effective_kernel); tests and the microbench force
+/// kScalar (the oracle) or kQuantized (reaching its portable walk on
+/// non-AVX2 hosts).
+enum class Kernel : std::uint8_t { kAuto = 0, kScalar, kQuantized };
 
-/// "auto" / "scalar" / "avx2" / "quantized".
+/// "auto" / "scalar" / "quantized".
 const char* kernel_name(Kernel kernel);
-
-/// Parse a kernel name (the CLI --kernel / XFL_KERNEL vocabulary).
-std::optional<Kernel> parse_kernel(std::string_view text);
 
 /// True when this build carries the AVX2 kernels and the CPU executes
 /// them (CPUID probed once, cached). Always false under XFL_DISABLE_SIMD
 /// and on non-x86 hosts.
 bool cpu_supports_avx2() noexcept;
-
-/// Collapse a request onto what this CPU/build can run: kAuto becomes
-/// kQuantized on SIMD hosts (the fastest exact kernel) and kScalar
-/// otherwise; kAvx2 degrades to kScalar when unsupported. kScalar and
-/// kQuantized pass through (the quantized kernel has a portable scalar
-/// form; per-ensemble quantization failures degrade later, in
-/// FlatEnsemble::effective_kernel).
-Kernel resolve_kernel(Kernel requested) noexcept;
-
-/// Process-wide default kernel, initialised once from the XFL_KERNEL
-/// environment variable (unset or invalid = kAuto, invalid warns).
-Kernel active_kernel() noexcept;
-
-/// Override the process-wide default (CLI --kernel). kAuto restores
-/// detection.
-void set_active_kernel(Kernel kernel) noexcept;
 
 /// Reconcile a row's raw path attributions with its prediction so the
 /// canonical reconstruction — sum contributions[0..n) in ascending index
@@ -208,32 +184,27 @@ class FlatEnsemble {
   /// True when build() produced the lossless quantized form (rank-coded
   /// thresholds, padded complete trees). False means the quantized kernel
   /// silently degrades — to dispatch, never in accuracy: requests for it
-  /// fall back to the exact avx2/scalar kernel.
+  /// fall back to the exact scalar kernel.
   bool quantized_supported() const { return quantized_ok_; }
   /// Why quantization was refused ("" when quantized_supported()).
   const std::string& quantize_reject_reason() const { return quant_reject_; }
 
   /// The kernel a predict call with this request would actually run:
-  /// kAuto reads the process-wide active kernel, CPU support collapses
-  /// avx2 on non-SIMD hosts, and an unquantizable ensemble degrades
-  /// kQuantized to the best exact kernel.
+  /// kAuto picks kQuantized when this ensemble quantized and the CPU runs
+  /// AVX2, kScalar otherwise; an unquantizable ensemble degrades a
+  /// kQuantized request to kScalar.
   Kernel effective_kernel(Kernel requested = Kernel::kAuto) const;
 
   /// Ensemble prediction for one row. Bit-identical to the node walk
   /// (always the scalar walk: one row has no lanes to vectorise).
   double predict_one(std::span<const double> features) const;
 
-  /// Predict rows [begin, end) of x into out[begin, end) — the row-blocked
-  /// kernel. `out` is indexed by absolute row so concurrent callers over
-  /// disjoint ranges never touch the same slot. `kernel` forces a family
-  /// member (kAuto = process default); every kernel returns bit-identical
-  /// results, so forcing is a perf lever, never a correctness one.
-  void predict_rows(const Matrix& x, std::size_t begin, std::size_t end,
-                    double* out, Kernel kernel = Kernel::kAuto) const;
-
   /// Predict every row of x into out (out.size() == x.rows()), blocking
   /// rows across `pool` when provided. Block boundaries never change
-  /// results: each row owns its output slot and its own walk.
+  /// results: each row owns its output slot and its own walk. `kernel`
+  /// forces a family member (kAuto = the ensemble's choice); every kernel
+  /// returns bit-identical results, so forcing is a perf lever, never a
+  /// correctness one.
   void predict_batch(const Matrix& x, std::span<double> out,
                      ThreadPool* pool = nullptr,
                      Kernel kernel = Kernel::kAuto) const;
@@ -266,11 +237,11 @@ class FlatEnsemble {
   /// quantized_ok_ or records the refusal.
   void build_quantized();
 
-  // Kernel bodies behind predict_rows' dispatch.
+  // Kernel bodies behind predict_batch's dispatch: rows [begin, end) of
+  // x into out[begin, end), indexed by absolute row so concurrent callers
+  // over disjoint ranges never touch the same slot.
   void predict_rows_scalar(const Matrix& x, std::size_t begin,
                            std::size_t end, double* out) const;
-  void predict_rows_avx2(const Matrix& x, std::size_t begin, std::size_t end,
-                         double* out) const;
   void predict_rows_quantized(const Matrix& x, std::size_t begin,
                               std::size_t end, double* out) const;
 

@@ -57,14 +57,20 @@ std::string edge_name(const logs::EdgeKey& edge) {
 /// holdout slice: median of |observed - predicted| / observed * 100.
 double holdout_mdape_pct(const core::TransferPredictor& predictor,
                          std::span<const core::EdgeSample> holdout) {
+  std::vector<core::PlannedTransfer> transfers;
+  std::vector<features::ContentionFeatures> loads;
+  transfers.reserve(holdout.size());
+  loads.reserve(holdout.size());
+  for (const core::EdgeSample& sample : holdout) {
+    transfers.push_back(sample.transfer);
+    loads.push_back(sample.load);
+  }
+  const auto predicted = predictor.predict_rates_mbps(transfers, loads);
   std::vector<double> apes;
   apes.reserve(holdout.size());
-  for (const core::EdgeSample& sample : holdout) {
-    const double predicted =
-        predictor.predict_rate_mbps(sample.transfer, sample.load);
-    apes.push_back(std::abs(sample.observed_mbps - predicted) /
-                   sample.observed_mbps * 100.0);
-  }
+  for (std::size_t i = 0; i < holdout.size(); ++i)
+    apes.push_back(std::abs(holdout[i].observed_mbps - predicted[i]) /
+                   holdout[i].observed_mbps * 100.0);
   return median(apes);
 }
 

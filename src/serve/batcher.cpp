@@ -284,14 +284,20 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
   } hook_guard(options_.batch_hook);
 
   // Stage 1: assembly — per-request queue wait, deadline triage, and
-  // packing the surviving rows into the flat-kernel input vectors.
+  // packing the surviving rows into the flat-kernel input vectors: one
+  // pass splits them into the plain and the explain partition, each in
+  // live order.
   const ModelHost::Snapshot snapshot = host_.snapshot();
   std::vector<const BatchItem*> live;
-  std::vector<core::PlannedTransfer> transfers;
-  std::vector<features::ContentionFeatures> loads;
+  struct Partition {
+    std::vector<core::PlannedTransfer> transfers;
+    std::vector<features::ContentionFeatures> loads;
+  } plain, explain;
   {
     XFL_SPAN("serve.batch.assemble");
     live.reserve(batch.size());
+    plain.transfers.reserve(batch.size());
+    plain.loads.reserve(batch.size());
     for (const auto& item : batch) {
       if (item.enqueue_us != 0)
         metrics.queue_wait.record(
@@ -307,65 +313,31 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
         deliver(item, timeout);
       } else {
         live.push_back(&item);
+        Partition& part = item.explain ? explain : plain;
+        part.transfers.push_back(item.transfer);
+        part.loads.push_back(item.load);
       }
-    }
-    transfers.reserve(live.size());
-    loads.reserve(live.size());
-    for (const BatchItem* item : live) {
-      transfers.push_back(item->transfer);
-      loads.push_back(item->load);
     }
     metrics.assemble.record(static_cast<double>(obs::monotonic_us() - start_us));
   }
   if (live.empty()) return;
 
-  // Stage 2: one flat-kernel call per partition. Plain rows keep the
-  // single predict_rates_mbps call; explain rows go through the
-  // attribution kernel (whose served rates are bit-identical), so a
-  // batch mixing both costs one extra kernel call, not one per row.
-  std::vector<std::size_t> explain_idx;
-  for (std::size_t i = 0; i < live.size(); ++i)
-    if (live[i]->explain) explain_idx.push_back(i);
+  // Stage 2: one flat-kernel call per non-empty partition. Explain rows
+  // go through the attribution kernel (whose served rates are
+  // bit-identical), so a batch mixing both costs one extra kernel call,
+  // not one per row.
   const std::uint64_t predict_start_us = obs::monotonic_us();
   std::vector<double> rates;
   std::vector<core::RateExplanation> explanations;
   try {
     XFL_SPAN("serve.batch.predict");
-    if (explain_idx.empty()) {
-      rates = snapshot.predictor->predict_rates_mbps(transfers, loads, pool);
-    } else {
-      rates.assign(live.size(), 0.0);
-      std::vector<core::PlannedTransfer> part_transfers;
-      std::vector<features::ContentionFeatures> part_loads;
-      if (explain_idx.size() < live.size()) {
-        part_transfers.reserve(live.size() - explain_idx.size());
-        part_loads.reserve(live.size() - explain_idx.size());
-        std::vector<std::size_t> plain_idx;
-        plain_idx.reserve(live.size() - explain_idx.size());
-        for (std::size_t i = 0; i < live.size(); ++i) {
-          if (live[i]->explain) continue;
-          plain_idx.push_back(i);
-          part_transfers.push_back(transfers[i]);
-          part_loads.push_back(loads[i]);
-        }
-        const auto plain_rates = snapshot.predictor->predict_rates_mbps(
-            part_transfers, part_loads, pool);
-        for (std::size_t k = 0; k < plain_idx.size(); ++k)
-          rates[plain_idx[k]] = plain_rates[k];
-      }
-      part_transfers.clear();
-      part_loads.clear();
-      part_transfers.reserve(explain_idx.size());
-      part_loads.reserve(explain_idx.size());
-      for (const std::size_t i : explain_idx) {
-        part_transfers.push_back(transfers[i]);
-        part_loads.push_back(loads[i]);
-      }
+    if (!plain.transfers.empty())
+      rates = snapshot.predictor->predict_rates_mbps(plain.transfers,
+                                                     plain.loads, pool);
+    if (!explain.transfers.empty()) {
       explanations = snapshot.predictor->explain_rates_mbps(
-          part_transfers, part_loads, pool);
-      for (std::size_t k = 0; k < explain_idx.size(); ++k)
-        rates[explain_idx[k]] = explanations[k].rate_mbps;
-      metrics.explain_rows.add(explain_idx.size());
+          explain.transfers, explain.loads, pool);
+      metrics.explain_rows.add(explanations.size());
     }
     metrics.predict.record(
         static_cast<double>(obs::monotonic_us() - predict_start_us));
@@ -393,20 +365,23 @@ void MicroBatcher::process(std::vector<BatchItem>& batch, ThreadPool* pool) {
   {
     XFL_SPAN("serve.batch.respond");
     const std::uint64_t respond_start_us = obs::monotonic_us();
+    // Both partitions are in live order, so each drains front to back.
+    std::size_t next_rate = 0;
     std::size_t next_explanation = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
+    for (const BatchItem* item : live) {
       PredictOutcome outcome;
       outcome.ok = true;
-      outcome.rate_mbps = rates[i];
       outcome.edge_model = snapshot.predictor->has_edge_model(
-          {live[i]->transfer.src, live[i]->transfer.dst});
+          {item->transfer.src, item->transfer.dst});
       outcome.model_version = snapshot.version;
-      if (live[i]->explain) {
-        // explain_idx is ascending, so explanations drain in live order.
+      if (item->explain) {
         outcome.explained = true;
         outcome.explanation = std::move(explanations[next_explanation++]);
+        outcome.rate_mbps = outcome.explanation.rate_mbps;
+      } else {
+        outcome.rate_mbps = rates[next_rate++];
       }
-      deliver(*live[i], outcome);
+      deliver(*item, outcome);
     }
     metrics.respond.record(
         static_cast<double>(obs::monotonic_us() - respond_start_us));

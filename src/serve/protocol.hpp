@@ -165,8 +165,9 @@ struct StatsReport {
   std::uint64_t steals = 0;     ///< Items rebalanced between shards.
   std::uint64_t model_version = 0;
   /// Batch-inference kernel the serving model dispatches to ("scalar" /
-  /// "avx2" / "quantized") — names the hardware path behind the latency
-  /// numbers so stats are comparable across hosts and XFL_KERNEL runs.
+  /// "quantized", chosen by the code from the model and the CPU) — names
+  /// the hardware path behind the latency numbers so stats are
+  /// comparable across hosts.
   std::string kernel;
   std::uint64_t requests = 0;
   std::uint64_t rejected = 0;

@@ -107,8 +107,7 @@ void expect_explanations_identical(const GradientBoostedTrees& model,
   // Every forced kernel's predictions must match the explain predictions
   // (explanations never depend on which predict kernel serves).
   const FlatEnsemble& flat = model.flat();
-  for (const Kernel kernel :
-       {Kernel::kScalar, Kernel::kAvx2, Kernel::kQuantized}) {
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kQuantized}) {
     if (flat.effective_kernel(kernel) != kernel) continue;
     std::vector<double> forced(rows);
     flat.predict_batch(x, forced, nullptr, kernel);

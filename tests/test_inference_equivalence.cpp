@@ -2,7 +2,7 @@
 // fitted ensembles across depths, tree counts, feature counts, and row
 // counts, every serving path must agree bit-for-bit with the reference
 // per-row node walk — serial, with a 2-thread pool, with a hardware-sized
-// pool, and under every forced kernel the host can run (scalar / avx2 /
+// pool, and under every forced kernel the host can run (scalar /
 // quantized). This is the determinism contract of ml/gbt_flat.hpp: block
 // boundaries, thread counts, and kernel choice never change a single bit.
 // The quantized kernel's documented error bound is zero (rank codes
@@ -78,12 +78,11 @@ void expect_all_paths_identical(const GradientBoostedTrees& model,
   EXPECT_EQ(model.predict(x), reference);
 
   // Every forced kernel the host can actually run, serial and pooled.
-  // effective_kernel() tells us whether the request would degrade (no
-  // AVX2, unquantizable ensemble); degraded kernels are exercised through
-  // the kernel they degrade to, so skipping them here loses nothing.
+  // effective_kernel() tells us whether the request would degrade (an
+  // unquantizable ensemble); degraded kernels are exercised through the
+  // kernel they degrade to, so skipping them here loses nothing.
   const FlatEnsemble& flat = model.flat();
-  for (const Kernel kernel :
-       {Kernel::kScalar, Kernel::kAvx2, Kernel::kQuantized}) {
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kQuantized}) {
     if (flat.effective_kernel(kernel) != kernel) continue;
     std::vector<double> forced(x.rows());
     flat.predict_batch(x, forced, nullptr, kernel);
@@ -177,28 +176,6 @@ TEST(InferenceEquivalence, ForcedScalarAlwaysAvailableAndExact) {
         << "row " << r;
 }
 
-// Forcing the process-wide dispatch (the --kernel / XFL_KERNEL path) must
-// steer kAuto without changing a single bit.
-TEST(InferenceEquivalence, ActiveKernelOverrideSteersAutoDispatch) {
-  const Kernel saved = active_kernel();
-  const auto train = make_data(300, 4, 71);
-  GradientBoostedTrees model;
-  model.fit(train.x, train.y);
-  const auto query = make_data(100, 4, 72);
-
-  std::vector<double> baseline(query.x.rows());
-  model.flat().predict_batch(query.x, baseline, nullptr, Kernel::kScalar);
-
-  set_active_kernel(Kernel::kScalar);
-  EXPECT_EQ(model.flat().effective_kernel(), Kernel::kScalar);
-  std::vector<double> via_auto(query.x.rows());
-  model.flat().predict_batch(query.x, via_auto);
-  EXPECT_EQ(via_auto, baseline);
-
-  set_active_kernel(saved);  // Never leak the override into other tests.
-  EXPECT_EQ(active_kernel(), saved);
-}
-
 /// Build an ensemble straight through the Builder (bypassing fit()) so we
 /// can hand it pathological shapes a training run would never produce.
 FlatEnsemble build_raw(
@@ -215,8 +192,9 @@ FlatEnsemble build_raw(
 }
 
 // Unquantizable ensembles must be refused at compile time — with a reason
-// and a counter bump — and the quantized *request* must degrade to an
-// exact kernel that still answers bit-identically. Never silently wrong.
+// and a counter bump — and the quantized *request* must degrade to the
+// scalar kernel, on every host, and still answer bit-identically. Never
+// silently wrong.
 TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
   struct Case {
     const char* reason;
@@ -266,8 +244,9 @@ TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
     EXPECT_EQ(obs::counter("gbt.flat.quantize_fallback").value(),
               fallbacks_before + 1)
         << test_case.reason;
-    EXPECT_NE(flat.effective_kernel(Kernel::kQuantized), Kernel::kQuantized)
+    EXPECT_EQ(flat.effective_kernel(Kernel::kQuantized), Kernel::kScalar)
         << test_case.reason;
+    EXPECT_EQ(flat.effective_kernel(), Kernel::kScalar) << test_case.reason;
 
     // The degraded request still serves, bit-identical to forced scalar.
     Rng rng(4242);

@@ -12,7 +12,6 @@
 //                      [--parallelism P]
 //   xferlearn predict-batch (--log log.csv | --model model.txt)
 //                      --transfers planned.csv [--out predictions.csv]
-//                      [--kernel auto|scalar|avx2|quantized]
 //                      (planned.csv: src,dst,bytes[,files,dirs,
 //                       concurrency,parallelism]; header row optional;
 //                       served by the flattened batch-inference engine)
@@ -24,7 +23,6 @@
 //                      [--drift-min-samples N]
 //                      [--journal-dir DIR] [--retrain-interval SECONDS]
 //                      [--retrain-min-records N]
-//                      [--kernel auto|scalar|avx2|quantized]
 //                      (line-delimited JSON over TCP, with an opt-in
 //                       length-prefixed binary framing — send the 8 bytes
 //                       "XFLBIN1\n" to negotiate; epoll event loop, so
@@ -67,7 +65,6 @@
 //                      [--queue-cap N] [--shards N] [--src ID --dst ID]
 //                      [--connections N] [--binary] [--pipeline D]
 //                      [--json-out BENCH_serve.json]
-//                      [--kernel auto|scalar|avx2|quantized]
 //                      (reports client round-trip quantiles next to the
 //                       server's own serve.request.server_us histogram
 //                       quantiles — the same estimator live stats use;
@@ -75,13 +72,10 @@
 //                       loop for the whole run, --binary drives the
 //                       packed frame protocol instead of JSON lines)
 //
-// Inference options, accepted by every subcommand (after the name):
-//   --kernel auto|scalar|avx2|quantized  pin the process-wide batch-
-//                              inference kernel dispatch before any model
-//                              is built or loaded. Same effect as the
-//                              XFL_KERNEL environment variable; the flag
-//                              wins when both are set. "auto" (default)
-//                              picks the fastest kernel the CPU supports.
+// Batch inference runs the lossless quantized kernel when the model
+// compiles to it and the CPU executes AVX2, and the scalar reference
+// kernel otherwise; both give bit-identical answers. There is no switch:
+// `request --stats` and the serve startup log name the kernel in use.
 //
 // Observability options, accepted by every subcommand (after the name):
 //   --log-level trace|debug|info|warn|error|off   (default info)
@@ -1315,24 +1309,6 @@ int run_command(const std::string& command, const ArgList& args) {
   return usage();
 }
 
-/// Apply --kernel: pins the process-wide batch-inference dispatch before
-/// any model is compiled, overriding XFL_KERNEL. Returns false (after
-/// printing the accepted names) on an unknown kernel.
-bool setup_kernel(const ArgList& args) {
-  const auto name = args.value("--kernel");
-  if (!name) return true;
-  const auto kernel = ml::parse_kernel(*name);
-  if (!kernel) {
-    std::fprintf(stderr,
-                 "error: bad --kernel '%s' (want auto|scalar|avx2|"
-                 "quantized)\n",
-                 name->c_str());
-    return false;
-  }
-  ml::set_active_kernel(*kernel);
-  return true;
-}
-
 /// Install logging/tracing from the observability flags. Returns false on
 /// an unparsable --log-level.
 bool setup_observability(const ArgList& args) {
@@ -1388,7 +1364,6 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const ArgList args(argc - 2, argv + 2);
   if (!setup_observability(args)) return 2;
-  if (!setup_kernel(args)) return 2;
   int rc;
   try {
     rc = run_command(command, args);
