@@ -101,50 +101,63 @@ void TransferPredictor::calibrate_interval(Model& model, const ml::Matrix& x,
 void TransferPredictor::fit(const logs::LogStore& log) {
   XFL_EXPECTS(!log.empty());
   XFL_SPAN("predictor.fit");
-  edge_models_.clear();
-
-  AnalysisContext context = analyze_log(log);
-  capabilities_ = context.capabilities;
+  // One width for the whole fit: the contention sweep and the model
+  // fan-out below (0 = hardware concurrency).
+  const int width = options_.gbt.threads;
+  const AnalysisContext context = analyze_log(log, width);
 
   features::DatasetOptions dataset_options;
   dataset_options.include_nflt = false;
   dataset_options.load_threshold = options_.load_threshold;
 
-  // Per-edge models.
+  // Task 0 is the global fallback over every edge in the log (the largest
+  // model by far); tasks 1..n are the trainable edges, most used first.
+  // parallel_for hands indices out dynamically, so this is largest-first
+  // scheduling.
+  const auto all_edges = context.log.edges_by_usage();
   std::vector<logs::EdgeKey> trainable;
-  for (const auto& edge : context.log.edges_by_usage()) {
+  for (const auto& edge : all_edges) {
     if (context.log.edge_count(edge) < options_.min_edge_transfers) break;
     trainable.push_back(edge);
   }
-  for (const auto& edge : trainable) {
-    const auto dataset = features::build_edge_dataset(
-        context.log, context.contention, edge, dataset_options);
-    if (dataset.rows() < options_.min_edge_transfers) continue;
-    Model model;
+  // The models match the serial fit at every width: each task owns its
+  // slot and its seed, and GBT output does not depend on its thread count.
+  std::vector<Model> models(trainable.size() + 1);
+  std::size_t global_rows = 0;
+  auto fit_model = [&](std::size_t i) {
+    const auto dataset =
+        i == 0 ? features::build_global_dataset(
+                     context.log, context.contention, all_edges,
+                     context.capabilities, dataset_options)
+               : features::build_edge_dataset(context.log, context.contention,
+                                              trainable[i - 1],
+                                              dataset_options);
+    if (i == 0) {
+      global_rows = dataset.rows();
+    } else if (dataset.rows() < options_.min_edge_transfers) {
+      return;  // Too few usable rows: the edge falls back to global.
+    }
+    Model& model = models[i];
     model.feature_names = dataset.feature_names;
     const auto x = model.scaler.fit_transform(dataset.x);
-    ml::GbtConfig gbt_config = options_.gbt;
-    gbt_config.seed = options_.seed;
-    model.boosted = std::make_unique<ml::GradientBoostedTrees>(gbt_config);
+    ml::GbtConfig config = options_.gbt;
+    config.threads = 1;  // The pool already keeps every core busy.
+    config.seed = i == 0 ? options_.seed + 1 : options_.seed;
+    model.boosted = std::make_unique<ml::GradientBoostedTrees>(config);
     model.boosted->fit(x, dataset.y);
     calibrate_interval(model, x, dataset.y);
-    edge_models_.emplace(edge, std::move(model));
-  }
+  };
+  ThreadPool pool(static_cast<std::size_t>(width));
+  pool.parallel_for(models.size(), fit_model);
 
-  // Global fallback model over every edge in the log.
-  const auto all_edges = context.log.edges_by_usage();
-  const auto global_dataset = features::build_global_dataset(
-      context.log, context.contention, all_edges, context.capabilities,
-      dataset_options);
-  global_model_.feature_names = global_dataset.feature_names;
-  const auto x = global_model_.scaler.fit_transform(global_dataset.x);
-  ml::GbtConfig gbt_config = options_.gbt;
-  gbt_config.seed = options_.seed + 1;
-  global_model_.boosted =
-      std::make_unique<ml::GradientBoostedTrees>(gbt_config);
-  global_model_.boosted->fit(x, global_dataset.y);
-  calibrate_interval(global_model_, x, global_dataset.y);
-
+  // Commit only after every model trained, so a throwing fit leaves the
+  // predictor as it was.
+  edge_models_.clear();
+  for (std::size_t i = 1; i < models.size(); ++i)
+    if (models[i].boosted)
+      edge_models_.emplace(trainable[i - 1], std::move(models[i]));
+  global_model_ = std::move(models[0]);
+  capabilities_ = context.capabilities;
   fitted_ = true;
   auto& metrics = predictor_metrics();
   metrics.fits.add(1);
@@ -152,7 +165,7 @@ void TransferPredictor::fit(const logs::LogStore& log) {
   XFL_LOG(info) << "predictor fit complete"
                 << obs::kv("records", log.size())
                 << obs::kv("edge_models", edge_models_.size())
-                << obs::kv("global_rows", global_dataset.rows())
+                << obs::kv("global_rows", global_rows)
                 << obs::kv("kernel", serving_kernel());
 }
 

@@ -91,7 +91,13 @@ class TransferPredictor {
     std::size_t min_edge_transfers = 100;
     /// Optional unknown-load filter applied to training data (0 = off).
     double load_threshold = 0.0;
-    ml::GbtConfig gbt;
+    /// Hyperparameters of every model fit() trains. `gbt.threads` is the
+    /// width of the whole fit (0 = hardware concurrency, the default): the
+    /// contention sweep and a pool that trains the independent models
+    /// concurrently, global fallback first, then edges most used first.
+    /// Each model's own GBT runs serially, so the fitted models and save()
+    /// bytes are identical at every width.
+    ml::GbtConfig gbt{.threads = 0};
     std::uint64_t seed = 1234;
   };
 
@@ -107,7 +113,8 @@ class TransferPredictor {
   TransferPredictor();
   explicit TransferPredictor(Options options);
 
-  /// Train from a historical log. May be called again to refit.
+  /// Train from a historical log. May be called again to refit; a fit that
+  /// throws leaves the predictor as it was.
   void fit(const logs::LogStore& log);
 
   /// Deep copy of a fitted predictor via a save()/load() round trip (the

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 namespace xfl::obs {
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
 
 namespace detail {
 
@@ -62,6 +67,16 @@ void Histogram::record(double v) noexcept {
   Shard& shard = shards_[detail::shard_index()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(v, std::memory_order_relaxed);
+  // Extremes via CAS, only when v is new; losing the race only means
+  // another writer installed a value at least as extreme.
+  double seen = shard.min.load(std::memory_order_relaxed);
+  while (v < seen && !shard.min.compare_exchange_weak(
+                         seen, v, std::memory_order_relaxed)) {
+  }
+  seen = shard.max.load(std::memory_order_relaxed);
+  while (v > seen && !shard.max.compare_exchange_weak(
+                         seen, v, std::memory_order_relaxed)) {
+  }
 }
 
 double Histogram::Snapshot::quantile(double p) const {
@@ -85,21 +100,30 @@ double Histogram::Snapshot::quantile(double p) const {
     const double hi = upper_bounds[b];
     const double fraction =
         (rank - static_cast<double>(below)) / static_cast<double>(counts[b]);
-    return lo + (hi - lo) * std::min(std::max(fraction, 0.0), 1.0);
+    const double estimate =
+        lo + (hi - lo) * std::min(std::max(fraction, 0.0), 1.0);
+    // No sample lies outside [min, max]. The guard skips the clamp when a
+    // snapshot raced a first record and saw its count before its extremes.
+    return min <= max ? std::min(std::max(estimate, min), max) : estimate;
   }
   return upper_bounds.empty() ? 0.0 : upper_bounds.back();
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
+  snap.min = kInf;
+  snap.max = -kInf;
   snap.upper_bounds = upper_bounds_;
   snap.counts.assign(upper_bounds_.size() + 1, 0);
   for (const auto& shard : shards_) {
     for (std::size_t b = 0; b < shard.counts.size(); ++b)
       snap.counts[b] += shard.counts[b].load(std::memory_order_relaxed);
     snap.sum += shard.sum.load(std::memory_order_relaxed);
+    snap.min = std::min(snap.min, shard.min.load(std::memory_order_relaxed));
+    snap.max = std::max(snap.max, shard.max.load(std::memory_order_relaxed));
   }
   for (const auto c : snap.counts) snap.count += c;
+  if (snap.count == 0) snap.min = snap.max = 0.0;
   return snap;
 }
 
@@ -107,6 +131,8 @@ void Histogram::reset() noexcept {
   for (auto& shard : shards_) {
     for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);
     shard.sum.store(0.0, std::memory_order_relaxed);
+    shard.min.store(kInf, std::memory_order_relaxed);
+    shard.max.store(-kInf, std::memory_order_relaxed);
   }
 }
 

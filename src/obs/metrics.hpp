@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -88,8 +89,9 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram: bucket i counts samples <= bounds[i], plus an
-/// implicit overflow bucket. Counts and the running sum are sharded like
-/// Counter cells.
+/// implicit overflow bucket. Counts, the running sum and the extremes are
+/// sharded like Counter cells; a sample costs two relaxed loads for the
+/// extremes and a CAS only when it is a new minimum or maximum.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
@@ -101,11 +103,16 @@ class Histogram {
     std::vector<std::uint64_t> counts;  ///< upper_bounds.size() + 1 entries.
     std::uint64_t count = 0;
     double sum = 0.0;
+    double min = 0.0;  ///< Smallest sample seen (0 when empty).
+    double max = 0.0;  ///< Largest sample seen (0 when empty).
 
     /// Streaming quantile extraction, p in [0, 100]: walk the cumulative
-    /// bucket counts to the target rank and interpolate linearly inside
-    /// the bucket (lower edge 0 for the first bucket). Samples landing in
-    /// the overflow bucket clamp to the highest bound — register the
+    /// bucket counts to the target rank, interpolate linearly inside the
+    /// bucket (lower edge 0 for the first bucket), and clamp the result to
+    /// [min, max] — n identical samples return exactly that sample, and
+    /// otherwise the estimate stays inside the bucket holding the
+    /// nearest-rank sample (one bucket's growth factor). Samples landing
+    /// in the overflow bucket report the highest bound — register the
     /// histogram with log_bucket_bounds() wide enough that the overflow
     /// bucket stays empty. Returns 0 when the histogram is empty.
     double quantile(double p) const;
@@ -118,6 +125,8 @@ class Histogram {
   struct alignas(64) Shard {
     std::vector<std::atomic<std::uint64_t>> counts;
     std::atomic<double> sum{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
   std::vector<double> upper_bounds_;
   std::array<Shard, kMetricShards> shards_;

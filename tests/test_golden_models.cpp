@@ -23,6 +23,7 @@
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 #include "obs/metrics.hpp"
+#include "sim/scenario.hpp"
 
 namespace xfl {
 namespace {
@@ -164,6 +165,28 @@ TEST(GoldenPredictor, ResavesByteIdentical) {
   std::ostringstream out;
   predictor.save(out);
   EXPECT_EQ(out.str(), text);
+}
+
+// Refitting with the tools/make_golden_fixtures recipe reproduces the
+// committed model byte for byte, so a fit that drifts (seeds, dataset
+// assembly, model order, the concurrent fan-out) fails here, not only a
+// format change. The default width fans the fit out at hardware
+// concurrency.
+TEST(GoldenPredictor, RefitReproducesCommittedModel) {
+  sim::EsnetConfig scenario_config;
+  scenario_config.seed = 20170622;
+  scenario_config.transfers = 900;
+  const auto log = sim::make_esnet_testbed(scenario_config).run().log;
+
+  core::TransferPredictor::Options options;
+  options.min_edge_transfers = 60;
+  options.gbt.trees = 25;
+  options.gbt.max_depth = 3;
+  core::TransferPredictor predictor(options);
+  predictor.fit(log);
+  std::ostringstream out;
+  predictor.save(out);
+  EXPECT_EQ(out.str(), slurp(data_path("golden_predictor.txt")));
 }
 
 TEST(GoldenPredictor, PredictionsMatchCommitted) {

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -243,6 +245,66 @@ TEST(Metrics, QuantileEdgeCases) {
   EXPECT_EQ(bare.quantile(0.0), 0.0);
   EXPECT_EQ(bare.quantile(50.0), 0.0);
   EXPECT_EQ(bare.quantile(100.0), 0.0);
+}
+
+TEST(Metrics, QuantileOfIdenticalSamplesIsThatSample) {
+  // Clamping to the seen [min, max] makes n identical samples exact at
+  // every p, wherever the value sits inside its bucket.
+  for (const double v : {0.27, 10.0, 1234.5, 8.1e6}) {
+    for (const int n : {1, 7, 1000}) {
+      xfl::obs::Histogram hist(xfl::obs::log_bucket_bounds(1.0, 1.0e7, 1.5));
+      for (int i = 0; i < n; ++i) hist.record(v);
+      const auto snap = hist.snapshot();
+      for (const double p : {0.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(snap.quantile(p), v) << "v=" << v << " n=" << n << " p" << p;
+    }
+  }
+}
+
+TEST(Metrics, SingleSimRunSampleReportsItsValue) {
+  // sim.run_us uses the coarse default bounds; one 8.1 s run falls in the
+  // (3 s, 10 s] bucket, whose unclamped midpoint would read 6.5 s.
+  Registry::instance().reset();
+  auto& run_us = xfl::obs::histogram("sim.run_us");
+  run_us.record(8.1e6);
+  const auto snap = run_us.snapshot();
+  EXPECT_EQ(snap.quantile(50.0), 8.1e6);
+  EXPECT_EQ(snap.quantile(99.0), 8.1e6);
+}
+
+TEST(Metrics, QuantileErrorStaysWithinOneBucketGrowth) {
+  // Log-uniform samples over [2, 1e6]: every estimate lies in the bucket
+  // holding the nearest-rank sample, so the two differ by at most the
+  // bucket growth factor; p0 and p100 are the exact extremes.
+  constexpr double kGrowth = 1.08;
+  const auto bounds = xfl::obs::log_bucket_bounds(1.0, 1.0e7, kGrowth);
+  auto& hist = xfl::obs::histogram("test.obs.quantile_mixed", bounds);
+  Registry::instance().reset();
+  std::mt19937_64 gen(2017);
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i) {
+    const double u = static_cast<double>(gen() >> 11) * 0x1.0p-53;
+    samples.push_back(2.0 * std::exp(u * std::log(5.0e5)));
+    hist.record(samples.back());
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto snap = hist.snapshot();
+  EXPECT_EQ(snap.min, samples.front());
+  EXPECT_EQ(snap.max, samples.back());
+  EXPECT_EQ(snap.quantile(0.0), samples.front());
+  EXPECT_EQ(snap.quantile(100.0), samples.back());
+  const double n = static_cast<double>(samples.size());
+  for (const double p : {0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9}) {
+    const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
+    const double nearest = samples[rank - 1];
+    const double estimate = snap.quantile(p);
+    const double slack = kGrowth * (1.0 + 1e-12);
+    EXPECT_LE(estimate, nearest * slack) << "p" << p;
+    EXPECT_GE(estimate, nearest / slack) << "p" << p;
+  }
+  Registry::instance().reset();
+  EXPECT_EQ(hist.snapshot().min, 0.0) << "reset empties the extremes";
+  EXPECT_EQ(hist.snapshot().max, 0.0);
 }
 
 TEST(Metrics, RegistryExportsCarryQuantilesForPopulatedHistograms) {

@@ -1,21 +1,27 @@
 // Cross-thread-count determinism contracts (tier 2).
 //
-// The parallel GBT trainer and the parallel contention sweep both promise
-// bit-identical results regardless of how many workers they use: threading
-// splits work by column / endpoint over privately-owned outputs, never by
+// The parallel GBT trainer, the parallel contention sweep and the
+// predictor's concurrent model fits all promise bit-identical results
+// regardless of how many workers they use: threading splits work by
+// column / endpoint / model over privately-owned outputs, never by
 // interleaving accumulation. These tests pin that contract by comparing
 // serial, two-worker, and hardware-concurrency runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/predictor.hpp"
 #include "features/contention.hpp"
 #include "logs/log_store.hpp"
 #include "ml/gbt.hpp"
+#include "obs/metrics.hpp"
+#include "sim/scenario.hpp"
 
 namespace xfl {
 namespace {
@@ -112,6 +118,53 @@ TEST(ParallelDeterminism, GbtBatchPredictMatchesSerialExactly) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial[i], parallel[i]) << "row " << i;
+}
+
+/// The fit-side instrument totals: predictor.fit.* and gbt.fit.* counters
+/// plus the sample counts of the gbt.fit.* timing histograms.
+std::map<std::string, std::uint64_t> fit_tallies() {
+  std::map<std::string, std::uint64_t> tallies;
+  for (const char* name :
+       {"predictor.fit.count", "predictor.fit.edge_models",
+        "predictor.fit.calibrated", "predictor.fit.uncalibrated",
+        "gbt.fit.count", "gbt.fit.rows", "gbt.fit.trees"})
+    tallies[name] = obs::counter(name).value();
+  for (const char* name : {"gbt.fit.bin_us", "gbt.fit.tree_us"})
+    tallies[name] = obs::histogram(name).snapshot().count;
+  return tallies;
+}
+
+TEST(ParallelDeterminism, PredictorFitIsByteIdenticalAcrossWidths) {
+  sim::EsnetConfig scenario_config;
+  scenario_config.seed = 41;
+  scenario_config.transfers = 1200;
+  const auto log = sim::make_esnet_testbed(scenario_config).run().log;
+
+  std::string serial_bytes;
+  std::map<std::string, std::uint64_t> serial_deltas;
+  for (const int width : {1, 2, 3, 0}) {  // 0 = hardware concurrency.
+    core::TransferPredictor::Options options;
+    options.min_edge_transfers = 40;
+    options.gbt.trees = 15;
+    options.gbt.max_depth = 3;
+    options.gbt.threads = width;
+    core::TransferPredictor predictor(options);
+    const auto before = fit_tallies();
+    predictor.fit(log);
+    auto deltas = fit_tallies();
+    for (auto& [name, value] : deltas) value -= before.at(name);
+    std::ostringstream out;
+    predictor.save(out);
+    if (width == 1) {
+      // Several edge models, so the wider fits really fan out.
+      ASSERT_GT(deltas.at("predictor.fit.edge_models"), 2u);
+      serial_bytes = out.str();
+      serial_deltas = deltas;
+      continue;
+    }
+    EXPECT_EQ(out.str(), serial_bytes) << "width " << width;
+    EXPECT_EQ(deltas, serial_deltas) << "width " << width;
+  }
 }
 
 }  // namespace

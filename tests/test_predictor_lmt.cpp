@@ -290,6 +290,35 @@ TEST(Predictor, CloneAnswersIdenticallyAndIsIndependent) {
   EXPECT_EQ(predictor.predict_rate_mbps(planned, load), before);
 }
 
+TEST(Predictor, ThrowingRefitLeavesPredictorUnchanged) {
+  // With a one-transfer floor, an edge seen once makes its GBT fit reject
+  // the single row. The models train concurrently and are committed only
+  // after all of them succeed, so the earlier fit keeps serving intact.
+  auto options = fast_options();
+  options.min_edge_transfers = 1;
+  options.gbt.trees = 10;
+  logs::LogStore good;
+  for (const auto& record : shared_log().records())
+    if (shared_log().edge_count({record.src, record.dst}) >= 2)
+      good.append(record);
+  TransferPredictor predictor(options);
+  predictor.fit(good);
+  std::ostringstream before;
+  predictor.save(before);
+
+  logs::LogStore bad = good;
+  auto lone = good.records().front();
+  lone.id = 999999;
+  lone.dst = 250;  // A new edge with a single transfer.
+  bad.append(lone);
+  EXPECT_THROW(predictor.fit(bad), ContractViolation);
+
+  ASSERT_TRUE(predictor.fitted());
+  std::ostringstream after;
+  predictor.save(after);
+  EXPECT_EQ(after.str(), before.str());
+}
+
 TEST(Predictor, RefitEdgeLearnsFromServingSamples) {
   TransferPredictor predictor(fast_options());
   predictor.fit(shared_log());
