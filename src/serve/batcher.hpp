@@ -39,22 +39,9 @@
 #include "core/predictor.hpp"
 #include "features/contention.hpp"
 #include "serve/model_host.hpp"
+#include "serve/protocol.hpp"
 
 namespace xfl::serve {
-
-/// Result of one batched prediction, delivered to the item's callback.
-struct PredictOutcome {
-  bool ok = false;
-  double rate_mbps = 0.0;
-  bool edge_model = false;          ///< Dedicated edge model vs. global.
-  std::uint64_t model_version = 0;  ///< ModelHost version that answered.
-  const char* error = nullptr;      ///< Protocol error code when !ok.
-  std::string message;
-  /// Explain items only: the full Saabas attribution of rate_mbps (the
-  /// rate itself is bit-identical to the plain predict path).
-  bool explained = false;
-  core::RateExplanation explanation;
-};
 
 /// One queued request.
 struct BatchItem {

@@ -104,12 +104,6 @@ std::pair<BinaryType, std::string> PredictionClient::read_frame() {
   }
 }
 
-bool PredictionClient::response_buffered() const {
-  if (binary_)
-    return decode_binary_frame(buffer_).status == BinaryDecode::Status::kFrame;
-  return buffer_.find('\n') != std::string::npos;
-}
-
 void PredictionClient::send_document(const std::string& line) {
   if (binary_)
     send_raw(binary_json_frame(line));
@@ -169,6 +163,23 @@ PredictReply PredictionClient::parse_reply(const std::string& line) {
     reply.error = error->string;
   if (const JsonValue* msg = root.find("message"); msg && msg->is_string())
     reply.message = msg->string;
+  if (const JsonValue* v = root.find("raw_mbps"); v && v->is_number())
+    reply.raw_mbps = v->number;
+  if (const JsonValue* v = root.find("bias_mbps"); v && v->is_number())
+    reply.bias_mbps = v->number;
+  if (const JsonValue* v = root.find("low_mbps"); v && v->is_number())
+    reply.low_mbps = v->number;
+  if (const JsonValue* v = root.find("high_mbps"); v && v->is_number())
+    reply.high_mbps = v->number;
+  if (const JsonValue* c = root.find("contributions"); c && c->is_array()) {
+    for (const JsonValue& entry : c->array) {
+      if (!entry.is_object()) continue;
+      const JsonValue* feature = entry.find("feature");
+      const JsonValue* mbps = entry.find("mbps");
+      if (feature && feature->is_string() && mbps && mbps->is_number())
+        reply.contributions.emplace_back(feature->string, mbps->number);
+    }
+  }
   return reply;
 }
 
@@ -183,111 +194,57 @@ PredictReply PredictionClient::round_trip(const std::string& line,
   }
 }
 
-PredictReply PredictionClient::predict(
-    const core::PlannedTransfer& transfer,
-    const features::ContentionFeatures& load, std::uint64_t deadline_ms) {
-  const std::uint64_t numeric_id = next_id_++;
-  const std::string id = std::to_string(numeric_id);
-  if (!binary_)
-    return round_trip(predict_request_line(id, transfer, load, deadline_ms),
-                      id);
-  // Packed hot path: kPredict out, kPredictOk/kError back, ids numeric.
-  send_raw(binary_predict_request(numeric_id, transfer, load, deadline_ms));
+PredictReply PredictionClient::packed_reply(std::uint64_t id) {
   for (;;) {
     auto [type, payload] = read_frame();
     if (type == BinaryType::kJson) continue;  // Pipelined admin traffic.
-    const BinaryPredictReply packed = parse_binary_reply(type, payload);
-    if (packed.id != numeric_id) continue;
+    BinaryPredictReply packed = parse_binary_reply(type, payload);
+    if (packed.id != id) continue;
     PredictReply reply;
-    reply.id = id;
+    reply.id = std::to_string(id);
     reply.ok = packed.ok;
     reply.rate_mbps = packed.rate_mbps;
     if (packed.ok) reply.model = packed.edge_model ? "edge" : "global";
     reply.model_version = packed.model_version;
     if (packed.trace_id != 0) reply.trace_id = trace_id_string(packed.trace_id);
     reply.server_ms = packed.server_ms;
-    reply.error = packed.error;
-    reply.message = packed.message;
-    return reply;
-  }
-}
-
-ExplainReply PredictionClient::explain(
-    const core::PlannedTransfer& transfer,
-    const features::ContentionFeatures& load, std::uint64_t deadline_ms,
-    std::uint16_t top_k) {
-  const std::uint64_t numeric_id = next_id_++;
-  const std::string id = std::to_string(numeric_id);
-  ExplainReply reply;
-  reply.id = id;
-  if (!binary_) {
-    send_document(explain_request_line(id, transfer, load, deadline_ms,
-                                       top_k));
-    for (;;) {
-      const JsonValue root = parse_json(read_document());
-      const JsonValue* reply_id = root.find("id");
-      if (reply_id == nullptr || !reply_id->is_string() ||
-          reply_id->string != id)
-        continue;
-      if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
-        reply.ok = ok->boolean;
-      if (const JsonValue* v = root.find("rate_mbps"); v && v->is_number())
-        reply.rate_mbps = v->number;
-      if (const JsonValue* v = root.find("raw_mbps"); v && v->is_number())
-        reply.raw_mbps = v->number;
-      if (const JsonValue* v = root.find("bias_mbps"); v && v->is_number())
-        reply.bias_mbps = v->number;
-      if (const JsonValue* v = root.find("low_mbps"); v && v->is_number())
-        reply.low_mbps = v->number;
-      if (const JsonValue* v = root.find("high_mbps"); v && v->is_number())
-        reply.high_mbps = v->number;
-      if (const JsonValue* m = root.find("model"); m && m->is_string())
-        reply.model = m->string;
-      if (const JsonValue* v = root.find("version"); v && v->is_number())
-        reply.model_version = static_cast<std::uint64_t>(v->number);
-      if (const JsonValue* t = root.find("trace_id"); t && t->is_string())
-        reply.trace_id = t->string;
-      if (const JsonValue* v = root.find("server_ms"); v && v->is_number())
-        reply.server_ms = v->number;
-      if (const JsonValue* c = root.find("contributions");
-          c && c->is_array()) {
-        for (const JsonValue& entry : c->array) {
-          if (!entry.is_object()) continue;
-          const JsonValue* feature = entry.find("feature");
-          const JsonValue* mbps = entry.find("mbps");
-          if (feature && feature->is_string() && mbps && mbps->is_number())
-            reply.contributions.emplace_back(feature->string, mbps->number);
-        }
-      }
-      if (const JsonValue* e = root.find("error"); e && e->is_string())
-        reply.error = e->string;
-      if (const JsonValue* m = root.find("message"); m && m->is_string())
-        reply.message = m->string;
-      return reply;
-    }
-  }
-  send_raw(binary_explain_request(numeric_id, transfer, load, deadline_ms,
-                                  top_k));
-  for (;;) {
-    auto [type, payload] = read_frame();
-    if (type == BinaryType::kJson) continue;  // Pipelined admin traffic.
-    const BinaryPredictReply packed = parse_binary_reply(type, payload);
-    if (packed.id != numeric_id) continue;
-    reply.ok = packed.ok;
-    reply.rate_mbps = packed.rate_mbps;
+    reply.error = std::move(packed.error);
+    reply.message = std::move(packed.message);
     reply.raw_mbps = packed.raw_mbps;
     reply.bias_mbps = packed.bias_mbps;
     reply.low_mbps = packed.low_mbps;
     reply.high_mbps = packed.high_mbps;
-    if (packed.ok) reply.model = packed.edge_model ? "edge" : "global";
-    reply.model_version = packed.model_version;
-    if (packed.trace_id != 0) reply.trace_id = trace_id_string(packed.trace_id);
-    reply.server_ms = packed.server_ms;
-    reply.contributions = packed.contributions;
-    reply.error = packed.error;
-    reply.message = packed.message;
+    reply.contributions = std::move(packed.contributions);
     return reply;
   }
+}
+
+PredictReply PredictionClient::predict(
+    const core::PlannedTransfer& transfer,
+    const features::ContentionFeatures& load, std::uint64_t deadline_ms) {
+  const std::uint64_t id = next_id_++;
+  if (binary_) {
+    // Packed hot path: kPredict out, kPredictOk/kError back, ids numeric.
+    send_raw(binary_predict_request(id, transfer, load, deadline_ms));
+    return packed_reply(id);
+  }
+  const std::string text = std::to_string(id);
+  return round_trip(predict_request_line(text, transfer, load, deadline_ms),
+                    text);
+}
+
+PredictReply PredictionClient::explain(
+    const core::PlannedTransfer& transfer,
+    const features::ContentionFeatures& load, std::uint64_t deadline_ms,
+    std::uint16_t top_k) {
+  const std::uint64_t id = next_id_++;
+  if (binary_) {
+    send_raw(binary_explain_request(id, transfer, load, deadline_ms, top_k));
+    return packed_reply(id);
+  }
+  const std::string text = std::to_string(id);
+  return round_trip(
+      explain_request_line(text, transfer, load, deadline_ms, top_k), text);
 }
 
 FeedbackReply PredictionClient::feedback(const std::string& trace_id,

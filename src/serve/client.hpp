@@ -2,8 +2,8 @@
 // outstanding high-level call at a time; replies are matched on the
 // request id, so a pipelining caller can also drive the connection
 // directly through send_line()/read_line() (the overload and drain tests
-// do, and serve-bench uses the high-level calls from many threads, one
-// client each).
+// do). Load generation lives in perfbench's serve workloads, which drive
+// non-blocking connections with the protocol codec directly.
 //
 // negotiate_binary() flips the connection to the length-prefixed binary
 // framing: predict() then travels as packed kPredict/kPredictOk frames
@@ -36,26 +36,14 @@ struct PredictReply {
   double server_ms = 0.0; ///< In-server latency reported by the server.
   std::string error;  ///< Protocol error code when !ok.
   std::string message;
-};
-
-/// One decoded explain reply. Contributions come back in the server's
-/// ranked order (|mbps| descending, ties in model feature order) and sum
-/// with bias_mbps to raw_mbps bit-exactly when top_k did not truncate.
-struct ExplainReply {
-  std::string id;
-  bool ok = false;
-  double rate_mbps = 0.0;
+  // Explain replies only. Contributions come back in the server's ranked
+  // order (|mbps| descending, ties in model feature order) and sum with
+  // bias_mbps to raw_mbps bit-exactly when top_k did not truncate.
   double raw_mbps = 0.0;
   double bias_mbps = 0.0;
   double low_mbps = 0.0;
   double high_mbps = 0.0;
-  std::string model;  ///< "edge" or "global" on success.
-  std::uint64_t model_version = 0;
-  std::string trace_id;
-  double server_ms = 0.0;
   std::vector<std::pair<std::string, double>> contributions;
-  std::string error;  ///< Protocol error code when !ok.
-  std::string message;
 };
 
 /// One decoded feedback reply.
@@ -90,7 +78,7 @@ class PredictionClient {
   /// predict() plus per-feature attribution. `top_k` keeps only the
   /// strongest contributions (0 = all). Travels as an "explain" JSON
   /// request or a kExplain frame after negotiate_binary().
-  ExplainReply explain(const core::PlannedTransfer& transfer,
+  PredictReply explain(const core::PlannedTransfer& transfer,
                        const features::ContentionFeatures& load = {},
                        std::uint64_t deadline_ms = 0,
                        std::uint16_t top_k = 0);
@@ -130,14 +118,11 @@ class PredictionClient {
   /// Block for one well-formed frame; throws on EOF or bad framing.
   std::pair<BinaryType, std::string> read_frame();
 
-  /// True when a complete response (a full frame in binary mode, a
-  /// newline-terminated line otherwise) is already buffered, so the next
-  /// read will not touch the socket. Pipelined callers use this to drain
-  /// every buffered reply and batch the follow-up sends into one write.
-  bool response_buffered() const;
-
  private:
   PredictReply round_trip(const std::string& line, const std::string& id);
+  /// Block for the packed reply to request `id`, skipping kJson frames
+  /// and other ids (pipelined low-level traffic).
+  PredictReply packed_reply(std::uint64_t id);
   /// Send one JSON document over whichever framing is active.
   void send_document(const std::string& line);
   /// Block for one JSON document (a line, or a kJson frame's payload).

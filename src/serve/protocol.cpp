@@ -78,8 +78,7 @@ Frame parse_admin(const JsonValue& root, std::string id) {
   if (!cmd->is_string()) reject("'cmd' must be a string");
   Frame frame;
   frame.kind = Frame::Kind::kAdmin;
-  frame.id = id;
-  frame.admin.id = std::move(id);
+  frame.reply.id = std::move(id);
   frame.admin.cmd = cmd->string;
   bool saw_registry = false;
   for (const auto& [key, value] : root.object) {
@@ -110,8 +109,7 @@ Frame parse_admin(const JsonValue& root, std::string id) {
 Frame parse_feedback(const JsonValue& root, std::string id) {
   Frame frame;
   frame.kind = Frame::Kind::kFeedback;
-  frame.id = id;
-  frame.feedback.id = std::move(id);
+  frame.reply.id = std::move(id);
   for (const auto& [key, value] : root.object) {
     (void)value;
     if (key != "id" && key != "feedback" && key != "observed_mbps")
@@ -131,8 +129,7 @@ Frame parse_feedback(const JsonValue& root, std::string id) {
 Frame parse_predict(const JsonValue& root, std::string id) {
   Frame frame;
   frame.kind = Frame::Kind::kPredict;
-  frame.id = id;
-  frame.predict.id = std::move(id);
+  frame.reply.id = std::move(id);
 
   for (const auto& [key, value] : root.object) {
     (void)value;
@@ -147,7 +144,7 @@ Frame parse_predict(const JsonValue& root, std::string id) {
     if (!explain->is_bool()) reject("'explain' must be a boolean");
     frame.predict.explain = explain->boolean;
   }
-  frame.predict.top_k =
+  frame.reply.top_k =
       static_cast<std::uint16_t>(integral_or(root, "top_k", 0, 0, 0xffff));
   if (root.find("top_k") != nullptr && !frame.predict.explain)
     reject("'top_k' is only valid with 'explain'");
@@ -217,7 +214,7 @@ Frame parse_frame(const std::string& line) {
   }
   try {
     std::string id = extract_id(root);
-    bad.id = id;  // Preserved for the error response if parsing fails below.
+    bad.reply.id = id;  // Kept for the error response if parsing fails below.
     if (root.find("cmd") != nullptr) return parse_admin(root, std::move(id));
     if (root.find("feedback") != nullptr)
       return parse_feedback(root, std::move(id));
@@ -312,102 +309,6 @@ std::string feedback_request_line(const std::string& id,
   append_field(out, "id", id, /*quote=*/true);
   append_field(out, "feedback", trace_id, /*quote=*/true);
   append_field(out, "observed_mbps", json_number(observed_mbps));
-  out += "}\n";
-  return out;
-}
-
-std::string predict_response(const std::string& id, double rate_mbps,
-                             bool edge_model, std::uint64_t model_version,
-                             std::uint64_t trace_id, double server_ms) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "true");
-  append_field(out, "rate_mbps", json_number(rate_mbps));
-  append_field(out, "model", edge_model ? "edge" : "global", /*quote=*/true);
-  append_field(out, "version", std::to_string(model_version));
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
-  out += "}\n";
-  return out;
-}
-
-namespace {
-
-/// Feature indices ordered by |contribution| descending (ties keep the
-/// model's feature order), truncated to top_k when top_k > 0. Shared by
-/// the JSON and binary explain reply builders so both protocols agree on
-/// which contributions a truncated reply keeps.
-std::vector<std::size_t> attribution_order(
-    const std::vector<double>& contributions, std::uint16_t top_k) {
-  std::vector<std::size_t> order(contributions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&contributions](std::size_t a, std::size_t b) {
-                     return std::abs(contributions[a]) >
-                            std::abs(contributions[b]);
-                   });
-  if (top_k > 0 && top_k < order.size()) order.resize(top_k);
-  return order;
-}
-
-}  // namespace
-
-std::string explain_response(const std::string& id,
-                             const core::RateExplanation& explanation,
-                             std::uint64_t model_version,
-                             std::uint64_t trace_id, double server_ms,
-                             std::uint16_t top_k) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "true");
-  append_field(out, "rate_mbps", json_number(explanation.rate_mbps));
-  append_field(out, "raw_mbps", json_number(explanation.raw_mbps));
-  append_field(out, "bias_mbps", json_number(explanation.bias_mbps));
-  append_field(out, "low_mbps", json_number(explanation.low_mbps));
-  append_field(out, "high_mbps", json_number(explanation.high_mbps));
-  append_field(out, "model", explanation.edge_model ? "edge" : "global",
-               /*quote=*/true);
-  append_field(out, "version", std::to_string(model_version));
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
-  const auto order = attribution_order(explanation.contributions, top_k);
-  std::string entries = "[";
-  for (const std::size_t c : order) {
-    if (entries.back() != '[') entries.push_back(',');
-    std::string entry = "{";
-    append_field(entry, "feature", explanation.feature_names[c],
-                 /*quote=*/true);
-    append_field(entry, "mbps", json_number(explanation.contributions[c]));
-    entry.push_back('}');
-    entries += entry;
-  }
-  entries.push_back(']');
-  append_field(out, "contributions", entries);
-  out += "}\n";
-  return out;
-}
-
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "false");
-  append_field(out, "error", code, /*quote=*/true);
-  append_field(out, "message", message, /*quote=*/true);
-  out += "}\n";
-  return out;
-}
-
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message,
-                           std::uint64_t trace_id, double server_ms) {
-  std::string out = "{";
-  append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "ok", "false");
-  append_field(out, "error", code, /*quote=*/true);
-  append_field(out, "message", message, /*quote=*/true);
-  append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-  append_field(out, "server_ms", json_number(server_ms));
   out += "}\n";
   return out;
 }
@@ -774,7 +675,7 @@ namespace {
 Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
   Frame frame;
   frame.kind = Frame::Kind::kBad;
-  frame.predict.binary = true;
+  frame.reply.packed = true;
   Cursor cursor(payload);
   std::uint64_t id = 0;
   if (!cursor.u64(id)) {
@@ -783,9 +684,7 @@ Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
   }
   // From here on the id is known; keep it on the bad frame so the error
   // response stays correlatable, exactly like the JSON parser does.
-  frame.predict.binary_id = id;
-  frame.id = std::to_string(id);
-  frame.predict.id = frame.id;
+  frame.reply.wire_id = id;
 
   auto reject = [&frame](const char* what) {
     frame.kind = Frame::Kind::kBad;
@@ -842,7 +741,7 @@ Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
     if (!cursor.u16(top_k))
       return reject("binary explain payload truncated before top_k");
     frame.predict.explain = true;
-    frame.predict.top_k = top_k;
+    frame.reply.top_k = top_k;
   }
   if (cursor.remaining() != 0)
     return reject("binary predict payload has trailing bytes");
@@ -869,71 +768,113 @@ Frame parse_binary_explain(std::string_view payload) {
   return parse_binary_predict_impl(payload, /*explain=*/true);
 }
 
-std::string binary_predict_response(std::uint64_t id, double rate_mbps,
-                                    bool edge_model,
-                                    std::uint64_t model_version,
-                                    std::uint64_t trace_id,
-                                    double server_ms) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kPredictOk);
-  put_u64(out, id);
-  put_f64(out, rate_mbps);
-  put_u8(out, edge_model ? kEdgeFlag : 0);
-  put_u64(out, model_version);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  seal_frame(out, at);
-  return out;
+namespace {
+
+/// Feature indices ordered by |contribution| descending (ties keep the
+/// model's feature order), truncated to top_k when top_k > 0.
+std::vector<std::size_t> attribution_order(
+    const std::vector<double>& contributions, std::uint16_t top_k) {
+  std::vector<std::size_t> order(contributions.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&contributions](std::size_t a, std::size_t b) {
+                     return std::abs(contributions[a]) >
+                            std::abs(contributions[b]);
+                   });
+  if (top_k > 0 && top_k < order.size()) order.resize(top_k);
+  return order;
 }
 
-std::string binary_explain_response(std::uint64_t id,
-                                    const core::RateExplanation& explanation,
-                                    std::uint64_t model_version,
-                                    std::uint64_t trace_id, double server_ms,
-                                    std::uint16_t top_k) {
+/// u16 length + bytes. The cap keeps a frame bounded whatever the text's
+/// source; a truncated message beats an unparseable frame.
+void put_text(std::string& out, std::string_view text) {
+  const std::size_t length = std::min<std::size_t>(text.size(), 0xffff);
+  put_u16(out, static_cast<std::uint16_t>(length));
+  out.append(text.data(), length);
+}
+
+}  // namespace
+
+std::string encode_reply(const ReplyTo& to, const PredictOutcome& outcome,
+                         std::uint64_t trace_id, double server_ms) {
+  const bool explained = outcome.ok && outcome.explained;
+  const core::RateExplanation& why = outcome.explanation;
+  const std::vector<std::size_t> order =
+      explained ? attribution_order(why.contributions, to.top_k)
+                : std::vector<std::size_t>{};
   std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kExplainOk);
-  put_u64(out, id);
-  put_f64(out, explanation.rate_mbps);
-  put_u8(out, explanation.edge_model ? kEdgeFlag : 0);
-  put_u64(out, model_version);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  put_f64(out, explanation.raw_mbps);
-  put_f64(out, explanation.bias_mbps);
-  put_f64(out, explanation.low_mbps);
-  put_f64(out, explanation.high_mbps);
-  const auto order = attribution_order(explanation.contributions, top_k);
-  put_u16(out, static_cast<std::uint16_t>(order.size()));
-  for (const std::size_t c : order) {
-    const std::string& name = explanation.feature_names[c];
-    const std::size_t name_len = std::min<std::size_t>(name.size(), 0xffff);
-    put_u16(out, static_cast<std::uint16_t>(name_len));
-    out.append(name.data(), name_len);
-    put_f64(out, explanation.contributions[c]);
+  if (to.packed) {
+    const std::size_t at =
+        open_frame(out, !outcome.ok  ? BinaryType::kError
+                        : explained ? BinaryType::kExplainOk
+                                    : BinaryType::kPredictOk);
+    put_u64(out, to.wire_id);
+    if (!outcome.ok) {
+      put_u64(out, trace_id);
+      put_f64(out, server_ms);
+      put_text(out, outcome.error);
+      put_text(out, outcome.message);
+    } else {
+      put_f64(out, outcome.rate_mbps);
+      put_u8(out, outcome.edge_model ? kEdgeFlag : 0);
+      put_u64(out, outcome.model_version);
+      put_u64(out, trace_id);
+      put_f64(out, server_ms);
+    }
+    if (explained) {
+      put_f64(out, why.raw_mbps);
+      put_f64(out, why.bias_mbps);
+      put_f64(out, why.low_mbps);
+      put_f64(out, why.high_mbps);
+      put_u16(out, static_cast<std::uint16_t>(order.size()));
+      for (const std::size_t c : order) {
+        put_text(out, why.feature_names[c]);
+        put_f64(out, why.contributions[c]);
+      }
+    }
+    seal_frame(out, at);
+    return out;
   }
-  seal_frame(out, at);
-  return out;
-}
 
-std::string binary_error_response(std::uint64_t id, const char* code,
-                                  const std::string& message,
-                                  std::uint64_t trace_id, double server_ms) {
-  std::string out;
-  const std::size_t at = open_frame(out, BinaryType::kError);
-  put_u64(out, id);
-  put_u64(out, trace_id);
-  put_f64(out, server_ms);
-  const std::string_view code_view{code};
-  // Length caps keep the frame bounded whatever the message source; a
-  // truncated message beats an unparseable frame.
-  const std::size_t code_len = std::min<std::size_t>(code_view.size(), 0xffff);
-  const std::size_t msg_len = std::min<std::size_t>(message.size(), 0xffff);
-  put_u16(out, static_cast<std::uint16_t>(code_len));
-  out.append(code_view.data(), code_len);
-  put_u16(out, static_cast<std::uint16_t>(msg_len));
-  out.append(message.data(), msg_len);
-  seal_frame(out, at);
+  const std::size_t at = to.wrap ? open_frame(out, BinaryType::kJson) : 0;
+  out.push_back('{');
+  append_field(out, "id", to.id, /*quote=*/true);
+  append_field(out, "ok", outcome.ok ? "true" : "false");
+  if (outcome.ok) {
+    append_field(out, "rate_mbps", json_number(outcome.rate_mbps));
+    if (explained) {
+      append_field(out, "raw_mbps", json_number(why.raw_mbps));
+      append_field(out, "bias_mbps", json_number(why.bias_mbps));
+      append_field(out, "low_mbps", json_number(why.low_mbps));
+      append_field(out, "high_mbps", json_number(why.high_mbps));
+    }
+    append_field(out, "model", outcome.edge_model ? "edge" : "global",
+                 /*quote=*/true);
+    append_field(out, "version", std::to_string(outcome.model_version));
+  } else {
+    append_field(out, "error", outcome.error, /*quote=*/true);
+    append_field(out, "message", outcome.message, /*quote=*/true);
+  }
+  if (trace_id != 0) {
+    append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
+    append_field(out, "server_ms", json_number(server_ms));
+  }
+  if (explained) {
+    out += ",\"contributions\":[";
+    for (const std::size_t c : order) {
+      if (out.back() != '[') out.push_back(',');
+      out.push_back('{');
+      append_field(out, "feature", why.feature_names[c], /*quote=*/true);
+      append_field(out, "mbps", json_number(why.contributions[c]));
+      out.push_back('}');
+    }
+    out.push_back(']');
+  }
+  out.push_back('}');
+  if (to.wrap)
+    seal_frame(out, at);
+  else
+    out.push_back('\n');
   return out;
 }
 

@@ -82,38 +82,46 @@ inline constexpr const char* kErrFrameTimeout = "frame_timeout";
 inline constexpr std::string_view kBinaryMagic{"XFLBIN1\n", 8};
 
 struct PredictRequest {
-  std::string id;
   core::PlannedTransfer transfer;
   features::ContentionFeatures load;
   std::uint64_t deadline_ms = 0;  ///< 0 = no deadline.
   /// Explain request: the response carries the Saabas attribution of the
-  /// prediction (top_k strongest contributions; 0 = all features).
+  /// prediction (ReplyTo::top_k strongest contributions).
   bool explain = false;
-  std::uint16_t top_k = 0;
-  /// Arrived as a packed binary frame; the response must be packed too.
-  bool binary = false;
-  std::uint64_t binary_id = 0;  ///< Wire id of a binary request.
 };
 
 struct AdminRequest {
-  std::string id;
   std::string cmd;   ///< "ping", "stats", "reload", or "retrain-status".
   std::string path;  ///< reload only; empty = server's configured path.
   bool registry = false;  ///< stats only; embed the metrics registry.
 };
 
 struct FeedbackRequest {
-  std::string id;
   std::uint64_t trace_id = 0;   ///< Parsed from the "feedback" field.
   double observed_mbps = 0.0;   ///< Observed average rate; finite, > 0.
 };
 
-/// One parsed request line. kBad carries the reason (and the id when it
-/// could still be extracted, so the error response stays correlatable).
+/// Where a reply goes and the shape it takes. The parser fills id,
+/// wire_id, packed and top_k; the server sets wrap when it admits the
+/// request. encode_reply is the only reader.
+struct ReplyTo {
+  std::string id;              ///< Request id, echoed by JSON replies.
+  std::uint64_t wire_id = 0;   ///< Id of a packed request.
+  bool packed = false;         ///< Arrived packed; the reply is packed too.
+  /// The connection negotiated binary framing: a JSON reply travels
+  /// inside a kJson frame.
+  bool wrap = false;
+  /// Explain replies keep the top_k strongest contributions (0 = all).
+  std::uint16_t top_k = 0;
+};
+
+/// One parsed request line. kBad carries the reason (and the reply
+/// address as far as it could still be extracted, so the error response
+/// stays correlatable).
 struct Frame {
   enum class Kind { kPredict, kFeedback, kAdmin, kBad };
   Kind kind = Kind::kBad;
-  std::string id;
+  ReplyTo reply;
   PredictRequest predict;
   FeedbackRequest feedback;
   AdminRequest admin;
@@ -195,29 +203,50 @@ struct StatsReport {
   std::string registry_json;
 };
 
-// Response builders (server side). Each returns one newline-terminated
-// frame. rate_mbps uses %.17g so the client's strtod reproduces the
-// server's double bit-identically. server_ms is in-server latency from
-// frame receipt to response serialisation (fractional milliseconds).
-std::string predict_response(const std::string& id, double rate_mbps,
-                             bool edge_model, std::uint64_t model_version,
-                             std::uint64_t trace_id, double server_ms);
-/// Explain success: the predict response plus raw/bias/interval and the
-/// top_k strongest contributions (0 = all), each {"feature","mbps"},
-/// ordered by |mbps| descending (ties by feature index). With top_k == 0
-/// the entries summed in ascending feature order plus bias_mbps (added
-/// last) rebuild raw_mbps bit-exactly after a %.17g round trip.
-std::string explain_response(const std::string& id,
-                             const core::RateExplanation& explanation,
-                             std::uint64_t model_version,
-                             std::uint64_t trace_id, double server_ms,
-                             std::uint16_t top_k);
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message);
-/// Predict-path error: carries the trace id + server time like a success.
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message,
-                           std::uint64_t trace_id, double server_ms);
+/// What a predict or explain request came to: produced by the batcher
+/// for admitted requests, and by the server for rejections, bad frames
+/// and admin failures.
+struct PredictOutcome {
+  bool ok = false;
+  double rate_mbps = 0.0;
+  bool edge_model = false;          ///< Dedicated edge model vs. global.
+  std::uint64_t model_version = 0;  ///< ModelHost version that answered.
+  const char* error = nullptr;      ///< Protocol error code when !ok.
+  std::string message;
+  /// Explain items only: the full Saabas attribution of rate_mbps (the
+  /// rate itself is bit-identical to the plain predict path; rate_mbps
+  /// and edge_model above repeat the explanation's).
+  bool explained = false;
+  core::RateExplanation explanation;
+};
+
+/// The one predict-path reply encoder (server side). `to` picks the wire
+/// shape: a kPredictOk / kExplainOk / kError frame when to.packed, else
+/// one newline-terminated JSON object — inside a kJson frame when
+/// to.wrap. `outcome` picks the content:
+///   - success: id, rate_mbps, model, version, trace_id, server_ms;
+///   - explained success: also raw/bias/interval and the to.top_k
+///     strongest contributions (0 = all), each {"feature","mbps"}, ordered
+///     by |mbps| descending (ties by feature index);
+///   - failure: the error code and message, plus trace_id and server_ms.
+/// JSON omits trace_id/server_ms exactly when trace_id == 0 (requests the
+/// server never traced: bad frames, failed connections, reload); packed
+/// replies always carry both. Packed layouts (after the frame header):
+///   kPredictOk  u64 id | f64 rate | u8 flags (1 = edge) | u64 version |
+///               u64 trace_id | f64 server_ms
+///   kExplainOk  the kPredictOk fields | f64 raw | bias | low | high |
+///               u16 count | count x (u16 name_len, name, f64 mbps)
+///   kError      u64 id | u64 trace_id | f64 server_ms | u16 len, code |
+///               u16 len, message (texts capped at 0xffff bytes)
+/// Doubles travel as %.17g in JSON and as raw IEEE-754 bits when packed,
+/// so both decode to the served double, and with top_k == 0 the
+/// contributions summed in ascending feature order plus bias_mbps (added
+/// last) rebuild raw_mbps bit-exactly. server_ms is in-server latency
+/// from frame receipt to reply (fractional ms).
+std::string encode_reply(const ReplyTo& to, const PredictOutcome& outcome,
+                         std::uint64_t trace_id, double server_ms);
+
+// Admin and feedback replies: one newline-terminated JSON object each.
 std::string feedback_response(const std::string& id,
                               const std::string& trace_id,
                               const ServeMonitor::FeedbackResult& result);
@@ -287,25 +316,6 @@ Frame parse_binary_predict(std::string_view payload);
 /// top_k); the frame comes back with predict.explain set.
 Frame parse_binary_explain(std::string_view payload);
 
-/// Serialise packed predict responses (server side).
-std::string binary_predict_response(std::uint64_t id, double rate_mbps,
-                                    bool edge_model,
-                                    std::uint64_t model_version,
-                                    std::uint64_t trace_id, double server_ms);
-std::string binary_error_response(std::uint64_t id, const char* code,
-                                  const std::string& message,
-                                  std::uint64_t trace_id = 0,
-                                  double server_ms = 0.0);
-/// Packed explain success: the kPredictOk fields plus raw/bias/interval
-/// and the top_k strongest (u16 name_len, name, f64 mbps) contribution
-/// entries — doubles as raw IEEE-754 bits, so with top_k == 0 the
-/// decoded entries rebuild raw_mbps bit-exactly (see explain_response).
-std::string binary_explain_response(std::uint64_t id,
-                                    const core::RateExplanation& explanation,
-                                    std::uint64_t model_version,
-                                    std::uint64_t trace_id, double server_ms,
-                                    std::uint16_t top_k);
-
 /// Wrap one JSON document (trailing newline optional, stripped) in a
 /// kJson frame, for admin/feedback traffic on a binary connection.
 std::string binary_json_frame(std::string_view json_document);
@@ -321,7 +331,7 @@ struct BinaryPredictReply {
   double server_ms = 0.0;
   std::string error;    ///< Error code when !ok.
   std::string message;
-  // kExplainOk only: attribution block (see binary_explain_response).
+  // kExplainOk only: attribution block (see encode_reply).
   bool explained = false;
   double raw_mbps = 0.0;
   double bias_mbps = 0.0;

@@ -26,6 +26,7 @@ namespace {
 
 struct ServerMetrics {
   obs::Counter& accepted = obs::counter("serve.conn.accepted");
+  obs::Counter& accept_errors = obs::counter("serve.accept.errors");
   obs::Gauge& active = obs::gauge("serve.conn.active");
   obs::Gauge& uptime = obs::gauge("serve.uptime_seconds");
   obs::Counter& frame_timeouts = obs::counter("serve.conn.frame_timeout");
@@ -142,17 +143,12 @@ struct PredictionServer::Cork {
 };
 
 /// A decoded predict frame parked by handle_frame until the readiness
-/// round's flush_predict_burst. Carries everything the rejection path
-/// needs to answer without the Frame (which dies with the input buffer).
-/// The item already holds one in_flight reference.
+/// round's flush_predict_burst. The reply address lets the rejection path
+/// answer without the Frame (which dies with the input buffer). The item
+/// already holds one in_flight reference.
 struct PredictionServer::PendingPredict {
   BatchItem item;
-  bool packed = false;  ///< Arrived as a binary kPredict frame.
-  bool wrap = false;    ///< Connection had negotiated binary framing.
-  std::uint64_t wire_id = 0;
-  std::string id;
-  std::uint64_t trace_id = 0;
-  std::uint64_t received_us = 0;
+  ReplyTo reply;
 };
 
 PredictionServer::Cork& PredictionServer::cork_state() {
@@ -347,6 +343,13 @@ void PredictionServer::poll_loop() {
     }
 
     const std::uint64_t now_us = obs::monotonic_us();
+    if (accepting && accept_resume_us_ != 0 && now_us >= accept_resume_us_) {
+      accept_resume_us_ = 0;
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = listen_fd_;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+    }
     // Sweeping walks the whole fd table; twice a second is plenty for a
     // multi-second timeout and keeps the walk off the hot path.
     if (now_us - last_sweep_us >= 500000) {
@@ -385,6 +388,9 @@ void PredictionServer::handle_accepts() {
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM)
+        pause_accepts(errno);
       return;  // EAGAIN: the backlog is empty.
     }
     if (stopping_.load(std::memory_order_relaxed)) {
@@ -410,6 +416,27 @@ void PredictionServer::handle_accepts() {
     server_metrics().accepted.add(1);
     server_metrics().active.set(static_cast<double>(
         conn_count_.fetch_add(1, std::memory_order_relaxed) + 1));
+  }
+}
+
+void PredictionServer::pause_accepts(int error) {
+  auto& metrics = server_metrics();
+  metrics.accept_errors.add(1);
+  // The level-triggered listener stays readable while a connection we
+  // cannot take waits in the backlog: disarm it so epoll_wait sleeps, and
+  // let the poll loop re-arm it a tick later (it wakes every 100 ms).
+  epoll_event ev{};
+  ev.data.fd = listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+  const std::uint64_t now_us = obs::monotonic_us();
+  accept_resume_us_ = now_us + 100000;
+  if (accept_warned_us_ == 0 || now_us - accept_warned_us_ >= 10000000) {
+    accept_warned_us_ = now_us;
+    XFL_LOG(warn) << "accept failed; listener paused"
+                  << obs::kv("what", std::strerror(error))
+                  << obs::kv("accept_errors", metrics.accept_errors.value())
+                  << obs::kv("connections",
+                             conn_count_.load(std::memory_order_relaxed));
   }
 }
 
@@ -495,7 +522,7 @@ void PredictionServer::process_input(
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       const std::uint64_t received_us = obs::monotonic_us();
-      const Frame frame = parse_frame(line);
+      Frame frame = parse_frame(line);
       metrics.parse.record(
           static_cast<double>(obs::monotonic_us() - received_us));
       handle_frame(conn, frame, received_us, burst);
@@ -546,8 +573,7 @@ void PredictionServer::process_input(
 }
 
 void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
-                                    const Frame& frame,
-                                    std::uint64_t received_us,
+                                    Frame& frame, std::uint64_t received_us,
                                     std::vector<PendingPredict>& burst) {
   XFL_SPAN("serve.request");
   auto& metrics = server_metrics();
@@ -557,26 +583,28 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
     // drain ordering tests rely on admission happening first.
     flush_predict_burst(conn, burst);
   }
+  // The reply address is frozen at admission: the parser recorded how the
+  // request arrived, and `wrap` records the connection's framing now, so
+  // a worker-thread callback never reads mutable poll-thread state.
+  frame.reply.wrap = conn->binary;
   switch (frame.kind) {
-    case Frame::Kind::kBad:
+    case Frame::Kind::kBad: {
       metrics.bad.add(1);
-      if (frame.predict.binary)
-        queue_output(conn,
-                     binary_error_response(frame.predict.binary_id,
-                                           kErrBadRequest, frame.error));
-      else
-        send_response(conn,
-                      error_response(frame.id, kErrBadRequest, frame.error));
+      PredictOutcome bad;
+      bad.error = kErrBadRequest;
+      bad.message = std::move(frame.error);
+      queue_output(conn, encode_reply(frame.reply, bad, 0, 0.0));
       return;
+    }
 
     case Frame::Kind::kAdmin:
       metrics.admin.add(1);
-      handle_admin(conn, frame.admin);
+      handle_admin(conn, frame.reply, frame.admin);
       return;
 
     case Frame::Kind::kFeedback:
       metrics.feedback.add(1);
-      handle_feedback(conn, frame.feedback);
+      handle_feedback(conn, frame.reply.id, frame.feedback);
       return;
 
     case Frame::Kind::kPredict:
@@ -594,58 +622,24 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
   item.received_us = received_us;
   if (frame.predict.deadline_ms > 0)
     item.deadline_us = obs::monotonic_us() + frame.predict.deadline_ms * 1000;
-  // Response routing is captured now: `packed` mirrors how the request
-  // arrived, `wrap` the connection's framing at admission — both frozen
-  // so a worker-thread callback never reads mutable poll-thread state.
-  const bool packed = frame.predict.binary;
-  const bool wrap = conn->binary;
-  const std::uint64_t wire_id = frame.predict.binary_id;
-  const std::string id = frame.predict.id;
-  const std::uint16_t top_k = frame.predict.top_k;
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
   // `this` outlives every callback: stop() drains the batcher before the
   // server (and its monitor) is torn down.
-  item.done = [this, conn, id, wire_id, packed, wrap, trace_id, received_us,
-               top_k, transfer = frame.predict.transfer,
+  item.done = [this, conn, reply = frame.reply, trace_id, received_us,
+               transfer = frame.predict.transfer,
                load = frame.predict.load](const PredictOutcome& outcome) {
     auto& m = server_metrics();
     const std::uint64_t server_us = obs::monotonic_us() - received_us;
     m.server_time.record(static_cast<double>(server_us));
-    const double server_ms = static_cast<double>(server_us) / 1000.0;
-    std::string response;
     if (outcome.ok) {
       m.ok.add(1);
       monitor_.record_prediction(trace_id, outcome.rate_mbps,
                                  outcome.model_version, transfer, load);
-      if (outcome.explained)
-        response = packed
-                       ? binary_explain_response(wire_id, outcome.explanation,
-                                                 outcome.model_version,
-                                                 trace_id, server_ms, top_k)
-                       : explain_response(id, outcome.explanation,
-                                          outcome.model_version, trace_id,
-                                          server_ms, top_k);
-      else
-        response = packed
-                       ? binary_predict_response(wire_id, outcome.rate_mbps,
-                                                 outcome.edge_model,
-                                                 outcome.model_version,
-                                                 trace_id, server_ms)
-                       : predict_response(id, outcome.rate_mbps,
-                                          outcome.edge_model,
-                                          outcome.model_version, trace_id,
-                                          server_ms);
     } else {
       m.errors.add(1);
-      response = packed
-                     ? binary_error_response(wire_id, outcome.error,
-                                             outcome.message, trace_id,
-                                             server_ms)
-                     : error_response(id, outcome.error, outcome.message,
-                                      trace_id, server_ms);
     }
-    if (!packed && wrap) response = binary_json_frame(response);
-    queue_output(conn, response);
+    queue_output(conn, encode_reply(reply, outcome, trace_id,
+                                    static_cast<double>(server_us) / 1000.0));
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
       request_attention(conn);
@@ -653,15 +647,7 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
 
   // Parked, not submitted: process_input admits the whole readiness
   // round with one submit_burst (see flush_predict_burst for rejection).
-  PendingPredict pending;
-  pending.item = std::move(item);
-  pending.packed = packed;
-  pending.wrap = wrap;
-  pending.wire_id = wire_id;
-  pending.id = id;
-  pending.trace_id = trace_id;
-  pending.received_us = received_us;
-  burst.push_back(std::move(pending));
+  burst.push_back({std::move(item), std::move(frame.reply)});
 }
 
 void PredictionServer::flush_predict_burst(
@@ -675,38 +661,32 @@ void PredictionServer::flush_predict_burst(
   MicroBatcher::Admission status = MicroBatcher::Admission::kAccepted;
   const std::size_t admitted =
       batcher_.submit_burst(items, conn->shard, status);
-  // The rejected suffix is answered here with the same structured error
-  // (and the same counters — rejects are overloaded/shutting_down, never
-  // serve.response.error) as a lone submit() rejection would get.
-  for (std::size_t i = admitted; i < burst.size(); ++i) {
-    const PendingPredict& pending = burst[i];
-    const char* code = kErrOverloaded;
-    const char* message = "prediction queue full";
-    if (status == MicroBatcher::Admission::kShuttingDown) {
-      code = kErrShuttingDown;
-      message = "server draining";
-      metrics.shutting_down.add(1);
-    } else {
-      metrics.overloaded.add(1);
+  // The rejected suffix (left in `items` untouched) is answered here with
+  // the same structured error (and the same counters — rejects are
+  // overloaded/shutting_down, never serve.response.error) as a lone
+  // submit() rejection would get.
+  if (admitted < burst.size()) {
+    const bool draining = status == MicroBatcher::Admission::kShuttingDown;
+    PredictOutcome rejected;
+    rejected.error = draining ? kErrShuttingDown : kErrOverloaded;
+    rejected.message = draining ? "server draining" : "prediction queue full";
+    obs::Counter& counter =
+        draining ? metrics.shutting_down : metrics.overloaded;
+    for (std::size_t i = admitted; i < burst.size(); ++i) {
+      counter.add(1);
+      const double rejected_ms =
+          static_cast<double>(obs::monotonic_us() - items[i].received_us) /
+          1000.0;
+      queue_output(conn, encode_reply(burst[i].reply, rejected,
+                                      items[i].trace_id, rejected_ms));
+      conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     }
-    const double rejected_ms =
-        static_cast<double>(obs::monotonic_us() - pending.received_us) /
-        1000.0;
-    std::string response =
-        pending.packed
-            ? binary_error_response(pending.wire_id, code, message,
-                                    pending.trace_id, rejected_ms)
-            : error_response(pending.id, code, message, pending.trace_id,
-                             rejected_ms);
-    if (!pending.packed && pending.wrap) response = binary_json_frame(response);
-    queue_output(conn, response);
-    conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
   }
   burst.clear();
 }
 
 void PredictionServer::handle_feedback(
-    const std::shared_ptr<Connection>& conn,
+    const std::shared_ptr<Connection>& conn, const std::string& id,
     const FeedbackRequest& feedback) {
   // Explained BEFORE the join consumes the journal entry: feedback
   // arrives orders of magnitude below predict rate, so one single-row
@@ -736,14 +716,14 @@ void PredictionServer::handle_feedback(
   if (result.matched && feedback_hook_)
     feedback_hook_(result, feedback.trace_id, feedback.observed_mbps);
   send_response(conn, feedback_response(
-                          feedback.id, trace_id_string(feedback.trace_id),
-                          result));
+                          id, trace_id_string(feedback.trace_id), result));
 }
 
 void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
+                                    const ReplyTo& reply,
                                     const AdminRequest& admin) {
   if (admin.cmd == "ping") {
-    send_response(conn, pong_response(admin.id, host_.version()));
+    send_response(conn, pong_response(reply.id, host_.version()));
     return;
   }
   if (admin.cmd == "stats") {
@@ -783,14 +763,14 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
     report.attribution_shift = monitor_.last_shift();
     if (admin.registry)
       report.registry_json = obs::Registry::instance().to_json();
-    send_response(conn, stats_response(admin.id, report));
+    send_response(conn, stats_response(reply.id, report));
     return;
   }
   if (admin.cmd == "retrain-status") {
     // The provider is one status-struct snapshot under a worker mutex —
     // cheap enough to answer inline like stats.
     send_response(conn, retrain_status_response(
-                            admin.id,
+                            reply.id,
                             retrain_status_ ? retrain_status_()
                                             : std::string()));
     return;
@@ -798,17 +778,18 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
   // reload: runs on a short-lived thread of its own — a multi-second
   // model parse must not stall the event loop every connection shares.
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-  const bool wrap = conn->binary;
   std::lock_guard lock(admin_mutex_);
-  admin_threads_.emplace_back([this, conn, admin, wrap] {
+  admin_threads_.emplace_back([this, conn, reply, path = admin.path] {
     std::string response;
     try {
-      const std::uint64_t version = host_.reload_from_file(admin.path);
-      response = reload_response(admin.id, version);
+      response = reload_response(reply.id, host_.reload_from_file(path));
+      if (reply.wrap) response = binary_json_frame(response);
     } catch (const std::exception& error) {
-      response = error_response(admin.id, kErrReloadFailed, error.what());
+      PredictOutcome failed;
+      failed.error = kErrReloadFailed;
+      failed.message = error.what();
+      response = encode_reply(reply, failed, 0, 0.0);
     }
-    if (wrap) response = binary_json_frame(response);
     queue_output(conn, response);
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
@@ -954,9 +935,12 @@ void PredictionServer::fail_connection(
     const std::shared_ptr<Connection>& conn, const char* code,
     const std::string& message) {
   if (conn->dead) return;
-  queue_output(conn, conn->binary
-                         ? binary_error_response(0, code, message)
-                         : error_response("", code, message));
+  ReplyTo to;
+  to.packed = to.wrap = conn->binary;
+  PredictOutcome failure;
+  failure.error = code;
+  failure.message = message;
+  queue_output(conn, encode_reply(to, failure, 0, 0.0));
   conn->read_closed.store(true, std::memory_order_relaxed);
   conn->in.clear();
   conn->partial_since_us = 0;

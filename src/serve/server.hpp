@@ -123,6 +123,9 @@ class PredictionServer {
   void poll_loop();
   void wake();
   void handle_accepts();
+  /// accept4 ran out of fds or memory: count it, warn (at most every
+  /// 10 s), and disarm the listener until the next loop tick.
+  void pause_accepts(int error);
   void handle_readable(const std::shared_ptr<Connection>& conn);
   void handle_writable(const std::shared_ptr<Connection>& conn);
   void process_input(const std::shared_ptr<Connection>& conn);
@@ -130,15 +133,15 @@ class PredictionServer {
   /// round, so a pipelined connection's frames are admitted in one
   /// submit_burst instead of one lock round trip each.
   struct PendingPredict;
-  void handle_frame(const std::shared_ptr<Connection>& conn,
-                    const Frame& frame, std::uint64_t received_us,
+  void handle_frame(const std::shared_ptr<Connection>& conn, Frame& frame,
+                    std::uint64_t received_us,
                     std::vector<PendingPredict>& burst);
   void flush_predict_burst(const std::shared_ptr<Connection>& conn,
                            std::vector<PendingPredict>& burst);
   void handle_admin(const std::shared_ptr<Connection>& conn,
-                    const AdminRequest& admin);
+                    const ReplyTo& reply, const AdminRequest& admin);
   void handle_feedback(const std::shared_ptr<Connection>& conn,
-                       const FeedbackRequest& feedback);
+                       const std::string& id, const FeedbackRequest& feedback);
   /// Route one JSON response line over the connection's negotiated
   /// framing (wrapped in a kJson binary frame after negotiation).
   void send_response(const std::shared_ptr<Connection>& conn,
@@ -176,6 +179,10 @@ class PredictionServer {
   std::uint16_t port_ = 0;
   /// obs::monotonic_us() at start(); stats derives uptime_seconds from it.
   std::uint64_t start_us_ = 0;
+  /// Poll-thread-only: when a listener paused by pause_accepts is re-armed
+  /// (0 = armed), and when the last accept-failure warning was logged.
+  std::uint64_t accept_resume_us_ = 0;
+  std::uint64_t accept_warned_us_ = 0;
   std::thread poll_thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> flush_and_exit_{false};

@@ -9,6 +9,9 @@
 // suite forks and IMMEDIATELY execs the real `xferlearn serve` binary
 // (path injected as XFL_XFERLEARN_BIN at configure time) — fork+exec with
 // nothing between them is safe even from a multithreaded test runner.
+// The same child also carries the fd-exhaustion contract: under a low
+// RLIMIT_NOFILE (set between fork and exec) a server whose accepts fail
+// with EMFILE pauses its listener instead of spinning on it.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -17,13 +20,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <future>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -81,7 +89,8 @@ struct ServeProcess {
     }
   }
 
-  void spawn(const std::string& model_path) {
+  /// `max_fds` > 0 lowers the child's RLIMIT_NOFILE before the exec.
+  void spawn(const std::string& model_path, rlim_t max_fds = 0) {
     int fds[2];
     ASSERT_EQ(pipe(fds), 0) << std::strerror(errno);
     pid = fork();
@@ -92,6 +101,10 @@ struct ServeProcess {
       dup2(fds[1], STDOUT_FILENO);
       close(fds[0]);
       close(fds[1]);
+      if (max_fds > 0) {
+        const rlimit limit{max_fds, max_fds};
+        setrlimit(RLIMIT_NOFILE, &limit);
+      }
       execl(XFL_XFERLEARN_BIN, "xferlearn", "serve", "--model",
             model_path.c_str(), "--port", "0", static_cast<char*>(nullptr));
       _exit(127);  // exec failed.
@@ -251,6 +264,60 @@ TEST(ServeSignal, SigtermImmediatelyAfterBannerExitsZero) {
   if (HasFatalFailure()) return;
   const std::uint16_t port = child.wait_for_port();
   ASSERT_NE(port, 0);
+  ASSERT_EQ(kill(child.pid, SIGTERM), 0) << std::strerror(errno);
+  EXPECT_EQ(child.wait_for_exit(), 0);
+}
+
+/// User + system CPU seconds `pid` has used (/proc/<pid>/stat fields 14
+/// and 15; field 2 may hold spaces, so count from its closing paren).
+double process_cpu_seconds(pid_t pid) {
+  std::ifstream file("/proc/" + std::to_string(pid) + "/stat");
+  const std::string stat{std::istreambuf_iterator<char>(file), {}};
+  std::istringstream fields(stat.substr(stat.rfind(')') + 1));
+  std::string field;
+  unsigned long long ticks = 0;
+  for (int index = 3; index <= 15 && fields >> field; ++index)
+    if (index >= 14) ticks += std::stoull(field);
+  return static_cast<double>(ticks) /
+         static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
+// More clients than the server has descriptors for: accept4 fails with
+// EMFILE while the rest wait in the backlog, and the level-triggered
+// listener stays readable. The server must sleep through that, not spin
+// on it, and take new connections again once the clients close.
+TEST(ServeSignal, FdExhaustionPausesAcceptsInsteadOfSpinning) {
+  constexpr rlim_t kMaxFds = 32;
+  ServeProcess child;
+  child.spawn(saved_model_path(), kMaxFds);
+  if (HasFatalFailure()) return;
+  const std::uint16_t port = child.wait_for_port();
+  ASSERT_NE(port, 0);
+
+  std::vector<std::unique_ptr<PredictionClient>> clients;
+  for (rlim_t i = 0; i < 2 * kMaxFds; ++i)
+    clients.push_back(std::make_unique<PredictionClient>("127.0.0.1", port));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_before = process_cpu_seconds(child.pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double cpu_spent = process_cpu_seconds(child.pid) - cpu_before;
+  EXPECT_LT(cpu_spent, 0.1)
+      << "server spun on a listener it had no descriptors to accept from";
+
+  clients.clear();
+  auto pong = std::async(std::launch::async, [port] {
+    try {
+      PredictionClient client("127.0.0.1", port);
+      return client.ping();
+    } catch (const std::exception&) {
+      return false;
+    }
+  });
+  if (pong.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    kill(child.pid, SIGKILL);  // Unblocks the waiting ping.
+    FAIL() << "no ping reply after the clients closed";
+  }
+  EXPECT_TRUE(pong.get());
   ASSERT_EQ(kill(child.pid, SIGTERM), 0) << std::strerror(errno);
   EXPECT_EQ(child.wait_for_exit(), 0);
 }

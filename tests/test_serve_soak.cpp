@@ -74,6 +74,24 @@ int process_thread_count() {
   return -1;
 }
 
+/// The thread count once it has held still for 100 ms (bounded at 5 s).
+/// Workers an earlier phase joined — the fixture's fit pool — can still
+/// be counted for a moment after the join returns, so a single early
+/// reading may include threads that are already on their way out.
+int settled_thread_count() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int count = process_thread_count();
+  for (int unchanged = 0;
+       unchanged < 5 && std::chrono::steady_clock::now() < deadline;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = process_thread_count();
+    unchanged = now == count ? unchanged + 1 : 0;
+    count = now;
+  }
+  return count;
+}
+
 core::PlannedTransfer sample_transfer(std::size_t i) {
   core::PlannedTransfer planned;
   planned.src = 0;
@@ -91,7 +109,7 @@ TEST(ServeSoak, ThousandIdleConnectionsCostNoThreadsAndNoReplies) {
                                  .queue_capacity = 1024,
                                  .monitor = {}});
   server.start();
-  const int threads_after_start = process_thread_count();
+  const int threads_after_start = settled_thread_count();
   ASSERT_GT(threads_after_start, 0);
 
   // Phase 1: park a thousand idle connections on the event loop.

@@ -60,17 +60,6 @@
 //                       score; --top-k keeps only the K strongest
 //                       contributions, --binary drives the packed
 //                       kExplain frame instead of JSON)
-//   xferlearn serve-bench (--model model.txt | --log log.csv)
-//                      [--clients 1,4,16,64] [--seconds 2] [--max-batch N]
-//                      [--queue-cap N] [--shards N] [--src ID --dst ID]
-//                      [--connections N] [--binary] [--pipeline D]
-//                      [--json-out BENCH_serve.json]
-//                      (reports client round-trip quantiles next to the
-//                       server's own serve.request.server_us histogram
-//                       quantiles — the same estimator live stats use;
-//                       --connections parks N idle sockets on the event
-//                       loop for the whole run, --binary drives the
-//                       packed frame protocol instead of JSON lines)
 //
 // Batch inference runs the lossless quantized kernel when the model
 // compiles to it and the CPU executes AVX2, and the scalar reference
@@ -88,7 +77,6 @@
 // Every subcommand works on the Globus-schema CSV produced by `simulate`
 // or exported from a real transfer service.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -102,11 +90,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/csv.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -174,8 +160,8 @@ class ArgList {
 int usage() {
   std::fprintf(stderr,
                "usage: xferlearn <simulate|analyze|train|evaluate|predict|"
-               "predict-batch|export-dataset|serve|request|explain|"
-               "serve-bench> [options]\n"
+               "predict-batch|export-dataset|serve|request|explain> "
+               "[options]\n"
                "observability (any command): --log-level <level> --log-json "
                "--metrics-out <file> --trace-out <file> --print-metrics\n"
                "run `xferlearn <command>` with no options for details in "
@@ -523,7 +509,7 @@ volatile std::sig_atomic_t g_serve_hup = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 void serve_hup_handler(int) { g_serve_hup = 1; }
 
-/// Build the resident predictor for serve/serve-bench from --model (file)
+/// Build the resident predictor for serve from --model (file)
 /// or --log (train in-process).
 std::shared_ptr<const core::TransferPredictor> acquire_shared_predictor(
     const ArgList& args, std::string& model_path_out) {
@@ -1006,294 +992,6 @@ int cmd_explain(const ArgList& args) {
   return 0;
 }
 
-/// Loadgen: in-process server on an ephemeral port, C blocking clients per
-/// level hammering it for --seconds, sustained req/s + latency quantiles.
-int cmd_serve_bench(const ArgList& args) {
-  std::string model_path;
-  serve::ModelHost host(acquire_shared_predictor(args, model_path),
-                        model_path);
-  auto options = server_options(args);
-  options.port = 0;  // Always ephemeral: the bench must not collide.
-  serve::PredictionServer server(host, options);
-  server.start();
-
-  const double seconds = args.number_or("--seconds", 2.0);
-  const auto src = static_cast<endpoint::EndpointId>(
-      args.number_or("--src", 0.0));
-  const auto dst = static_cast<endpoint::EndpointId>(
-      args.number_or("--dst", 1.0));
-  const std::size_t idle_connections =
-      static_cast<std::size_t>(args.number_or("--connections", 0.0));
-  const bool binary = args.flag("--binary");
-  // Pipeline depth: requests kept outstanding per connection. 1 = classic
-  // blocking round trips; >1 is how a real hot client drives the batcher
-  // (many frames per syscall, full batches per predict call).
-  const std::size_t pipeline = static_cast<std::size_t>(
-      std::max(1.0, args.number_or("--pipeline", 1.0)));
-  std::vector<std::size_t> levels;
-  {
-    const std::string spec = args.value_or("--clients", "1,4,16,64");
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::string token =
-          spec.substr(start, comma == std::string::npos ? comma : comma - start);
-      if (!token.empty())
-        levels.push_back(
-            static_cast<std::size_t>(parse_number("--clients", token)));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (levels.empty()) {
-      std::fprintf(stderr, "error: --clients needs at least one level\n");
-      return 2;
-    }
-  }
-
-  // A deterministic mix of planned transfers (sizes, file counts,
-  // concurrency) so batches are not degenerate single-row repeats.
-  std::vector<core::PlannedTransfer> mix;
-  for (int i = 0; i < 16; ++i) {
-    core::PlannedTransfer planned;
-    planned.src = src;
-    planned.dst = dst;
-    planned.bytes = 1e9 * static_cast<double>(1 + (i * 7) % 50);
-    planned.files = static_cast<std::uint64_t>(1 + (i * 13) % 40);
-    planned.concurrency = static_cast<std::uint32_t>(1 + i % 8);
-    planned.parallelism = static_cast<std::uint32_t>(1 + (i * 3) % 8);
-    mix.push_back(planned);
-  }
-
-  struct LevelResult {
-    std::size_t clients = 0;
-    std::uint64_t requests = 0;
-    double seconds = 0.0;
-    double rps = 0.0;
-    double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
-    /// Server-side quantiles from the live serve.request.server_us
-    /// histogram — the same estimator the stats admin command exposes.
-    double server_p50_us = 0.0, server_p95_us = 0.0, server_p99_us = 0.0;
-  };
-  std::vector<LevelResult> results;
-
-  // The idle-connection dimension: --connections N parks N extra open
-  // sockets on the event loop for the whole run, so the measured levels
-  // show what mostly-idle scale costs the hot path (it should be ~free).
-  std::vector<std::unique_ptr<serve::PredictionClient>> idle;
-  idle.reserve(idle_connections);
-  for (std::size_t i = 0; i < idle_connections; ++i)
-    idle.push_back(std::make_unique<serve::PredictionClient>(
-        "127.0.0.1", server.port()));
-
-  TextTable table;
-  table.set_title("serve-bench: sustained load against the micro-batching "
-                  "server (loopback; srv = server-side histogram quantiles)");
-  table.set_header({"clients", "req/s", "p50 us", "p95 us", "p99 us",
-                    "srv p50", "srv p95", "srv p99", "requests"});
-  for (const std::size_t clients : levels) {
-    // Zero the registry so each level's server-side histogram covers
-    // exactly that level's requests.
-    obs::Registry::instance().reset();
-    std::atomic<bool> stop{false};
-    std::vector<std::vector<double>> latencies(clients);
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    const auto start = std::chrono::steady_clock::now();
-    if (pipeline == 1) {
-      // Classic mode: one blocking thread per client, one request in
-      // flight each — directly comparable across bench revisions.
-      for (std::size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-          serve::PredictionClient client("127.0.0.1", server.port());
-          if (binary) client.negotiate_binary();
-          std::size_t i = c;  // Stagger the mix across clients.
-          while (!stop.load(std::memory_order_relaxed)) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto reply = client.predict(mix[i++ % mix.size()]);
-            const auto t1 = std::chrono::steady_clock::now();
-            if (reply.ok)
-              latencies[c].push_back(
-                  std::chrono::duration<double, std::micro>(t1 - t0).count());
-          }
-        });
-      }
-    } else {
-      // Windowed mode: every connection keeps `pipeline` requests in
-      // flight, and a handful of loadgen threads multiplex all the
-      // connections (wrk-style) — with one thread per connection the
-      // measurement drowns in loadgen scheduling, not server capacity.
-      struct WindowedConn {
-        explicit WindowedConn(std::uint16_t port)
-            : client("127.0.0.1", port) {}
-        serve::PredictionClient client;
-        std::unordered_map<std::uint64_t,
-                           std::chrono::steady_clock::time_point>
-            sent_at;
-        std::uint64_t next_id = 1;
-        std::size_t i = 0;
-      };
-      const std::size_t loadgen = std::min<std::size_t>(
-          clients, std::max(2u, std::thread::hardware_concurrency()));
-      for (std::size_t t = 0; t < loadgen; ++t) {
-        threads.emplace_back([&, t] {
-          // Each thread owns connections c = t, t + loadgen, ...
-          std::vector<std::unique_ptr<WindowedConn>> conns;
-          for (std::size_t c = t; c < clients; c += loadgen) {
-            conns.push_back(std::make_unique<WindowedConn>(server.port()));
-            conns.back()->i = c;
-            if (binary) conns.back()->client.negotiate_binary();
-          }
-          // Sends are coalesced: `n` requests leave in one send(2), the
-          // same trick the server's reply corking plays in the other
-          // direction — on a shared core, loadgen syscalls are server
-          // cycles lost.
-          std::string out;
-          const auto send_burst = [&](WindowedConn& conn, std::size_t n) {
-            out.clear();
-            const auto now = std::chrono::steady_clock::now();
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::uint64_t id = conn.next_id++;
-              conn.sent_at.emplace(id, now);
-              const auto& planned = mix[conn.i++ % mix.size()];
-              if (binary) {
-                out += serve::binary_predict_request(id, planned);
-              } else {
-                out += serve::predict_request_line(std::to_string(id), planned);
-                out += '\n';
-              }
-            }
-            conn.client.send_raw(out);
-          };
-          const auto read_one = [&](WindowedConn& conn) {
-            std::uint64_t id = 0;
-            bool ok = false;
-            if (binary) {
-              for (;;) {
-                const auto [type, payload] = conn.client.read_frame();
-                if (type == serve::BinaryType::kJson) continue;
-                const auto reply = serve::parse_binary_reply(type, payload);
-                id = reply.id;
-                ok = reply.ok;
-                break;
-              }
-            } else {
-              const auto reply = serve::PredictionClient::parse_reply(
-                  conn.client.read_line());
-              id = std::stoull(reply.id);
-              ok = reply.ok;
-            }
-            const auto sent = conn.sent_at.find(id);
-            if (sent == conn.sent_at.end()) return;
-            if (ok)
-              latencies[t].push_back(
-                  std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - sent->second)
-                      .count());
-            conn.sent_at.erase(sent);
-          };
-          for (auto& conn : conns) send_burst(*conn, pipeline);
-          while (!stop.load(std::memory_order_relaxed))
-            for (auto& conn : conns) {
-              // Block for one reply, drain whatever else the server's
-              // corked flush delivered with it, then refill the window
-              // with one write.
-              read_one(*conn);
-              std::size_t replies = 1;
-              while (replies < pipeline && conn->client.response_buffered()) {
-                read_one(*conn);
-                ++replies;
-              }
-              send_burst(*conn, replies);
-            }
-          // Drain every window so all sent requests are accounted for
-          // before the sockets close.
-          for (auto& conn : conns)
-            while (!conn->sent_at.empty()) read_one(*conn);
-        });
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    stop.store(true);
-    for (auto& thread : threads) thread.join();
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-
-    std::vector<double> all;
-    for (const auto& per_client : latencies)
-      all.insert(all.end(), per_client.begin(), per_client.end());
-    LevelResult result;
-    result.clients = clients;
-    result.requests = all.size();
-    result.seconds = elapsed;
-    result.rps = static_cast<double>(all.size()) / elapsed;
-    if (!all.empty()) {
-      result.p50_us = percentile(all, 50.0);
-      result.p95_us = percentile(all, 95.0);
-      result.p99_us = percentile(all, 99.0);
-    }
-    const auto server_snapshot =
-        obs::histogram("serve.request.server_us").snapshot();
-    result.server_p50_us = server_snapshot.quantile(50.0);
-    result.server_p95_us = server_snapshot.quantile(95.0);
-    result.server_p99_us = server_snapshot.quantile(99.0);
-    results.push_back(result);
-    table.add_row({std::to_string(clients), TextTable::num(result.rps, 0),
-                   TextTable::num(result.p50_us, 0),
-                   TextTable::num(result.p95_us, 0),
-                   TextTable::num(result.p99_us, 0),
-                   TextTable::num(result.server_p50_us, 0),
-                   TextTable::num(result.server_p95_us, 0),
-                   TextTable::num(result.server_p99_us, 0),
-                   std::to_string(result.requests)});
-  }
-  idle.clear();
-  server.stop();
-  table.print(stdout);
-
-  if (const auto out_path = args.value("--json-out")) {
-    std::ofstream out(*out_path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path->c_str());
-      return 1;
-    }
-    out << "{\n  \"description\": \"xferlearn serve-bench: "
-        << (pipeline == 1 ? "blocking request/reply clients"
-                          : "multiplexed pipelined clients")
-        << " over loopback TCP against the event-loop prediction server"
-           " (max_batch=" << options.max_batch
-        << ", queue_capacity=" << options.queue_capacity
-        << "); latencies are per-request round trips in microseconds; "
-           "server_* quantiles come from the in-server "
-           "serve.request.server_us histogram (the live stats "
-           "estimator)\",\n"
-        << "  \"kernel\": \""
-        << host.snapshot().predictor->serving_kernel() << "\",\n"
-        << "  \"protocol\": \"" << (binary ? "binary" : "json") << "\",\n"
-        << "  \"pipeline\": " << pipeline << ",\n"
-        << "  \"idle_connections\": " << idle_connections << ",\n"
-        << "  \"seconds_per_level\": " << seconds << ",\n  \"levels\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      char line[384];
-      std::snprintf(line, sizeof line,
-                    "    {\"clients\": %zu, \"requests\": %llu, "
-                    "\"req_per_s\": %.1f, \"p50_us\": %.1f, "
-                    "\"p95_us\": %.1f, \"p99_us\": %.1f, "
-                    "\"server_p50_us\": %.1f, \"server_p95_us\": %.1f, "
-                    "\"server_p99_us\": %.1f}%s\n",
-                    r.clients, static_cast<unsigned long long>(r.requests),
-                    r.rps, r.p50_us, r.p95_us, r.p99_us, r.server_p50_us,
-                    r.server_p95_us, r.server_p99_us,
-                    i + 1 < results.size() ? "," : "");
-      out << line;
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote %s\n", out_path->c_str());
-  }
-  return 0;
-}
-
 int run_command(const std::string& command, const ArgList& args) {
   if (command == "simulate") return cmd_simulate(args);
   if (command == "analyze") return cmd_analyze(args);
@@ -1305,7 +1003,6 @@ int run_command(const std::string& command, const ArgList& args) {
   if (command == "serve") return cmd_serve(args);
   if (command == "request") return cmd_request(args);
   if (command == "explain") return cmd_explain(args);
-  if (command == "serve-bench") return cmd_serve_bench(args);
   return usage();
 }
 
