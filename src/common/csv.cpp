@@ -1,6 +1,5 @@
 #include "common/csv.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -97,14 +96,13 @@ void CsvWriter::write_row(const CsvRow& row) {
 }
 
 void CsvWriter::write_row(const std::vector<double>& row) {
-  CsvRow text;
-  text.reserve(row.size());
-  char buf[40];
-  for (double v : row) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    text.emplace_back(buf);
+  std::string line;
+  for (const double v : row) {
+    if (!line.empty()) line += ',';
+    append_number(line, v);
   }
-  write_row(text);
+  line += '\n';
+  *out_ << line;
 }
 
 }  // namespace xfl

@@ -4,9 +4,14 @@
 // so users can export simulated logs and re-import them.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/number.hpp"
 
 namespace xfl {
 
@@ -22,6 +27,18 @@ std::vector<CsvRow> read_csv_file(const std::string& path);
 
 /// Escape a single field per RFC 4180 (quote only when necessary).
 std::string csv_escape(const std::string& field);
+
+/// Parse a numeric CSV field with the number codec (common/number.hpp).
+/// Throws std::runtime_error naming `where`, the row and the column when
+/// the field is not one whole number that fits T.
+template <class T>
+void parse_csv_field(const std::string& field, T& out, std::string_view where,
+                     std::size_t row, std::string_view column) {
+  if (!parse_number(field, out))
+    throw std::runtime_error(std::string(where) + ": bad number '" + field +
+                             "' in row " + std::to_string(row) +
+                             ", column '" + std::string(column) + "'");
+}
 
 /// Streaming CSV writer.
 class CsvWriter {

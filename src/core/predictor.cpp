@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <string_view>
 
 #include "common/contracts.hpp"
+#include "common/number.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -174,10 +176,10 @@ TransferPredictor TransferPredictor::clone() const {
   // The models hold move-only members (unique_ptr ensembles), so the
   // tested persistence round trip is the copy path; load() recompiles the
   // flat inference engines, so the clone serves immediately.
-  std::stringstream buffer;
-  buffer.precision(17);
-  save(buffer);
-  return load(buffer);
+  std::string text;
+  save(text, [](std::string&) {});
+  TokenReader reader(text);
+  return load(reader);
 }
 
 void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
@@ -462,139 +464,141 @@ std::vector<std::pair<std::string, double>> TransferPredictor::explain(
 namespace {
 constexpr const char* kPredictorMagic = "xfl-predictor-v1";
 
-void save_model(std::ostream& out, const char* label,
-                const TransferPredictor::PersistedModel& model) {
-  out << label << '\n';
-  out << model.feature_names.size();
-  for (const auto& name : model.feature_names) out << ' ' << name;
-  out << '\n';
-  out << model.means.size();
-  for (const double m : model.means) out << ' ' << m;
-  for (const double s : model.sigmas) out << ' ' << s;
-  out << '\n';
-  out << model.ratio_p10 << ' ' << model.ratio_p90 << '\n';
-}
-
 /// Sanity cap shared by every count field: a corrupted count must throw,
 /// not drive a multi-gigabyte resize.
 constexpr std::size_t kMaxPredictorEntries = 1u << 20;
+}  // namespace
 
-TransferPredictor::PersistedModel load_model(std::istream& in,
-                                             const std::string& label) {
+void TransferPredictor::save_model(std::string& out, const char* label,
+                                   const Model& model) {
+  out += label;
+  out += '\n';
+  append_number(out, model.feature_names.size());
+  for (const auto& name : model.feature_names) {
+    out += ' ';
+    out += name;
+  }
+  out += '\n';
+  append_number(out, model.scaler.means().size());
+  for (const auto* moments : {&model.scaler.means(), &model.scaler.sigmas()})
+    for (const double m : *moments) {
+      out += ' ';
+      append_number(out, m);
+    }
+  out += '\n';
+  append_line(out, model.ratio_p10, model.ratio_p90);
+  model.boosted->save(out);
+}
+
+TransferPredictor::Model TransferPredictor::load_model(
+    TokenReader& in, const std::string& label) {
   auto fail = [&label](const std::string& what) -> void {
     throw std::runtime_error("TransferPredictor::load (" + label +
                              "): " + what);
   };
-  std::string seen;
-  in >> seen;
-  if (seen != label) fail("expected label, saw '" + seen + "'");
-  TransferPredictor::PersistedModel model;
+  const std::string_view seen = in.token();
+  if (seen != label) fail("expected label, saw '" + std::string(seen) + "'");
+  Model model;
   std::size_t name_count = 0;
-  in >> name_count;
-  if (!in || name_count == 0 || name_count > kMaxPredictorEntries)
+  if (!in.read(name_count) || name_count == 0 ||
+      name_count > kMaxPredictorEntries || !in.fits(name_count, 1))
     fail("implausible feature-name count");
   model.feature_names.resize(name_count);
-  for (auto& name : model.feature_names) in >> name;
+  for (auto& name : model.feature_names) name = in.token();
   std::size_t moment_count = 0;
-  in >> moment_count;
-  if (!in) fail("truncated feature-name block");
+  if (!in.read(moment_count)) fail("truncated feature-name block");
   // Exactly one (mean, sigma) pair per feature; a mismatch means fields
   // were dropped or swapped upstream.
   if (moment_count != name_count)
     fail("scaler moment count does not match feature count");
-  model.means.resize(moment_count);
-  model.sigmas.resize(moment_count);
-  for (auto& m : model.means) in >> m;
-  for (auto& s : model.sigmas) in >> s;
-  in >> model.ratio_p10 >> model.ratio_p90;
-  if (!in) fail("truncated scaler block");
-  for (const double s : model.sigmas)
+  if (!in.fits(moment_count, 2)) fail("truncated scaler block");
+  std::vector<double> means(moment_count), sigmas(moment_count);
+  for (auto* moments : {&means, &sigmas})
+    for (double& m : *moments)
+      if (!in.read(m)) fail("truncated scaler block");
+  if (!in.read(model.ratio_p10, model.ratio_p90))
+    fail("truncated scaler block");
+  for (const double s : sigmas)
     if (!(s > 0.0)) fail("non-positive scaler sigma");
+  model.scaler = ml::StandardScaler::from_moments(std::move(means),
+                                                  std::move(sigmas));
+  model.boosted = std::make_unique<ml::GradientBoostedTrees>(
+      ml::GradientBoostedTrees::load(in));
+  if (model.boosted->feature_count() != name_count)
+    fail("feature count does not match the model's trees");
   return model;
 }
-}  // namespace
 
 void TransferPredictor::save(std::ostream& out) const {
+  // Written a model at a time, so the buffer holds one model's text.
+  std::string text;
+  save(text, [&out](std::string& chunk) {
+    out << chunk;
+    chunk.clear();
+  });
+}
+
+template <class Flush>
+void TransferPredictor::save(std::string& out, Flush&& flush) const {
   XFL_EXPECTS(fitted_);
-  out.precision(17);
-  out << kPredictorMagic << '\n';
-  out << options_.min_edge_transfers << ' ' << options_.load_threshold << '\n';
+  out += kPredictorMagic;
+  out += '\n';
+  append_line(out, options_.min_edge_transfers, options_.load_threshold);
 
-  out << capabilities_.size() << '\n';
+  append_line(out, capabilities_.size());
   for (const auto& [endpoint, capability] : capabilities_)
-    out << endpoint << ' ' << capability.dr_max_Bps << ' '
-        << capability.dw_max_Bps << ' ' << capability.ro_max_Bps << ' '
-        << capability.ri_max_Bps << '\n';
+    append_line(out, endpoint, capability.dr_max_Bps, capability.dw_max_Bps,
+                capability.ro_max_Bps, capability.ri_max_Bps);
 
-  out << edge_models_.size() << '\n';
+  append_line(out, edge_models_.size());
   for (const auto& [edge, model] : edge_models_) {
-    out << edge.src << ' ' << edge.dst << '\n';
-    PersistedModel persisted{model.feature_names, model.scaler.means(),
-                             model.scaler.sigmas(), model.ratio_p10,
-                             model.ratio_p90};
-    save_model(out, "edge-model", persisted);
-    model.boosted->save(out);
+    append_line(out, edge.src, edge.dst);
+    save_model(out, "edge-model", model);
+    flush(out);
   }
-  PersistedModel persisted{global_model_.feature_names,
-                           global_model_.scaler.means(),
-                           global_model_.scaler.sigmas(),
-                           global_model_.ratio_p10, global_model_.ratio_p90};
-  save_model(out, "global-model", persisted);
-  global_model_.boosted->save(out);
+  save_model(out, "global-model", global_model_);
+  flush(out);
 }
 
 TransferPredictor TransferPredictor::load(std::istream& in) {
-  std::string magic;
-  in >> magic;
-  if (magic != kPredictorMagic)
-    throw std::runtime_error("TransferPredictor::load: bad magic '" + magic +
-                             "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  TokenReader reader(text.view());
+  return load(reader);
+}
+
+TransferPredictor TransferPredictor::load(TokenReader& in) {
+  auto fail = [](const std::string& what) -> void {
+    throw std::runtime_error("TransferPredictor::load: " + what);
+  };
+  const std::string_view magic = in.token();
+  if (magic != kPredictorMagic) fail("bad magic '" + std::string(magic) + "'");
   TransferPredictor predictor;
-  in >> predictor.options_.min_edge_transfers >>
-      predictor.options_.load_threshold;
+  if (!in.read(predictor.options_.min_edge_transfers,
+               predictor.options_.load_threshold))
+    fail("truncated options");
 
   std::size_t capability_count = 0;
-  in >> capability_count;
-  if (!in || capability_count > kMaxPredictorEntries)
-    throw std::runtime_error(
-        "TransferPredictor::load: implausible capability count");
+  if (!in.read(capability_count) || capability_count > kMaxPredictorEntries)
+    fail("implausible capability count");
   for (std::size_t i = 0; i < capability_count; ++i) {
     endpoint::EndpointId endpoint = 0;
     features::EndpointCapability capability;
-    in >> endpoint >> capability.dr_max_Bps >> capability.dw_max_Bps >>
-        capability.ro_max_Bps >> capability.ri_max_Bps;
+    if (!in.read(endpoint, capability.dr_max_Bps, capability.dw_max_Bps,
+                 capability.ro_max_Bps, capability.ri_max_Bps))
+      fail("truncated capability block");
     predictor.capabilities_[endpoint] = capability;
   }
 
   std::size_t edge_count = 0;
-  in >> edge_count;
-  if (!in || edge_count > kMaxPredictorEntries)
-    throw std::runtime_error(
-        "TransferPredictor::load: implausible edge-model count");
+  if (!in.read(edge_count) || edge_count > kMaxPredictorEntries)
+    fail("implausible edge-model count");
   for (std::size_t i = 0; i < edge_count; ++i) {
     logs::EdgeKey edge;
-    in >> edge.src >> edge.dst;
-    const auto persisted = load_model(in, "edge-model");
-    Model model;
-    model.feature_names = persisted.feature_names;
-    model.scaler =
-        ml::StandardScaler::from_moments(persisted.means, persisted.sigmas);
-    model.ratio_p10 = persisted.ratio_p10;
-    model.ratio_p90 = persisted.ratio_p90;
-    model.boosted = std::make_unique<ml::GradientBoostedTrees>(
-        ml::GradientBoostedTrees::load(in));
-    predictor.edge_models_.emplace(edge, std::move(model));
+    if (!in.read(edge.src, edge.dst)) fail("truncated edge key");
+    predictor.edge_models_.emplace(edge, load_model(in, "edge-model"));
   }
-  const auto persisted = load_model(in, "global-model");
-  predictor.global_model_.feature_names = persisted.feature_names;
-  predictor.global_model_.scaler =
-      ml::StandardScaler::from_moments(persisted.means, persisted.sigmas);
-  predictor.global_model_.ratio_p10 = persisted.ratio_p10;
-  predictor.global_model_.ratio_p90 = persisted.ratio_p90;
-  predictor.global_model_.boosted = std::make_unique<ml::GradientBoostedTrees>(
-      ml::GradientBoostedTrees::load(in));
-  if (!in)
-    throw std::runtime_error("TransferPredictor::load: truncated model");
+  predictor.global_model_ = load_model(in, "global-model");
   predictor.fitted_ = true;
   return predictor;
 }
@@ -654,11 +658,27 @@ void TransferPredictor::save_file(const std::string& path) const {
 }
 
 TransferPredictor TransferPredictor::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.tellg();
+  if (!in || size < 0)
     throw std::runtime_error("TransferPredictor::load_file: cannot open " +
                              path);
-  return load(in);
+  // The text is read into pages mapped for this load alone: freeing a
+  // model-sized malloc block would raise glibc's dynamic mmap threshold,
+  // and later mid-size allocations would then stay resident.
+  const auto bytes = static_cast<std::size_t>(size) + 1;
+  void* const pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  const auto unmap = [bytes](void* p) {
+    if (p != MAP_FAILED) ::munmap(p, bytes);
+  };
+  const std::unique_ptr<void, decltype(unmap)> owner(pages, unmap);
+  char* const text = static_cast<char*>(pages);
+  if (pages == MAP_FAILED || !in.seekg(0).read(text, size))
+    throw std::runtime_error("TransferPredictor::load_file: cannot read " +
+                             path);
+  TokenReader reader(std::string_view(text, static_cast<std::size_t>(size)));
+  return load(reader);
 }
 
 const features::EndpointCapability* TransferPredictor::capability(

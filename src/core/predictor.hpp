@@ -101,15 +101,6 @@ class TransferPredictor {
     std::uint64_t seed = 1234;
   };
 
-  /// Plain-data view of one model's non-GBT state (serialisation helper).
-  struct PersistedModel {
-    std::vector<std::string> feature_names;
-    std::vector<double> means;
-    std::vector<double> sigmas;
-    double ratio_p10 = 1.0;
-    double ratio_p90 = 1.0;
-  };
-
   TransferPredictor();
   explicit TransferPredictor(Options options);
 
@@ -203,6 +194,8 @@ class TransferPredictor {
   /// Persist the fitted predictor (per-edge + global models, scalers,
   /// capabilities) to a line-oriented text stream; load() restores a
   /// predictor that answers identically. Requires fit().
+  /// load() reads `in` to its end; malformed input throws
+  /// std::runtime_error before anything is sized by a bad count.
   void save(std::ostream& out) const;
   static TransferPredictor load(std::istream& in);
 
@@ -246,6 +239,17 @@ class TransferPredictor {
 
   static void calibrate_interval(Model& model, const ml::Matrix& x,
                                  const std::vector<double>& y);
+  /// The model file as text: save appends it to `out`, handing `out` to
+  /// `flush` after each model; load parses it from `in`. clone() and the
+  /// stream and file overloads all go through these.
+  template <class Flush>
+  void save(std::string& out, Flush&& flush) const;
+  static TransferPredictor load(TokenReader& in);
+  /// One model's block of the model file: `label`, the feature names, the
+  /// scaler moments, the residual band, then the GBT.
+  static void save_model(std::string& out, const char* label,
+                         const Model& model);
+  static Model load_model(TokenReader& in, const std::string& label);
   /// Write one transfer's feature row (per-edge layout, plus the endpoint
   /// capabilities when `with_capabilities`) into `out`, which must be
   /// exactly that wide.

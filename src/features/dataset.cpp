@@ -228,10 +228,12 @@ Dataset read_dataset_csv(std::istream& in) {
     if (row.size() != header.size())
       throw std::runtime_error("read_dataset_csv: bad column count in row " +
                                std::to_string(r));
-    for (std::size_t c = 0; c + 1 < row.size(); ++c)
-      scratch[c] = std::stod(row[c]);
+    double rate = 0.0;
+    for (std::size_t c = 0; c < row.size(); ++c)
+      parse_csv_field(row[c], c + 1 < row.size() ? scratch[c] : rate,
+                      "read_dataset_csv", r, header[c]);
     dataset.x.push_row(scratch);
-    dataset.y.push_back(std::stod(row.back()));
+    dataset.y.push_back(rate);
     dataset.record_indices.push_back(r - 1);
   }
   return dataset;

@@ -104,34 +104,20 @@ constexpr std::size_t kCsvColumns = std::size(kCsvHeader);
 
 void LogStore::write_csv(std::ostream& out) const {
   CsvWriter writer(out);
-  CsvRow header(kCsvHeader, kCsvHeader + kCsvColumns);
-  writer.write_row(header);
-  char buf[64];
+  writer.write_row(CsvRow(kCsvHeader, kCsvHeader + kCsvColumns));
+  std::string line;
+  const auto fields = [&line](auto... v) {
+    ((append_number(line, v), line += ','), ...);
+  };
   for (const auto& r : records_) {
-    CsvRow row;
-    row.reserve(kCsvColumns);
-    auto push_u = [&row, &buf](std::uint64_t v) {
-      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-      row.emplace_back(buf);
-    };
-    auto push_d = [&row, &buf](double v) {
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      row.emplace_back(buf);
-    };
-    push_u(r.id);
-    push_u(r.src);
-    push_u(r.dst);
-    push_d(r.start_s);
-    push_d(r.end_s);
-    push_d(r.bytes);
-    push_u(r.files);
-    push_u(r.dirs);
-    push_u(r.concurrency);
-    push_u(r.parallelism);
-    push_u(r.faults);
-    row.emplace_back(to_string(r.src_type));
-    row.emplace_back(to_string(r.dst_type));
-    writer.write_row(row);
+    line.clear();
+    fields(r.id, r.src, r.dst, r.start_s, r.end_s, r.bytes, r.files, r.dirs,
+           r.concurrency, r.parallelism, r.faults);
+    line += to_string(r.src_type);
+    line += ',';
+    line += to_string(r.dst_type);
+    line += '\n';
+    out << line;
   }
 }
 
@@ -148,17 +134,14 @@ LogStore LogStore::read_csv(std::istream& in) {
       throw std::runtime_error("LogStore::read_csv: bad column count in row " +
                                std::to_string(i));
     TransferRecord r;
-    r.id = std::stoull(row[0]);
-    r.src = static_cast<endpoint::EndpointId>(std::stoul(row[1]));
-    r.dst = static_cast<endpoint::EndpointId>(std::stoul(row[2]));
-    r.start_s = std::stod(row[3]);
-    r.end_s = std::stod(row[4]);
-    r.bytes = std::stod(row[5]);
-    r.files = std::stoull(row[6]);
-    r.dirs = std::stoull(row[7]);
-    r.concurrency = static_cast<std::uint32_t>(std::stoul(row[8]));
-    r.parallelism = static_cast<std::uint32_t>(std::stoul(row[9]));
-    r.faults = static_cast<std::uint32_t>(std::stoul(row[10]));
+    std::size_t c = 0;
+    const auto fields = [&](auto&... out) {
+      ((parse_csv_field(row[c], out, "LogStore::read_csv", i, kCsvHeader[c]),
+        ++c),
+       ...);
+    };
+    fields(r.id, r.src, r.dst, r.start_s, r.end_s, r.bytes, r.files, r.dirs,
+           r.concurrency, r.parallelism, r.faults);
     r.src_type = row[11] == "GCP" ? endpoint::EndpointType::kPersonal
                                   : endpoint::EndpointType::kServer;
     r.dst_type = row[12] == "GCP" ? endpoint::EndpointType::kPersonal

@@ -7,11 +7,13 @@
 #include <memory>
 #include <numeric>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "common/contracts.hpp"
+#include "common/number.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -763,42 +765,59 @@ constexpr const char* kModelMagic = "xfl-gbt-v1";
 }  // namespace
 
 void GradientBoostedTrees::save(std::ostream& out) const {
+  std::string text;
+  save(text);
+  out << text;
+}
+
+void GradientBoostedTrees::save(std::string& out) const {
   XFL_EXPECTS(fitted_);
-  out.precision(17);
-  out << kModelMagic << '\n';
-  out << feature_count_ << ' ' << config_.learning_rate << ' ';
-  out << base_score_ << '\n';
-  out << importance_gain_.size();
-  for (const double gain : importance_gain_) out << ' ' << gain;
-  out << '\n';
-  out << trees_.size() << '\n';
+  out += kModelMagic;
+  out += '\n';
+  append_line(out, feature_count_, config_.learning_rate, base_score_);
+  append_number(out, importance_gain_.size());
+  for (const double gain : importance_gain_) {
+    out += ' ';
+    append_number(out, gain);
+  }
+  out += '\n';
+  append_line(out, trees_.size());
   for (const auto& tree : trees_) {
-    out << tree.nodes.size() << '\n';
+    append_line(out, tree.nodes.size());
     for (const auto& node : tree.nodes)
-      out << node.feature << ' ' << node.threshold << ' ' << node.value << ' '
-          << node.left << ' ' << node.right << '\n';
+      append_line(out, node.feature, node.threshold, node.value, node.left,
+                  node.right);
   }
 }
 
 GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  TokenReader reader(text.view());
+  return load(reader);
+}
+
+GradientBoostedTrees GradientBoostedTrees::load(TokenReader& in) {
   auto fail = [](const std::string& what) -> void {
     throw std::runtime_error("GradientBoostedTrees::load: " + what);
   };
-  std::string magic;
-  in >> magic;
-  if (magic != kModelMagic) fail("bad magic '" + magic + "'");
+  const std::string_view magic = in.token();
+  if (magic != kModelMagic) fail("bad magic '" + std::string(magic) + "'");
 
   // Sanity caps: a corrupted header must throw, not drive a multi-gigabyte
-  // resize or leave counts that later index out of bounds.
+  // resize or leave counts that later index out of bounds. Below the caps,
+  // a count must also fit in the bytes left, so nothing is sized by a
+  // count the input cannot back.
   constexpr std::size_t kMaxFeatures = 1u << 20;
   constexpr std::size_t kMaxTrees = 1u << 20;
   constexpr std::size_t kMaxNodes = 1u << 22;
+  constexpr std::size_t kNodeTokens = 5;
 
   GradientBoostedTrees model;
   std::size_t importance_count = 0, tree_count = 0;
-  in >> model.feature_count_ >> model.config_.learning_rate >>
-      model.base_score_ >> importance_count;
-  if (!in) fail("truncated header");
+  if (!in.read(model.feature_count_, model.config_.learning_rate,
+               model.base_score_, importance_count))
+    fail("truncated header");
   if (model.feature_count_ == 0 || model.feature_count_ > kMaxFeatures)
     fail("implausible feature count");
   if (!(model.config_.learning_rate > 0.0)) fail("non-positive learning rate");
@@ -806,24 +825,27 @@ GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
   // or exactly one gain per feature.
   if (importance_count != 0 && importance_count != model.feature_count_)
     fail("importance count does not match feature count");
+  if (!in.fits(importance_count, 1)) fail("truncated importance block");
   model.importance_gain_.resize(importance_count);
-  for (auto& gain : model.importance_gain_) in >> gain;
-  in >> tree_count;
-  if (!in) fail("truncated importance block");
-  if (tree_count > kMaxTrees) fail("implausible tree count");
+  for (auto& gain : model.importance_gain_)
+    if (!in.read(gain)) fail("truncated importance block");
+  if (!in.read(tree_count)) fail("truncated importance block");
+  // Each tree is its node count plus at least one node.
+  if (tree_count > kMaxTrees || !in.fits(tree_count, 1 + kNodeTokens))
+    fail("implausible tree count");
   model.trees_.resize(tree_count);
   for (auto& tree : model.trees_) {
     std::size_t node_count = 0;
-    in >> node_count;
-    if (!in || node_count == 0 || node_count > kMaxNodes)
+    if (!in.read(node_count) || node_count == 0 || node_count > kMaxNodes ||
+        !in.fits(node_count, kNodeTokens))
       fail("implausible node count");
     tree.nodes.resize(node_count);
     std::vector<bool> child_seen(node_count, false);
     for (std::size_t i = 0; i < node_count; ++i) {
       Node& node = tree.nodes[i];
-      in >> node.feature >> node.threshold >> node.value >> node.left >>
-          node.right;
-      if (!in) break;  // Reported as truncation below.
+      if (!in.read(node.feature, node.threshold, node.value, node.left,
+                   node.right))
+        fail("truncated or malformed model");
       if (node.feature < 0) continue;  // Leaf: links are unused.
       // Internal node: the feature must exist and both children must point
       // forward (grow_tree appends children after their parent), which also
@@ -846,7 +868,6 @@ GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
       child_seen[static_cast<std::size_t>(node.right)] = true;
     }
   }
-  if (!in) fail("truncated or malformed model");
   model.compile_flat();
   model.fitted_ = true;
   return model;

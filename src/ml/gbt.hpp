@@ -28,12 +28,14 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ml/matrix.hpp"
 
 namespace xfl {
 class ThreadPool;
+class TokenReader;
 }
 
 namespace xfl::ml {
@@ -132,14 +134,21 @@ class GradientBoostedTrees {
   std::vector<double> feature_importance() const;
 
   bool fitted() const { return fitted_; }
+  /// Columns every input row must have. Requires fit() (or load()).
+  std::size_t feature_count() const { return feature_count_; }
   const GbtConfig& config() const { return config_; }
 
   /// Serialise the fitted ensemble to a line-oriented text format
   /// (version header, base score, learning rate, per-tree node lists).
   /// Requires fit(). load() restores a model that predicts identically;
   /// training-only state (bin edges, gain importances) round-trips too.
+  /// The string and reader overloads let an enclosing file (the
+  /// predictor's) share one buffer; load(std::istream&) reads `in` to its
+  /// end. load throws std::runtime_error on malformed input.
   void save(std::ostream& out) const;
+  void save(std::string& out) const;
   static GradientBoostedTrees load(std::istream& in);
+  static GradientBoostedTrees load(TokenReader& in);
 
  private:
   struct Node {

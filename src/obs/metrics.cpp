@@ -1,10 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
+
+#include "common/number.hpp"
 
 namespace xfl::obs {
 
@@ -192,14 +193,6 @@ Histogram& Registry::histogram(const std::string& name,
   return *slot;
 }
 
-namespace {
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-}  // namespace
-
 std::string Registry::to_json() const {
   std::lock_guard lock(mutex_);
   std::string out = "{\"counters\":{";
@@ -210,7 +203,7 @@ std::string Registry::to_json() const {
     out += '"';
     out += name;
     out += "\":";
-    out += std::to_string(metric->value());
+    append_number(out, metric->value());
   }
   out += "},\"gauges\":{";
   first = true;
@@ -234,7 +227,7 @@ std::string Registry::to_json() const {
     out += '"';
     out += name;
     out += "\":{\"count\":";
-    out += std::to_string(snap.count);
+    append_number(out, snap.count);
     out += ",\"sum\":";
     append_number(out, snap.sum);
     out += ",\"p50\":";
@@ -253,7 +246,7 @@ std::string Registry::to_json() const {
         out += "\"+inf\"";
       }
       out += ",\"count\":";
-      out += std::to_string(snap.counts[b]);
+      append_number(out, snap.counts[b]);
       out += '}';
     }
     out += "]}";
@@ -291,7 +284,7 @@ std::string Registry::counters_compact() const {
     if (!out.empty()) out += ' ';
     out += name;
     out += '=';
-    out += std::to_string(metric->value());
+    append_number(out, metric->value());
   }
   return out;
 }

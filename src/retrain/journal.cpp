@@ -5,21 +5,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/number.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -42,8 +39,6 @@ JournalMetrics& journal_metrics() {
 constexpr std::string_view kMagic = "xflj1";
 constexpr std::string_view kSegmentSuffix = ".xflj";
 constexpr std::string_view kSegmentPrefix = "segment-";
-/// Magic + 22 data fields + checksum.
-constexpr std::size_t kTokens = 24;
 
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -67,76 +62,9 @@ std::optional<std::uint64_t> parse_segment_name(std::string_view name) {
   const std::string_view digits = name.substr(
       kSegmentPrefix.size(),
       name.size() - kSegmentPrefix.size() - kSegmentSuffix.size());
-  if (digits.empty() || digits.size() > 20) return std::nullopt;
   std::uint64_t seq = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  if (!parse_number(digits, seq)) return std::nullopt;
   return seq;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out.push_back(' ');
-  out += std::to_string(v);
-}
-
-void append_double(std::string& out, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, " %.17g", v);
-  out += buffer;
-}
-
-/// Whitespace-split `text` into at most `kTokens` + 1 tokens (the extra
-/// slot catches trailing junk). Returns the token count.
-std::size_t tokenize(std::string_view text,
-                     std::array<std::string_view, kTokens + 1>& tokens) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && text[i] == ' ') ++i;
-    if (i >= text.size()) break;
-    const std::size_t start = i;
-    while (i < text.size() && text[i] != ' ') ++i;
-    if (count > kTokens) return count;  // Already too many; bail.
-    tokens[count++] = text.substr(start, i - start);
-  }
-  return count;
-}
-
-bool parse_u64(std::string_view token, std::uint64_t& out) {
-  if (token.empty() || token.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-      return false;
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
-}
-
-bool parse_u32(std::string_view token, std::uint32_t& out) {
-  std::uint64_t wide = 0;
-  if (!parse_u64(token, wide) ||
-      wide > std::numeric_limits<std::uint32_t>::max())
-    return false;
-  out = static_cast<std::uint32_t>(wide);
-  return true;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  if (token.empty() || token.size() >= 40) return false;
-  char buffer[40];
-  std::memcpy(buffer, token.data(), token.size());
-  buffer[token.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buffer, &end);
-  if (end != buffer + token.size() || !std::isfinite(value)) return false;
-  out = value;
-  return true;
 }
 
 bool parse_hex64(std::string_view token, std::uint64_t& out) {
@@ -167,28 +95,16 @@ std::uint64_t now_ms() {
 
 std::string encode_record(const JournalRecord& record) {
   std::string line{kMagic};
-  append_u64(line, record.trace_id);
-  append_u64(line, record.timestamp_ms);
-  append_u64(line, record.model_version);
-  append_u64(line, record.transfer.src);
-  append_u64(line, record.transfer.dst);
-  append_double(line, record.transfer.bytes);
-  append_u64(line, record.transfer.files);
-  append_u64(line, record.transfer.dirs);
-  append_u64(line, record.transfer.concurrency);
-  append_u64(line, record.transfer.parallelism);
-  append_double(line, record.load.k_sout);
-  append_double(line, record.load.k_sin);
-  append_double(line, record.load.k_dout);
-  append_double(line, record.load.k_din);
-  append_double(line, record.load.g_src);
-  append_double(line, record.load.g_dst);
-  append_double(line, record.load.s_sout);
-  append_double(line, record.load.s_sin);
-  append_double(line, record.load.s_dout);
-  append_double(line, record.load.s_din);
-  append_double(line, record.predicted_mbps);
-  append_double(line, record.observed_mbps);
+  const auto& t = record.transfer;
+  const auto& l = record.load;
+  const auto fields = [&line](auto... v) {
+    ((line += ' ', append_number(line, v)), ...);
+  };
+  fields(record.trace_id, record.timestamp_ms, record.model_version, t.src,
+         t.dst, t.bytes, t.files, t.dirs, t.concurrency, t.parallelism,
+         l.k_sout, l.k_sin, l.k_dout, l.k_din, l.g_src, l.g_dst, l.s_sout,
+         l.s_sin, l.s_dout, l.s_din, record.predicted_mbps,
+         record.observed_mbps);
   char checksum[24];
   std::snprintf(checksum, sizeof checksum, " %016" PRIx64, fnv1a64(line));
   line += checksum;
@@ -198,49 +114,27 @@ std::string encode_record(const JournalRecord& record) {
 std::optional<JournalRecord> decode_record(std::string_view line) {
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
     line.remove_suffix(1);
-  std::array<std::string_view, kTokens + 1> tokens;
-  if (tokenize(line, tokens) != kTokens) return std::nullopt;
-  if (tokens[0] != kMagic) return std::nullopt;
-
-  // The checksum covers the line through the last data token — exactly
-  // what encode_record hashed before appending " <hex>".
+  // The checksum is the last token and covers the line before the space
+  // in front of it: exactly what encode_record hashed.
+  const std::size_t cut = line.rfind(' ');
   std::uint64_t stored = 0;
-  if (!parse_hex64(tokens[kTokens - 1], stored)) return std::nullopt;
-  const char* hashed_end = tokens[kTokens - 2].data() + tokens[kTokens - 2].size();
-  const std::string_view hashed(line.data(),
-                                static_cast<std::size_t>(hashed_end - line.data()));
-  if (fnv1a64(hashed) != stored) return std::nullopt;
+  if (cut == std::string_view::npos ||
+      !parse_hex64(line.substr(cut + 1), stored) ||
+      fnv1a64(line.substr(0, cut)) != stored)
+    return std::nullopt;
 
+  TokenReader in(line.substr(0, cut));
   JournalRecord record;
-  std::uint64_t conc = 0;
-  std::uint64_t par = 0;
-  if (!parse_u64(tokens[1], record.trace_id) ||
-      !parse_u64(tokens[2], record.timestamp_ms) ||
-      !parse_u64(tokens[3], record.model_version) ||
-      !parse_u32(tokens[4], record.transfer.src) ||
-      !parse_u32(tokens[5], record.transfer.dst) ||
-      !parse_double(tokens[6], record.transfer.bytes) ||
-      !parse_u64(tokens[7], record.transfer.files) ||
-      !parse_u64(tokens[8], record.transfer.dirs) ||
-      !parse_u64(tokens[9], conc) || !parse_u64(tokens[10], par) ||
-      !parse_double(tokens[11], record.load.k_sout) ||
-      !parse_double(tokens[12], record.load.k_sin) ||
-      !parse_double(tokens[13], record.load.k_dout) ||
-      !parse_double(tokens[14], record.load.k_din) ||
-      !parse_double(tokens[15], record.load.g_src) ||
-      !parse_double(tokens[16], record.load.g_dst) ||
-      !parse_double(tokens[17], record.load.s_sout) ||
-      !parse_double(tokens[18], record.load.s_sin) ||
-      !parse_double(tokens[19], record.load.s_dout) ||
-      !parse_double(tokens[20], record.load.s_din) ||
-      !parse_double(tokens[21], record.predicted_mbps) ||
-      !parse_double(tokens[22], record.observed_mbps))
+  auto& t = record.transfer;
+  auto& l = record.load;
+  if (in.token() != kMagic ||
+      !in.read(record.trace_id, record.timestamp_ms, record.model_version,
+               t.src, t.dst, t.bytes, t.files, t.dirs, t.concurrency,
+               t.parallelism, l.k_sout, l.k_sin, l.k_dout, l.k_din, l.g_src,
+               l.g_dst, l.s_sout, l.s_sin, l.s_dout, l.s_din,
+               record.predicted_mbps, record.observed_mbps) ||
+      !in.token().empty())
     return std::nullopt;
-  if (conc > std::numeric_limits<std::uint32_t>::max() ||
-      par > std::numeric_limits<std::uint32_t>::max())
-    return std::nullopt;
-  record.transfer.concurrency = static_cast<std::uint32_t>(conc);
-  record.transfer.parallelism = static_cast<std::uint32_t>(par);
   return record;
 }
 

@@ -47,12 +47,14 @@ struct JournalRecord {
   double observed_mbps = 0.0;
 };
 
-/// Encode one record as one journal line (no trailing newline). Doubles
-/// travel as %.17g so a loaded record predicts bit-identically.
+/// Encode one record as one journal line (no trailing newline). Numbers
+/// go through the number codec (common/number.hpp), so a loaded record
+/// predicts bit-identically.
 std::string encode_record(const JournalRecord& record);
 
 /// Decode one line. Any malformation — wrong magic, wrong field count,
-/// unparseable number, checksum mismatch — yields nullopt, never throws.
+/// a number the codec rejects or a non-finite double, checksum mismatch —
+/// yields nullopt, never throws.
 std::optional<JournalRecord> decode_record(std::string_view line);
 
 /// Append-only, crash-tolerant, bounded-retention record log.

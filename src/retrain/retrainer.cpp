@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/number.hpp"
 #include "common/stats.hpp"
 #include "logs/record.hpp"
 #include "obs/log.hpp"
@@ -361,7 +362,7 @@ std::string RetrainWorker::status_json() const {
     out += ",\"";
     out += name;
     out += "\":";
-    out += std::to_string(v);
+    append_number(out, v);
   };
   out += ",\"running\":";
   out += s.running ? "true" : "false";
@@ -376,9 +377,9 @@ std::string RetrainWorker::status_json() const {
   field("errors", s.errors);
   field("last_version", s.last_version);
   out += ",\"last_candidate_mdape_pct\":";
-  out += serve::json_number(s.last_candidate_mdape_pct);
+  serve::append_json_number(out, s.last_candidate_mdape_pct);
   out += ",\"last_incumbent_mdape_pct\":";
-  out += serve::json_number(s.last_incumbent_mdape_pct);
+  serve::append_json_number(out, s.last_incumbent_mdape_pct);
   out += ",\"last_decision\":";
   serve::append_json_string(out, s.last_decision);
   out += ",\"last_edge\":";

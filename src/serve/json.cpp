@@ -3,8 +3,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/number.hpp"
 
 namespace xfl::serve {
 
@@ -204,11 +205,10 @@ class Parser {
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || token.empty())
-      fail("bad number '" + token + "'");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    double value = 0.0;
+    if (!xfl::parse_number(token, value))
+      fail("bad number '" + std::string(token) + "'");
     return value;
   }
 
@@ -244,11 +244,11 @@ void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+void append_json_number(std::string& out, double v) {
+  if (std::isfinite(v))
+    append_number(out, v);
+  else
+    out += "null";
 }
 
 }  // namespace xfl::serve

@@ -45,8 +45,9 @@ JsonValue parse_json(std::string_view text);
 /// Append `text` to `out` as a JSON string, surrounding quotes included.
 void append_json_string(std::string& out, std::string_view text);
 
-/// Format a double so that strtod() round-trips it bit-identically
-/// ("%.17g"); non-finite values render as null per JSON.
-std::string json_number(double v);
+/// Append `v` to `out` with the number codec (common/number.hpp), so the
+/// parser reads back the same bits; non-finite values render as null per
+/// JSON.
+void append_json_number(std::string& out, double v);
 
 }  // namespace xfl::serve

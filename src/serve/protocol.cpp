@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/contracts.hpp"
+#include "common/number.hpp"
 
 namespace xfl::serve {
 
@@ -23,7 +25,11 @@ std::string extract_id(const JsonValue& root) {
   const JsonValue* id = root.find("id");
   if (id == nullptr) return {};
   if (id->is_string()) return id->string;
-  if (id->is_number()) return json_number(id->number);
+  if (id->is_number()) {
+    std::string text;
+    append_json_number(text, id->number);
+    return text;
+  }
   reject("'id' must be a string or number");
 }
 
@@ -181,12 +187,20 @@ bool any_load(const features::ContentionFeatures& load) {
          load.s_din != 0.0;
 }
 
-void append_field(std::string& out, const char* key, const std::string& value,
+/// Append `"key":value`, after a comma unless it opens the object. Numbers
+/// go through the number codec (non-finite doubles as null); text goes in
+/// verbatim, or as a JSON string when `quote`.
+template <class T>
+void append_field(std::string& out, const char* key, const T& value,
                   bool quote = false) {
   if (out.back() != '{') out.push_back(',');
   append_json_string(out, key);
   out.push_back(':');
-  if (quote)
+  if constexpr (std::is_same_v<T, double>)
+    append_json_number(out, value);
+  else if constexpr (std::is_integral_v<T>)
+    append_number(out, value);
+  else if (quote)
     append_json_string(out, value);
   else
     out += value;
@@ -227,20 +241,13 @@ Frame parse_frame(const std::string& line) {
 
 std::string trace_id_string(std::uint64_t trace_id) {
   std::string out = "t";
-  out += std::to_string(trace_id);
+  append_number(out, trace_id);
   return out;
 }
 
 bool parse_trace_id(const std::string& text, std::uint64_t& trace_id) {
-  if (text.size() < 2 || text.size() > 21 || text[0] != 't') return false;
-  std::uint64_t value = 0;
-  for (std::size_t i = 1; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  trace_id = value;
-  return true;
+  return text.starts_with('t') &&
+         parse_number(std::string_view(text).substr(1), trace_id);
 }
 
 namespace {
@@ -252,31 +259,31 @@ std::string request_line(const std::string& id,
                          std::uint16_t top_k) {
   std::string out = "{";
   append_field(out, "id", id, /*quote=*/true);
-  append_field(out, "src", std::to_string(transfer.src));
-  append_field(out, "dst", std::to_string(transfer.dst));
-  append_field(out, "bytes", json_number(transfer.bytes));
-  append_field(out, "files", std::to_string(transfer.files));
-  append_field(out, "dirs", std::to_string(transfer.dirs));
-  append_field(out, "concurrency", std::to_string(transfer.concurrency));
-  append_field(out, "parallelism", std::to_string(transfer.parallelism));
+  append_field(out, "src", transfer.src);
+  append_field(out, "dst", transfer.dst);
+  append_field(out, "bytes", transfer.bytes);
+  append_field(out, "files", transfer.files);
+  append_field(out, "dirs", transfer.dirs);
+  append_field(out, "concurrency", transfer.concurrency);
+  append_field(out, "parallelism", transfer.parallelism);
   if (deadline_ms > 0)
-    append_field(out, "deadline_ms", std::to_string(deadline_ms));
+    append_field(out, "deadline_ms", deadline_ms);
   if (explain) {
     append_field(out, "explain", "true");
-    if (top_k > 0) append_field(out, "top_k", std::to_string(top_k));
+    if (top_k > 0) append_field(out, "top_k", top_k);
   }
   if (any_load(load)) {
     std::string nested = "{";
-    append_field(nested, "k_sout", json_number(load.k_sout));
-    append_field(nested, "k_sin", json_number(load.k_sin));
-    append_field(nested, "k_dout", json_number(load.k_dout));
-    append_field(nested, "k_din", json_number(load.k_din));
-    append_field(nested, "g_src", json_number(load.g_src));
-    append_field(nested, "g_dst", json_number(load.g_dst));
-    append_field(nested, "s_sout", json_number(load.s_sout));
-    append_field(nested, "s_sin", json_number(load.s_sin));
-    append_field(nested, "s_dout", json_number(load.s_dout));
-    append_field(nested, "s_din", json_number(load.s_din));
+    append_field(nested, "k_sout", load.k_sout);
+    append_field(nested, "k_sin", load.k_sin);
+    append_field(nested, "k_dout", load.k_dout);
+    append_field(nested, "k_din", load.k_din);
+    append_field(nested, "g_src", load.g_src);
+    append_field(nested, "g_dst", load.g_dst);
+    append_field(nested, "s_sout", load.s_sout);
+    append_field(nested, "s_sin", load.s_sin);
+    append_field(nested, "s_dout", load.s_dout);
+    append_field(nested, "s_din", load.s_din);
     nested.push_back('}');
     append_field(out, "load", nested);
   }
@@ -308,7 +315,7 @@ std::string feedback_request_line(const std::string& id,
   std::string out = "{";
   append_field(out, "id", id, /*quote=*/true);
   append_field(out, "feedback", trace_id, /*quote=*/true);
-  append_field(out, "observed_mbps", json_number(observed_mbps));
+  append_field(out, "observed_mbps", observed_mbps);
   out += "}\n";
   return out;
 }
@@ -322,11 +329,11 @@ std::string feedback_response(const std::string& id,
   append_field(out, "trace_id", trace_id, /*quote=*/true);
   append_field(out, "matched", result.matched ? "true" : "false");
   if (result.matched) {
-    append_field(out, "ape_pct", json_number(result.ape_pct));
-    append_field(out, "predicted_mbps", json_number(result.predicted_mbps));
-    append_field(out, "version", std::to_string(result.model_version));
-    append_field(out, "mdape_pct", json_number(result.mdape_pct));
-    append_field(out, "window", std::to_string(result.window_count));
+    append_field(out, "ape_pct", result.ape_pct);
+    append_field(out, "predicted_mbps", result.predicted_mbps);
+    append_field(out, "version", result.model_version);
+    append_field(out, "mdape_pct", result.mdape_pct);
+    append_field(out, "window", result.window_count);
     append_field(out, "alarm", result.alarm ? "true" : "false");
   }
   out += "}\n";
@@ -338,7 +345,7 @@ std::string pong_response(const std::string& id, std::uint64_t model_version) {
   append_field(out, "id", id, /*quote=*/true);
   append_field(out, "ok", "true");
   append_field(out, "pong", "true");
-  append_field(out, "version", std::to_string(model_version));
+  append_field(out, "version", model_version);
   out += "}\n";
   return out;
 }
@@ -360,7 +367,7 @@ std::string reload_response(const std::string& id,
   append_field(out, "id", id, /*quote=*/true);
   append_field(out, "ok", "true");
   append_field(out, "reloaded", "true");
-  append_field(out, "version", std::to_string(model_version));
+  append_field(out, "version", model_version);
   out += "}\n";
   return out;
 }
@@ -369,10 +376,10 @@ namespace {
 
 std::string quantiles_object(const StageQuantiles& q) {
   std::string out = "{";
-  append_field(out, "count", std::to_string(q.count));
-  append_field(out, "p50", json_number(q.p50));
-  append_field(out, "p95", json_number(q.p95));
-  append_field(out, "p99", json_number(q.p99));
+  append_field(out, "count", q.count);
+  append_field(out, "p50", q.p50);
+  append_field(out, "p95", q.p95);
+  append_field(out, "p99", q.p99);
   out.push_back('}');
   return out;
 }
@@ -383,15 +390,15 @@ std::string stats_response(const std::string& id, const StatsReport& report) {
   std::string out = "{";
   append_field(out, "id", id, /*quote=*/true);
   append_field(out, "ok", "true");
-  append_field(out, "queue_depth", std::to_string(report.queue_depth));
-  append_field(out, "connections", std::to_string(report.connections));
-  append_field(out, "shards", std::to_string(report.shards));
-  append_field(out, "steals", std::to_string(report.steals));
-  append_field(out, "version", std::to_string(report.model_version));
+  append_field(out, "queue_depth", report.queue_depth);
+  append_field(out, "connections", report.connections);
+  append_field(out, "shards", report.shards);
+  append_field(out, "steals", report.steals);
+  append_field(out, "version", report.model_version);
   append_field(out, "kernel", report.kernel, /*quote=*/true);
-  append_field(out, "requests", std::to_string(report.requests));
-  append_field(out, "rejected", std::to_string(report.rejected));
-  append_field(out, "uptime_seconds", json_number(report.uptime_seconds));
+  append_field(out, "requests", report.requests);
+  append_field(out, "rejected", report.rejected);
+  append_field(out, "uptime_seconds", report.uptime_seconds);
 
   std::string latency = "{";
   for (const auto& [stage, quantiles] : report.latency_us)
@@ -400,8 +407,8 @@ std::string stats_response(const std::string& id, const StatsReport& report) {
   append_field(out, "latency_us", latency);
 
   std::string batch = "{";
-  append_field(batch, "batches", std::to_string(report.batches));
-  append_field(batch, "rows", std::to_string(report.batch_rows));
+  append_field(batch, "batches", report.batches);
+  append_field(batch, "rows", report.batch_rows);
   append_field(batch, "size", quantiles_object(report.batch_size));
   batch.push_back('}');
   append_field(out, "batch", batch);
@@ -409,10 +416,10 @@ std::string stats_response(const std::string& id, const StatsReport& report) {
   std::string versions = "{";
   for (const auto& [version, stats] : report.versions) {
     std::string entry = "{";
-    append_field(entry, "predictions", std::to_string(stats.predictions));
-    append_field(entry, "feedback", std::to_string(stats.feedback));
-    append_field(entry, "mdape_pct", json_number(stats.mdape_pct));
-    append_field(entry, "window", std::to_string(stats.window_count));
+    append_field(entry, "predictions", stats.predictions);
+    append_field(entry, "feedback", stats.feedback);
+    append_field(entry, "mdape_pct", stats.mdape_pct);
+    append_field(entry, "window", stats.window_count);
     append_field(entry, "alarm", stats.alarm ? "true" : "false");
     entry.push_back('}');
     append_field(versions, std::to_string(version).c_str(), entry);
@@ -422,32 +429,32 @@ std::string stats_response(const std::string& id, const StatsReport& report) {
 
   std::string drift = "{";
   append_field(drift, "alarm", report.drift_alarm ? "true" : "false");
-  append_field(drift, "alarms_total", std::to_string(report.drift_alarms_total));
-  append_field(drift, "window", std::to_string(report.drift_options.drift_window));
+  append_field(drift, "alarms_total", report.drift_alarms_total);
+  append_field(drift, "window", report.drift_options.drift_window);
   append_field(drift, "threshold_pct",
-               json_number(report.drift_options.drift_threshold_pct));
+               report.drift_options.drift_threshold_pct);
   append_field(drift, "min_samples",
-               std::to_string(report.drift_options.drift_min_samples));
-  append_field(drift, "feedback", std::to_string(report.feedback_count));
-  append_field(drift, "unmatched", std::to_string(report.feedback_unmatched));
+               report.drift_options.drift_min_samples);
+  append_field(drift, "feedback", report.feedback_count);
+  append_field(drift, "unmatched", report.feedback_unmatched);
 
   const auto& shift = report.attribution_shift;
   std::string shift_json = "{";
   append_field(shift_json, "valid", shift.valid ? "true" : "false");
-  append_field(shift_json, "events_total", std::to_string(shift.events));
+  append_field(shift_json, "events_total", shift.events);
   if (shift.valid) {
     append_field(shift_json, "model_version",
-                 std::to_string(shift.model_version));
+                 shift.model_version);
     std::string ranked = "[";
     for (const auto& entry : shift.ranked) {
       if (ranked.back() != '[') ranked.push_back(',');
       std::string item = "{";
       append_field(item, "feature", entry.feature, /*quote=*/true);
       append_field(item, "baseline_mean_mbps",
-                   json_number(entry.baseline_mean_mbps));
+                   entry.baseline_mean_mbps);
       append_field(item, "alarm_mean_mbps",
-                   json_number(entry.alarm_mean_mbps));
-      append_field(item, "delta_mbps", json_number(entry.delta_mbps));
+                   entry.alarm_mean_mbps);
+      append_field(item, "delta_mbps", entry.delta_mbps);
       item.push_back('}');
       ranked += item;
     }
@@ -471,7 +478,7 @@ namespace {
 
 // Integers travel little-endian byte by byte; doubles travel as the
 // little-endian bytes of their IEEE-754 bit pattern, so a decoded rate is
-// bit-identical to the encoded one (the binary analogue of %.17g).
+// bit-identical to the encoded one (the binary analogue of the number codec).
 
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
@@ -841,23 +848,23 @@ std::string encode_reply(const ReplyTo& to, const PredictOutcome& outcome,
   append_field(out, "id", to.id, /*quote=*/true);
   append_field(out, "ok", outcome.ok ? "true" : "false");
   if (outcome.ok) {
-    append_field(out, "rate_mbps", json_number(outcome.rate_mbps));
+    append_field(out, "rate_mbps", outcome.rate_mbps);
     if (explained) {
-      append_field(out, "raw_mbps", json_number(why.raw_mbps));
-      append_field(out, "bias_mbps", json_number(why.bias_mbps));
-      append_field(out, "low_mbps", json_number(why.low_mbps));
-      append_field(out, "high_mbps", json_number(why.high_mbps));
+      append_field(out, "raw_mbps", why.raw_mbps);
+      append_field(out, "bias_mbps", why.bias_mbps);
+      append_field(out, "low_mbps", why.low_mbps);
+      append_field(out, "high_mbps", why.high_mbps);
     }
     append_field(out, "model", outcome.edge_model ? "edge" : "global",
                  /*quote=*/true);
-    append_field(out, "version", std::to_string(outcome.model_version));
+    append_field(out, "version", outcome.model_version);
   } else {
     append_field(out, "error", outcome.error, /*quote=*/true);
     append_field(out, "message", outcome.message, /*quote=*/true);
   }
   if (trace_id != 0) {
     append_field(out, "trace_id", trace_id_string(trace_id), /*quote=*/true);
-    append_field(out, "server_ms", json_number(server_ms));
+    append_field(out, "server_ms", server_ms);
   }
   if (explained) {
     out += ",\"contributions\":[";
@@ -865,7 +872,7 @@ std::string encode_reply(const ReplyTo& to, const PredictOutcome& outcome,
       if (out.back() != '[') out.push_back(',');
       out.push_back('{');
       append_field(out, "feature", why.feature_names[c], /*quote=*/true);
-      append_field(out, "mbps", json_number(why.contributions[c]));
+      append_field(out, "mbps", why.contributions[c]);
       out.push_back('}');
     }
     out.push_back(']');

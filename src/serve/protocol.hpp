@@ -238,7 +238,8 @@ struct PredictOutcome {
 ///               u16 count | count x (u16 name_len, name, f64 mbps)
 ///   kError      u64 id | u64 trace_id | f64 server_ms | u16 len, code |
 ///               u16 len, message (texts capped at 0xffff bytes)
-/// Doubles travel as %.17g in JSON and as raw IEEE-754 bits when packed,
+/// Doubles travel in JSON as the number codec writes them (17 significant
+/// digits, common/number.hpp) and as raw IEEE-754 bits when packed,
 /// so both decode to the served double, and with top_k == 0 the
 /// contributions summed in ascending feature order plus bias_mbps (added
 /// last) rebuild raw_mbps bit-exactly. server_ms is in-server latency

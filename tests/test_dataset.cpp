@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -178,6 +180,22 @@ TEST(Dataset, GlobalDatasetRttRequiresCompleteMap) {
   EXPECT_THROW(build_global_dataset(log, contention, {{0, 1}, {1, 2}},
                                     capabilities, options),
                xfl::ContractViolation);
+}
+
+TEST(Dataset, CsvRejectsPartNumbers) {
+  std::stringstream good("Nb,rate_mbps\n1.5,2\n");
+  const auto loaded = read_dataset_csv(good);
+  ASSERT_EQ(loaded.rows(), 1u);
+  EXPECT_EQ(loaded.y[0], 2.0);
+  std::stringstream bad("Nb,rate_mbps\n1.5,2\n3,2x\n");
+  try {
+    read_dataset_csv(bad);
+    ADD_FAILURE() << "'2x' was read as a rate";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("column 'rate_mbps'"), std::string::npos) << what;
+  }
 }
 
 TEST(VarianceMask, DropsConstantKeepsVarying) {

@@ -209,6 +209,16 @@ TEST(Gbt, LoadRejectsGarbage) {
   EXPECT_THROW(GradientBoostedTrees::load(bad), std::runtime_error);
   std::stringstream truncated("xfl-gbt-v1\n3 0.08 1.5\n3 0 0 0\n5\n");
   EXPECT_THROW(GradientBoostedTrees::load(truncated), std::runtime_error);
+  // Model files hold finite numbers only, as a stream read of a double
+  // accepts: nan/inf anywhere is malformed.
+  for (const char* bad : {"nan", "inf", "-inf", "1e400"}) {
+    std::stringstream non_finite("xfl-gbt-v1\n1 0.1 1.5\n0\n1\n1\n-1 0 " +
+                                 std::string(bad) + " -1 -1\n");
+    EXPECT_THROW(GradientBoostedTrees::load(non_finite), std::runtime_error)
+        << bad;
+  }
+  std::stringstream finite("xfl-gbt-v1\n1 0.1 1.5\n0\n1\n1\n-1 0 2.5 -1 -1\n");
+  EXPECT_TRUE(GradientBoostedTrees::load(finite).fitted());
 }
 
 // A syntactically well-formed model whose node links or counts are

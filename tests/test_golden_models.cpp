@@ -2,12 +2,20 @@
 // only deliberately via tools/make_golden_fixtures) must keep loading, must
 // re-save byte-identically, and must reproduce their committed predictions.
 // Any accidental serialization-format or inference change fails here first.
-// Plus load-hardening: truncated prefixes and field-swapped mutations of the
-// golden files must throw, never crash or mis-load.
+// Plus load-hardening: truncated prefixes, field-swapped mutations, a
+// crafted node count and a seeded mutation fuzz of the golden files must
+// throw std::runtime_error or load a model that saves and loads again,
+// never crash, hang or allocate by a count the file cannot back.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cctype>
 #include <cstdint>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +26,7 @@
 #include <cmath>
 
 #include "common/csv.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/predictor.hpp"
 #include "ml/gbt.hpp"
@@ -155,6 +164,146 @@ TEST(GoldenGbt, FieldSwappedMagicRejected) {
   EXPECT_THROW(ml::GradientBoostedTrees::load(in), std::runtime_error);
 }
 
+/// The process's virtual memory size in bytes (VmSize in /proc).
+std::size_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  std::size_t kb = 0;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      status >> kb;
+      break;
+    }
+  }
+  return kb * 1024;
+}
+
+// A header naming kMaxNodes (4M) nodes followed by three must fail before
+// anything is sized by that count; loading used to resize 4M 32-byte
+// nodes (about 130 MB) first. The load runs in a forked child whose
+// address space may grow by only 64 MB, so an allocation of that size
+// ends in bad_alloc instead of passing unseen. RLIMIT_AS cannot coexist
+// with sanitizer shadow memory, so the test skips under ASan and TSan.
+TEST(GoldenGbt, HugeNodeCountThrowsBeforeAllocating) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RLIMIT_AS does not mix with sanitizer shadow memory";
+#endif
+  // Lines: magic, header, importances, tree count, then the first tree's
+  // node count and nodes.
+  std::istringstream lines(slurp(data_path("golden_gbt.txt")));
+  std::string crafted, line;
+  for (int i = 0; i < 4 && std::getline(lines, line); ++i)
+    crafted += line + "\n";
+  std::getline(lines, line);
+  crafted += std::to_string(1u << 22) + "\n";
+  for (int i = 0; i < 3 && std::getline(lines, line); ++i)
+    crafted += line + "\n";
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    rlimit limit{};
+    limit.rlim_cur = limit.rlim_max = vm_size_bytes() + (64u << 20);
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(4);
+    try {
+      std::istringstream in(crafted);
+      ml::GradientBoostedTrees::load(in);
+      ::_exit(3);
+    } catch (const std::bad_alloc&) {
+      ::_exit(2);
+    } catch (const std::runtime_error&) {
+      ::_exit(0);
+    } catch (...) {
+      ::_exit(5);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: bad_alloc, the count drove an allocation; 3: it loaded";
+}
+
+/// One seeded mutation of a model file: flipped bytes, a token deleted or
+/// duplicated, or a digit run inflated (the shape of a crafted count).
+std::string mutate(std::string text, Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  const auto space = [&text](std::size_t i) {
+    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+  };
+  const auto is_digit = [&text](std::size_t i) {
+    return std::isdigit(static_cast<unsigned char>(text[i])) != 0;
+  };
+  std::size_t begin = pick(text.size());
+  std::size_t end = begin;
+  switch (pick(4)) {
+    case 0:
+      for (std::size_t n = 1 + pick(3); n > 0; --n)
+        text[pick(text.size())] ^= static_cast<char>(1u << pick(8));
+      break;
+    case 1:
+    case 2:
+      while (begin > 0 && !space(begin - 1)) --begin;
+      while (end < text.size() && !space(end)) ++end;
+      if (pick(2) == 0)
+        text.erase(begin, end - begin);
+      else
+        text.insert(end, " " + text.substr(begin, end - begin));
+      break;
+    default:
+      while (begin < text.size() && !is_digit(begin)) ++begin;
+      end = begin;
+      while (end < text.size() && is_digit(end)) ++end;
+      text.insert(end, std::string(1 + pick(20),
+                                   static_cast<char>('0' + pick(10))));
+      break;
+  }
+  return text;
+}
+
+/// Every mutant either throws std::runtime_error or loads a model whose
+/// save() loads again to the same bytes; anything else (bad_alloc, a
+/// contract violation) fails.
+template <class Model>
+void fuzz_fixture(const std::string& name, std::uint64_t seed,
+                  std::size_t mutants) {
+  const std::string text = slurp(data_path(name));
+  Rng rng(seed);
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < mutants; ++i) {
+    const std::string mutant = mutate(text, rng);
+    std::ostringstream saved;
+    try {
+      std::istringstream in(mutant);
+      Model::load(in).save(saved);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << name << " mutant " << i << ": " << error.what();
+      continue;
+    }
+    std::ostringstream resaved;
+    try {
+      std::istringstream in(saved.str());
+      Model::load(in).save(resaved);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << name << " mutant " << i
+                    << " loaded but its save() did not: " << error.what();
+    }
+    EXPECT_EQ(resaved.str(), saved.str()) << name << " mutant " << i;
+  }
+  // The mix must exercise both outcomes, or it proves little.
+  EXPECT_GT(rejected, mutants / 10) << name;
+  EXPECT_LT(rejected, mutants) << name;
+}
+
+TEST(GoldenGbt, MutationFuzzRejectsOrRoundTrips) {
+  fuzz_fixture<ml::GradientBoostedTrees>("golden_gbt.txt", 0x6b7f, 2000);
+}
+
 // --- TransferPredictor golden fixture ---------------------------------
 
 TEST(GoldenPredictor, ResavesByteIdentical) {
@@ -254,6 +403,27 @@ TEST(GoldenPredictor, ShrunkFeatureCountRejected) {
   text.replace(count_at, 2, "14");
   std::istringstream in(text);
   EXPECT_THROW(core::TransferPredictor::load(in), std::runtime_error);
+}
+
+TEST(GoldenPredictor, TreesWiderThanTheirFeatureNamesRejected) {
+  // Give the first edge model's GBT one feature more than its scaler
+  // names (importance block stripped, which is legal): it would load and
+  // then fail every prediction's width check, so load must refuse it.
+  std::string text = slurp(data_path("golden_predictor.txt"));
+  const auto gbt = text.find("xfl-gbt-v1\n");
+  ASSERT_NE(gbt, std::string::npos);
+  const auto header = gbt + std::string("xfl-gbt-v1\n").size();
+  ASSERT_EQ(text.substr(header, 3), "15 ");
+  const auto importance = text.find('\n', header) + 1;
+  const auto trees = text.find('\n', importance) + 1;
+  text.replace(importance, trees - importance, "0\n");
+  text.replace(header, 2, "16");
+  std::istringstream in(text);
+  EXPECT_THROW(core::TransferPredictor::load(in), std::runtime_error);
+}
+
+TEST(GoldenPredictor, MutationFuzzRejectsOrRoundTrips) {
+  fuzz_fixture<core::TransferPredictor>("golden_predictor.txt", 0x9d2c, 500);
 }
 
 TEST(GoldenPredictor, LoadedModelServesBatchQueries) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "logs/log_store.hpp"
@@ -156,6 +158,45 @@ TEST(LogStore, CsvRoundTripPreservesRecords) {
 TEST(LogStore, CsvRejectsMalformedRow) {
   std::stringstream buffer("id,src\n1,2\n");
   EXPECT_THROW(LogStore::read_csv(buffer), std::runtime_error);
+}
+
+// Every numeric field is one whole number that fits its type: no silent
+// truncation to a 32-bit endpoint, no wrap of a negative id, no prefix
+// parse of "12abc". The error names the row and the column.
+TEST(LogStore, CsvRejectsNumbersThatDoNotFitTheirField) {
+  LogStore store;
+  store.append(make_record(1, 0, 1, 0.5, 10.25, 12345.0));
+  std::stringstream good;
+  store.write_csv(good);
+  const std::string text = good.str();
+  const std::string row = "1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n";
+  ASSERT_EQ(text.substr(text.find('\n') + 1), row);
+  const std::string header = text.substr(0, text.find('\n') + 1);
+
+  struct Case {
+    std::string row;
+    const char* column;
+  };
+  const Case cases[] = {
+      {"1,4294967296,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n", "src"},
+      {"-1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n", "id"},
+      {"1,0,1,0.5,10.25,12345,12abc,2,4,2,1,GCS,GCS\n", "files"},
+      {"1,0,1,0.5,10.25,1.5xyz,10,2,4,2,1,GCS,GCS\n", "bytes"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.row);
+    std::stringstream buffer(header + row + c.row);
+    try {
+      LogStore::read_csv(buffer);
+      ADD_FAILURE() << "row was accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("column '") + c.column + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(LogStore, CsvEmptyStoreRoundTrips) {

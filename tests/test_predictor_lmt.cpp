@@ -223,6 +223,10 @@ TEST(Predictor, SaveFileLoadFileRoundTripsAtomically) {
 TEST(Predictor, LoadFileMissingPathThrows) {
   EXPECT_THROW(TransferPredictor::load_file("/nonexistent/dir/model.txt"),
                std::runtime_error);
+  // A directory opens but cannot be read as a model: a structured error
+  // too, not bad_alloc from its nonsense size.
+  EXPECT_THROW(TransferPredictor::load_file(testing::TempDir()),
+               std::runtime_error);
 }
 
 TEST(Predictor, SaveFileUnwritableDirectoryThrowsAndLeavesNoTemp) {

@@ -13,13 +13,14 @@
 // Everything is derived from fixed seeds and an explicit splitmix64
 // generator (no std::<random> distributions), so the fixtures are
 // reproducible bit-for-bit from this source. Predictions are written with
-// %.17g so they round-trip exactly through text.
+// the number codec so they round-trip exactly through text.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/number.hpp"
 #include "core/predictor.hpp"
 #include "ml/gbt.hpp"
 #include "ml/matrix.hpp"
@@ -51,10 +52,10 @@ class SplitMix {
   std::uint64_t state_;
 };
 
-std::string g17(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+std::string text(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
 }
 
 }  // namespace
@@ -94,8 +95,8 @@ int main(int argc, char** argv) {
     std::ofstream out(dir + "/golden_gbt_predictions.csv");
     out << "f0,f1,f2,f3,f4,f5,prediction\n";
     for (std::size_t r = 0; r < 32; ++r) {
-      for (std::size_t c = 0; c < kCols; ++c) out << g17(x.at(r, c)) << ",";
-      out << g17(boosted.predict(x.row(r))) << "\n";
+      for (std::size_t c = 0; c < kCols; ++c) out << text(x.at(r, c)) << ",";
+      out << text(boosted.predict(x.row(r))) << "\n";
     }
   }
 
@@ -153,11 +154,11 @@ int main(int argc, char** argv) {
            "rate_mbps,low_mbps,high_mbps\n";
     for (const auto& transfer : planned) {
       const auto interval = predictor.predict_rate_interval(transfer);
-      out << transfer.src << "," << transfer.dst << "," << g17(transfer.bytes)
+      out << transfer.src << "," << transfer.dst << "," << text(transfer.bytes)
           << "," << transfer.files << "," << transfer.dirs << ","
           << transfer.concurrency << "," << transfer.parallelism << ","
-          << g17(interval.expected_mbps) << "," << g17(interval.low_mbps)
-          << "," << g17(interval.high_mbps) << "\n";
+          << text(interval.expected_mbps) << "," << text(interval.low_mbps)
+          << "," << text(interval.high_mbps) << "\n";
     }
   }
 

@@ -93,6 +93,7 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/number.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -113,17 +114,6 @@
 namespace {
 
 using namespace xfl;
-
-/// Strict numeric flag parse: the whole token must be a number, so typos
-/// like `--transfers 12x` fail the run instead of silently truncating.
-/// Throws std::runtime_error, which main() turns into a nonzero exit.
-double parse_number(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size())
-    throw std::runtime_error("bad value for " + flag + ": '" + text + "'");
-  return parsed;
-}
 
 /// Minimal --flag value parser: returns the value after `name`, if present.
 class ArgList {
@@ -148,14 +138,37 @@ class ArgList {
     return value(name).value_or(fallback);
   }
 
-  double number_or(const std::string& name, double fallback) const {
+  /// The value after `name` read whole by the number codec as a T, or
+  /// `fallback` when absent. `--transfers 12x` or `--port -1` throws
+  /// std::runtime_error (main() exits nonzero) instead of truncating.
+  template <class T>
+  T number_or(const std::string& name, T fallback) const {
     const auto v = value(name);
-    return v ? parse_number(name, *v) : fallback;
+    if (v && !parse_number(*v, fallback))
+      throw std::runtime_error("bad value for " + name + ": '" + *v + "'");
+    return fallback;
   }
 
  private:
   std::vector<std::string> args_;
 };
+
+/// The transfer named by --src, --dst and --bytes (nullopt unless all
+/// three are given) and the optional --files, --dirs, --concurrency and
+/// --parallelism, which default as PlannedTransfer does.
+std::optional<core::PlannedTransfer> planned_transfer(const ArgList& args) {
+  if (!args.value("--src") || !args.value("--dst") || !args.value("--bytes"))
+    return std::nullopt;
+  core::PlannedTransfer planned;
+  planned.src = args.number_or("--src", planned.src);
+  planned.dst = args.number_or("--dst", planned.dst);
+  planned.bytes = args.number_or("--bytes", planned.bytes);
+  planned.files = args.number_or("--files", planned.files);
+  planned.dirs = args.number_or("--dirs", planned.dirs);
+  planned.concurrency = args.number_or("--concurrency", planned.concurrency);
+  planned.parallelism = args.number_or("--parallelism", planned.parallelism);
+  return planned;
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -187,14 +200,13 @@ logs::LogStore load_log(const ArgList& args) {
 
 int cmd_simulate(const ArgList& args) {
   const std::string which = args.value_or("--scenario", "esnet");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("--seed", 0.0));
+  const auto seed = args.number_or("--seed", std::uint64_t{0});
 
   sim::Scenario scenario;
   if (which == "esnet") {
     sim::EsnetConfig config;
     if (seed != 0) config.seed = seed;
-    config.transfers = static_cast<std::size_t>(
-        args.number_or("--transfers", 2000.0));
+    config.transfers = args.number_or("--transfers", std::size_t{2000});
     scenario = sim::make_esnet_testbed(config);
   } else if (which == "production") {
     sim::ProductionConfig config;
@@ -271,10 +283,9 @@ int cmd_analyze(const ArgList& args) {
 int cmd_evaluate(const ArgList& args) {
   const auto log = load_log(args);
   const auto context = core::analyze_log(log, /*contention_threads=*/0);
-  const auto max_edges =
-      static_cast<std::size_t>(args.number_or("--max-edges", 30.0));
+  const auto max_edges = args.number_or("--max-edges", std::size_t{30});
   const auto min_transfers =
-      static_cast<std::size_t>(args.number_or("--min-transfers", 300.0));
+      args.number_or("--min-transfers", std::size_t{300});
   const auto edges =
       core::select_heavy_edges(context, min_transfers, 0.5, max_edges);
   if (edges.empty()) {
@@ -298,18 +309,24 @@ int cmd_evaluate(const ArgList& args) {
   return 0;
 }
 
-int cmd_train(const ArgList& args) {
+/// Fit a predictor on the --log transfers.
+core::TransferPredictor train_predictor(const ArgList& args) {
   const auto log = load_log(args);
+  core::TransferPredictor::Options options;
+  options.min_edge_transfers =
+      args.number_or("--min-edge-transfers", std::size_t{100});
+  core::TransferPredictor predictor(options);
+  predictor.fit(log);
+  return predictor;
+}
+
+int cmd_train(const ArgList& args) {
   const auto out_path = args.value("--model-out");
   if (!out_path) {
     std::fprintf(stderr, "error: --model-out <file> is required\n");
     return 2;
   }
-  core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
-  core::TransferPredictor predictor(options);
-  predictor.fit(log);
+  const core::TransferPredictor predictor = train_predictor(args);
   // Temp-file + atomic rename, so a serve daemon watching this path never
   // reloads a half-written model.
   predictor.save_file(*out_path);
@@ -317,53 +334,33 @@ int cmd_train(const ArgList& args) {
   return 0;
 }
 
-/// Shared by predict / predict-batch: load a saved predictor from --model,
-/// or train one from --log.
+/// Shared by predict, predict-batch and serve: load a saved predictor from
+/// --model, or train one from --log.
 core::TransferPredictor acquire_predictor(const ArgList& args) {
   if (const auto model_path = args.value("--model")) {
     auto predictor = core::TransferPredictor::load_file(*model_path);
     std::printf("loaded predictor from %s\n", model_path->c_str());
     return predictor;
   }
-  const auto log = load_log(args);
-  core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
-  core::TransferPredictor predictor(options);
-  predictor.fit(log);
-  return predictor;
+  return train_predictor(args);
 }
 
 int cmd_predict(const ArgList& args) {
-  core::PlannedTransfer planned;
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
-  const auto bytes = args.value("--bytes");
-  if (!src || !dst || !bytes) {
+  const auto planned = planned_transfer(args);
+  if (!planned) {
     std::fprintf(stderr, "error: --src, --dst and --bytes are required\n");
     return 2;
   }
-  planned.src =
-      static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst =
-      static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
-  planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
 
   const core::TransferPredictor predictor = acquire_predictor(args);
-  const logs::EdgeKey edge{planned.src, planned.dst};
-  const double rate = predictor.predict_rate_mbps(planned);
+  const logs::EdgeKey edge{planned->src, planned->dst};
+  const double rate = predictor.predict_rate_mbps(*planned);
   std::printf("model: %s\n",
               predictor.has_edge_model(edge) ? "per-edge" : "global fallback");
   std::printf("predicted rate:     %.1f MB/s\n", rate);
   std::printf("predicted duration: %.0f s for %s\n",
-              predictor.estimate_duration_s(planned),
-              format_bytes(planned.bytes).c_str());
+              predictor.estimate_duration_s(*planned),
+              format_bytes(planned->bytes).c_str());
   std::printf("top features: ");
   const auto importances = predictor.explain(edge);
   for (std::size_t i = 0; i < importances.size() && i < 5; ++i)
@@ -383,36 +380,33 @@ int cmd_predict_batch(const ArgList& args) {
 
   // Accept an optional header row: skip the first row when its bytes column
   // does not parse as a number.
-  auto is_number = [](const std::string& field) {
-    if (field.empty()) return false;
-    char* end = nullptr;
-    std::strtod(field.c_str(), &end);
-    return end != field.c_str() && *end == '\0';
-  };
   std::vector<core::PlannedTransfer> planned;
   planned.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const auto& row = rows[r];
     if (row.size() == 1 && row[0].empty()) continue;  // Blank line.
-    if (r == 0 && row.size() >= 3 && !is_number(row[2])) continue;  // Header.
+    core::PlannedTransfer transfer;
+    if (r == 0 && row.size() >= 3 && !parse_number(row[2], transfer.bytes))
+      continue;  // Header.
     if (row.size() < 3) {
       std::fprintf(stderr,
                    "error: %s line %zu: need at least src,dst,bytes\n",
                    transfers_path->c_str(), r + 1);
       return 1;
     }
-    core::PlannedTransfer transfer;
-    transfer.src = static_cast<endpoint::EndpointId>(std::stoul(row[0]));
-    transfer.dst = static_cast<endpoint::EndpointId>(std::stoul(row[1]));
-    transfer.bytes = std::stod(row[2]);
-    transfer.files =
-        row.size() > 3 ? static_cast<std::uint64_t>(std::stoull(row[3])) : 1;
-    transfer.dirs =
-        row.size() > 4 ? static_cast<std::uint64_t>(std::stoull(row[4])) : 1;
-    transfer.concurrency =
-        row.size() > 5 ? static_cast<std::uint32_t>(std::stoul(row[5])) : 4;
-    transfer.parallelism =
-        row.size() > 6 ? static_cast<std::uint32_t>(std::stoul(row[6])) : 4;
+    // Columns past bytes are optional and keep PlannedTransfer's defaults
+    // when absent.
+    const auto field = [&](std::size_t c, const char* name, auto& out) {
+      if (c < row.size())
+        parse_csv_field(row[c], out, *transfers_path, r + 1, name);
+    };
+    field(0, "src", transfer.src);
+    field(1, "dst", transfer.dst);
+    field(2, "bytes", transfer.bytes);
+    field(3, "files", transfer.files);
+    field(4, "dirs", transfer.dirs);
+    field(5, "concurrency", transfer.concurrency);
+    field(6, "parallelism", transfer.parallelism);
     planned.push_back(transfer);
   }
   if (planned.empty()) {
@@ -443,10 +437,8 @@ int cmd_predict_batch(const ArgList& args) {
       row.push_back(std::to_string(planned[i].dst));
       std::snprintf(buffer, sizeof buffer, "%.0f", planned[i].bytes);
       row.push_back(buffer);
-      std::snprintf(buffer, sizeof buffer, "%.17g", rates[i]);
-      row.push_back(buffer);
-      std::snprintf(buffer, sizeof buffer, "%.17g", duration);
-      row.push_back(buffer);
+      append_number(row.emplace_back(), rates[i]);
+      append_number(row.emplace_back(), duration);
       writer.write_row(row);
     }
     std::printf("wrote %zu predictions to %s\n", planned.size(),
@@ -475,9 +467,8 @@ int cmd_export_dataset(const ArgList& args) {
     std::fprintf(stderr, "error: --src and --dst are required\n");
     return 2;
   }
-  const logs::EdgeKey edge{
-      static_cast<endpoint::EndpointId>(parse_number("--src", *src)),
-      static_cast<endpoint::EndpointId>(parse_number("--dst", *dst))};
+  const logs::EdgeKey edge{args.number_or("--src", endpoint::EndpointId{0}),
+                           args.number_or("--dst", endpoint::EndpointId{0})};
   if (log.edge_count(edge) == 0) {
     std::fprintf(stderr, "error: edge %s->%s has no transfers\n", src->c_str(),
                  dst->c_str());
@@ -509,53 +500,31 @@ volatile std::sig_atomic_t g_serve_hup = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 void serve_hup_handler(int) { g_serve_hup = 1; }
 
-/// Build the resident predictor for serve from --model (file)
-/// or --log (train in-process).
-std::shared_ptr<const core::TransferPredictor> acquire_shared_predictor(
-    const ArgList& args, std::string& model_path_out) {
-  if (const auto model_path = args.value("--model")) {
-    model_path_out = *model_path;
-    auto predictor = std::make_shared<const core::TransferPredictor>(
-        core::TransferPredictor::load_file(*model_path));
-    std::printf("loaded predictor from %s\n", model_path->c_str());
-    return predictor;
-  }
-  const auto log = load_log(args);
-  core::TransferPredictor::Options options;
-  options.min_edge_transfers = static_cast<std::size_t>(
-      args.number_or("--min-edge-transfers", 100.0));
-  auto predictor = std::make_shared<core::TransferPredictor>(options);
-  predictor->fit(log);
-  return predictor;
-}
-
 serve::PredictionServer::Options server_options(const ArgList& args) {
   serve::PredictionServer::Options options;
-  options.port = static_cast<std::uint16_t>(args.number_or("--port", 7070.0));
+  options.port = args.number_or("--port", std::uint16_t{7070});
   options.bind_address = args.value_or("--bind", "127.0.0.1");
-  options.max_batch =
-      static_cast<std::size_t>(args.number_or("--max-batch", 64.0));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.number_or("--queue-cap", 1024.0));
-  options.predict_threads =
-      static_cast<std::size_t>(args.number_or("--threads", 1.0));
-  options.shards =
-      static_cast<std::size_t>(args.number_or("--shards", 0.0));
-  options.partial_frame_timeout_ms = static_cast<std::uint64_t>(
-      args.number_or("--frame-timeout-ms", 30000.0));
-  options.monitor.drift_window = static_cast<std::size_t>(
-      args.number_or("--drift-window", 64.0));
+  options.max_batch = args.number_or("--max-batch", std::size_t{64});
+  options.queue_capacity = args.number_or("--queue-cap", std::size_t{1024});
+  options.predict_threads = args.number_or("--threads", std::size_t{1});
+  options.shards = args.number_or("--shards", std::size_t{0});
+  options.partial_frame_timeout_ms =
+      args.number_or("--frame-timeout-ms", std::uint64_t{30000});
+  options.monitor.drift_window =
+      args.number_or("--drift-window", std::size_t{64});
   options.monitor.drift_threshold_pct =
       args.number_or("--drift-threshold", 30.0);
-  options.monitor.drift_min_samples = static_cast<std::size_t>(
-      args.number_or("--drift-min-samples", 16.0));
+  options.monitor.drift_min_samples =
+      args.number_or("--drift-min-samples", std::size_t{16});
   return options;
 }
 
 int cmd_serve(const ArgList& args) {
-  std::string model_path;
-  serve::ModelHost host(acquire_shared_predictor(args, model_path),
-                        model_path);
+  // Empty when trained from --log: reloads then need an admin path.
+  const std::string model_path = args.value_or("--model", "");
+  serve::ModelHost host(
+      std::make_shared<const core::TransferPredictor>(acquire_predictor(args)),
+      model_path);
   serve::PredictionServer server(host, server_options(args));
 
   // --journal-dir closes the drift loop: feedback -> journal -> refit ->
@@ -567,8 +536,8 @@ int cmd_serve(const ArgList& args) {
     retrain::RetrainOptions retrain_options;
     retrain_options.interval_ms = static_cast<std::uint64_t>(
         args.number_or("--retrain-interval", 0.0) * 1000.0);
-    retrain_options.min_edge_records = static_cast<std::size_t>(
-        args.number_or("--retrain-min-records", 64.0));
+    retrain_options.min_edge_records =
+        args.number_or("--retrain-min-records", std::size_t{64});
     const std::uint64_t interval_s = retrain_options.interval_ms / 1000;
     retrain_service = std::make_unique<retrain::RetrainService>(
         server, std::move(journal_options), std::move(retrain_options));
@@ -662,6 +631,12 @@ std::string prometheus_help_text(const std::string& text) {
 /// dump is valid scrape input for a real Prometheus server, not just
 /// eyeball output.
 void print_prometheus(const serve::JsonValue& metrics) {
+  // One sample line, "<series> <value>", the value in the number codec.
+  const auto sample = [](std::string line, double value) {
+    line += ' ';
+    append_number(line, value);
+    std::puts(line.c_str());
+  };
   const auto header = [](const std::string& prom, const std::string& name,
                          const char* type) {
     std::printf("# HELP %s %s\n# TYPE %s %s\n", prom.c_str(),
@@ -685,9 +660,9 @@ void print_prometheus(const serve::JsonValue& metrics) {
       if (value == nullptr || !value->is_number()) continue;
       const std::string prom = prometheus_name(name);
       header(prom, name, "gauge");
-      std::printf("%s %.17g\n", prom.c_str(), value->number);
+      sample(prom, value->number);
       if (const auto* max = entry.find("max"); max && max->is_number())
-        std::printf("%s_max %.17g\n", prom.c_str(), max->number);
+        sample(prom + "_max", max->number);
     }
   }
   if (const auto* histograms = metrics.find("histograms");
@@ -704,40 +679,39 @@ void print_prometheus(const serve::JsonValue& metrics) {
           if (le == nullptr || count == nullptr || !count->is_number())
             continue;
           cumulative += count->number;
-          std::string le_text = "+Inf";
-          if (le->is_number()) {
-            char text[64];
-            std::snprintf(text, sizeof text, "%.17g", le->number);
-            le_text = text;
-          }
+          std::string le_text;
+          if (le->is_number())
+            append_number(le_text, le->number);
+          else
+            le_text = "+Inf";
           std::printf("%s_bucket{le=\"%s\"} %.0f\n", prom.c_str(),
                       prometheus_label_value(le_text).c_str(), cumulative);
         }
       }
       if (const auto* sum = entry.find("sum"); sum && sum->is_number())
-        std::printf("%s_sum %.17g\n", prom.c_str(), sum->number);
+        sample(prom + "_sum", sum->number);
       if (const auto* count = entry.find("count"); count && count->is_number())
         std::printf("%s_count %.0f\n", prom.c_str(), count->number);
       const std::pair<const char*, const char*> quantiles[] = {
           {"p50", "0.5"}, {"p95", "0.95"}, {"p99", "0.99"}};
       for (const auto& [field, quantile] : quantiles) {
         if (const auto* q = entry.find(field); q && q->is_number())
-          std::printf("%s{quantile=\"%s\"} %.17g\n", prom.c_str(),
-                      prometheus_label_value(quantile).c_str(), q->number);
+          sample(prom + "{quantile=\"" + prometheus_label_value(quantile) +
+                     "\"}",
+                 q->number);
       }
     }
   }
 }
 
 int cmd_request(const ArgList& args) {
-  const auto port_value = args.value("--port");
-  if (!port_value) {
+  if (!args.value("--port")) {
     std::fprintf(stderr, "error: --port is required\n");
     return 2;
   }
   serve::PredictionClient client(
       args.value_or("--host", "127.0.0.1"),
-      static_cast<std::uint16_t>(parse_number("--port", *port_value)));
+      args.number_or("--port", std::uint16_t{0}));
 
   if (args.flag("--ping")) {
     if (!client.ping()) {
@@ -858,7 +832,7 @@ int cmd_request(const ArgList& args) {
       return 2;
     }
     const auto reply =
-        client.feedback(*trace, parse_number("--observed-mbps", *observed));
+        client.feedback(*trace, args.number_or("--observed-mbps", 0.0));
     if (!reply.ok) {
       std::fprintf(stderr, "error: feedback rejected\n");
       return 1;
@@ -887,29 +861,16 @@ int cmd_request(const ArgList& args) {
     return 0;
   }
 
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
-  const auto bytes = args.value("--bytes");
-  if (!src || !dst || !bytes) {
+  const auto planned = planned_transfer(args);
+  if (!planned) {
     std::fprintf(stderr,
                  "error: --src, --dst and --bytes are required (or use "
                  "--ping/--stats/--reload/--retrain-status)\n");
     return 2;
   }
-  core::PlannedTransfer planned;
-  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
-  planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
-  const auto deadline_ms =
-      static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
+  const auto deadline_ms = args.number_or("--deadline-ms", std::uint64_t{0});
 
-  const auto reply = client.predict(planned, {}, deadline_ms);
+  const auto reply = client.predict(*planned, {}, deadline_ms);
   if (!reply.ok) {
     std::fprintf(stderr, "error: %s: %s\n", reply.error.c_str(),
                  reply.message.c_str());
@@ -919,8 +880,8 @@ int cmd_request(const ArgList& args) {
               reply.rate_mbps, reply.model.c_str(),
               static_cast<unsigned long long>(reply.model_version));
   std::printf("predicted duration: %.0f s for %s\n",
-              planned.bytes / mbps(reply.rate_mbps),
-              format_bytes(planned.bytes).c_str());
+              planned->bytes / mbps(reply.rate_mbps),
+              format_bytes(planned->bytes).c_str());
   if (!reply.trace_id.empty())
     std::printf("trace id: %s (server %.3f ms; report the observed rate "
                 "with `request --feedback %s --observed-mbps X`)\n",
@@ -933,36 +894,21 @@ int cmd_request(const ArgList& args) {
 /// per-feature attribution, printed so the sum structure is visible
 /// (bias + contributions = raw score, clamped to the serving floor).
 int cmd_explain(const ArgList& args) {
-  const auto port_value = args.value("--port");
-  const auto src = args.value("--src");
-  const auto dst = args.value("--dst");
-  const auto bytes = args.value("--bytes");
-  if (!port_value || !src || !dst || !bytes) {
+  const auto planned = planned_transfer(args);
+  if (!args.value("--port") || !planned) {
     std::fprintf(stderr,
                  "error: --port, --src, --dst and --bytes are required\n");
     return 2;
   }
   serve::PredictionClient client(
       args.value_or("--host", "127.0.0.1"),
-      static_cast<std::uint16_t>(parse_number("--port", *port_value)));
+      args.number_or("--port", std::uint16_t{0}));
   if (args.flag("--binary")) client.negotiate_binary();
 
-  core::PlannedTransfer planned;
-  planned.src = static_cast<endpoint::EndpointId>(parse_number("--src", *src));
-  planned.dst = static_cast<endpoint::EndpointId>(parse_number("--dst", *dst));
-  planned.bytes = parse_number("--bytes", *bytes);
-  planned.files = static_cast<std::uint64_t>(args.number_or("--files", 1.0));
-  planned.dirs = static_cast<std::uint64_t>(args.number_or("--dirs", 1.0));
-  planned.concurrency =
-      static_cast<std::uint32_t>(args.number_or("--concurrency", 4.0));
-  planned.parallelism =
-      static_cast<std::uint32_t>(args.number_or("--parallelism", 4.0));
-  const auto deadline_ms =
-      static_cast<std::uint64_t>(args.number_or("--deadline-ms", 0.0));
-  const auto top_k =
-      static_cast<std::uint16_t>(args.number_or("--top-k", 0.0));
+  const auto deadline_ms = args.number_or("--deadline-ms", std::uint64_t{0});
+  const auto top_k = args.number_or("--top-k", std::uint16_t{0});
 
-  const auto reply = client.explain(planned, {}, deadline_ms, top_k);
+  const auto reply = client.explain(*planned, {}, deadline_ms, top_k);
   if (!reply.ok) {
     std::fprintf(stderr, "error: %s: %s\n", reply.error.c_str(),
                  reply.message.c_str());
