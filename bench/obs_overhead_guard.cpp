@@ -1,9 +1,10 @@
-// Observability overhead guard: asserts that the instrumented train and
-// batch-predict hot paths stay within tolerance of the uninstrumented
-// paths, and (PR 10) that resident-but-unused explain support costs the
-// predict path under 1% — measured against a bit-identical ensemble built
-// without the attribution table. "On" is the default production posture (metrics enabled, logging
-// at info, tracing off); "off" flips the metrics kill switch so every
+// Observability overhead guard: asserts that the instrumented train,
+// batch-predict and one-row predict hot paths stay within tolerance of
+// the uninstrumented paths, and that resident-but-unused explain
+// support costs the predict path under 1% — measured against a
+// bit-identical ensemble built without the attribution table. "On" is the
+// default production posture (metrics enabled, logging at info, tracing
+// off); "off" flips the metrics kill switch so every
 // counter/histogram write degenerates to one relaxed load. The two
 // configurations alternate back-to-back in pairs and the verdict is the
 // median pairwise ratio, which cancels host drift on a shared 1-core box.
@@ -86,6 +87,17 @@ double time_predict_ms(const ml::GradientBoostedTrees& model,
   const double start = now_ms();
   for (int i = 0; i < iterations; ++i) model.predict_batch(w.x, out);
   return (now_ms() - start) / iterations;
+}
+
+/// ms per `calls` one-row predict_batch calls — the per-edge serving
+/// shape, where the per-call metric writes weigh most against a few-row
+/// walk of a couple of microseconds.
+double time_one_row_ms(const ml::GradientBoostedTrees& model,
+                       const ml::Matrix& row, int calls) {
+  double out = 0.0;
+  const double start = now_ms();
+  for (int i = 0; i < calls; ++i) model.predict_batch(row, {&out, 1});
+  return now_ms() - start;
 }
 
 /// A random flat ensemble (200 complete depth-4 trees over the workload's
@@ -240,6 +252,14 @@ int main() {
       guard("gbt predict_batch 2000 rows serial",
             [&] { return time_predict_ms(model, train, out, 10); });
 
+  ml::Matrix one_row(1, train.x.cols());
+  std::copy(train.x.row(0).begin(), train.x.row(0).end(),
+            one_row.row(0).begin());
+  time_one_row_ms(model, one_row, 500);
+  const bool one_row_ok =
+      guard("gbt predict_batch 1 row x 10000 calls",
+            [&] { return time_one_row_ms(model, one_row, 10000); });
+
   // Explain-support guard: two bit-identical random ensembles, one
   // carrying the Saabas attribution table and one built with
   // set_attribution(false). predict_batch never reads the table, so the
@@ -263,9 +283,10 @@ int main() {
       [&] { return time_flat_predict_ms(with_attr, train, flat_a, 50); },
       [&] { return time_flat_predict_ms(without_attr, train, flat_b, 50); });
 
-  if (fit_ok && predict_ok && explain_ok)
-    std::printf("PASS: observability stays within %.0f%% on both hot paths"
-                " and unused explain support within %.0f%%\n",
+  const bool ok = fit_ok && predict_ok && one_row_ok && explain_ok;
+  if (ok)
+    std::printf("PASS: observability stays within %.0f%% on fit, batch and"
+                " one-row predict, and unused explain support within %.0f%%\n",
                 100.0 * (kMaxRatio - 1.0), 100.0 * (kMaxExplainRatio - 1.0));
-  return fit_ok && predict_ok && explain_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

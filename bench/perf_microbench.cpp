@@ -246,6 +246,68 @@ BENCHMARK(BM_GbtPredictKernel)
     ->Args({1, 1})
     ->Args({2, 1});
 
+// Few-row calls, the shape of per-edge serving: the predictor splits each
+// server batch by serving model, so most kernel calls carry 1-3 rows.
+// Each iteration predicts `rows` rows with the next of 32 fitted
+// ensembles (default config: 200 trees, depth 4), so the caches see a
+// rotation like the served model's 32 models do. Arg 0 is the row count,
+// arg 1 the forced ml::Kernel (1 = scalar, 2 = quantized, whose calls
+// below the few-row crossover take the few-row walk). DESIGN.md §7.1
+// cites these times for the crossover.
+void BM_GbtPredictRows(benchmark::State& state) {
+  constexpr std::size_t kModels = 32;
+  constexpr std::size_t kCols = 15;
+  static const std::vector<ml::GradientBoostedTrees> models = [] {
+    std::vector<ml::GradientBoostedTrees> fitted;
+    for (std::size_t m = 0; m < kModels; ++m) {
+      Rng rng(100 + m);
+      ml::Matrix x(600, kCols);
+      std::vector<double> y(x.rows());
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        for (std::size_t c = 0; c < kCols; ++c) x.at(i, c) = rng.normal();
+        y[i] = x.at(i, m % kCols) - 0.5 * x.at(i, (m + 3) % kCols) +
+               rng.normal(0.0, 0.1);
+      }
+      ml::GbtConfig config;
+      config.threads = 1;
+      config.seed = 100 + m;
+      fitted.emplace_back(config);
+      fitted.back().fit(x, y);
+    }
+    return fitted;
+  }();
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto kernel = static_cast<ml::Kernel>(state.range(1));
+  for (const auto& model : models) {
+    if (model.flat().effective_kernel(kernel) != kernel) {
+      state.SkipWithError("kernel unavailable on this host/build");
+      return;
+    }
+  }
+  std::vector<ml::Matrix> queries;
+  Rng rng(7);
+  for (std::size_t m = 0; m < kModels; ++m) {
+    queries.emplace_back(rows, kCols);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < kCols; ++c)
+        queries.back().at(r, c) = rng.normal();
+  }
+  std::vector<double> out(rows);
+  std::size_t m = 0;
+  for (auto _ : state) {
+    models[m].flat().predict_batch(queries[m], out, nullptr, kernel);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    m = m + 1 == kModels ? 0 : m + 1;
+  }
+  state.SetLabel(ml::kernel_name(kernel));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_GbtPredictRows)
+    ->ArgNames({"rows", "kernel"})
+    ->ArgsProduct({{1, 2, 3, 4, 6, 8, 16}, {1, 2}});
+
 // Batch prediction over row blocks; arg is GbtConfig::threads.
 void BM_GbtPredictBatch(benchmark::State& state) {
   Rng rng(4);

@@ -656,7 +656,12 @@ const FlatEnsemble& GradientBoostedTrees::flat() const {
 double GradientBoostedTrees::predict(std::span<const double> features) const {
   XFL_EXPECTS(fitted_);
   XFL_EXPECTS(features.size() == feature_count_);
-  return flat_->predict_one(features);
+  // One-row batch: every row, alone or batched, takes the same path.
+  Matrix row(1, features.size());
+  std::copy(features.begin(), features.end(), row.row(0).begin());
+  double out = 0.0;
+  flat_->predict_batch(row, {&out, 1});
+  return out;
 }
 
 double GradientBoostedTrees::predict_nodewalk(

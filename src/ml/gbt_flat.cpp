@@ -50,20 +50,22 @@ bool cpu_supports_avx2() noexcept {
 
 namespace {
 /// Serving observability. Instrumentation sits on the batch entry point
-/// and the per-row entry point — never inside the 16-row lockstep kernel —
-/// so a batch pays one clock pair and a handful of relaxed adds total.
-constexpr double kBatchRowBounds[] = {1,    16,   64,    256,
-                                      1024, 4096, 16384, 65536};
-
+/// only — never inside a kernel — so a call pays one clock pair and a
+/// handful of relaxed adds, which a one-row call on the few-row walk must
+/// still absorb within the overhead guard's 2% budget. The mean rows per
+/// call is rows / batches.
 struct ServeMetrics {
   obs::Counter& rows = obs::counter("gbt.predict.rows");
   obs::Counter& batches = obs::counter("gbt.predict.batches");
-  obs::Histogram& batch_rows =
-      obs::histogram("gbt.predict.batch_rows", kBatchRowBounds);
   obs::Histogram& batch_us = obs::histogram("gbt.predict.batch_us");
   /// Which kernel served the last batch (Kernel enum value) — the serve
   /// stats `kernel` field and startup log read the same dispatch state.
   obs::Gauge& kernel_active = obs::gauge("gbt.kernel.active");
+  /// Per-kernel row counters, so the registry shows which kernel served
+  /// the traffic without parsing logs.
+  obs::Counter& scalar_rows = obs::counter("gbt.predict.kernel.scalar.rows");
+  obs::Counter& quantized_rows =
+      obs::counter("gbt.predict.kernel.quantized.rows");
 };
 
 ServeMetrics& serve_metrics() {
@@ -83,15 +85,6 @@ struct ExplainMetrics {
 ExplainMetrics& explain_metrics() {
   static ExplainMetrics metrics;
   return metrics;
-}
-
-/// Per-kernel row counters, so the registry shows which kernel served
-/// the traffic without parsing logs.
-obs::Counter& kernel_rows_counter(Kernel kernel) {
-  static obs::Counter& scalar = obs::counter("gbt.predict.kernel.scalar.rows");
-  static obs::Counter& quantized =
-      obs::counter("gbt.predict.kernel.quantized.rows");
-  return kernel == Kernel::kQuantized ? quantized : scalar;
 }
 }  // namespace
 
@@ -422,33 +415,18 @@ Kernel FlatEnsemble::effective_kernel(Kernel requested) const {
                                                           : Kernel::kScalar;
 }
 
-double FlatEnsemble::predict_one(std::span<const double> features) const {
-  serve_metrics().rows.add(1);
-  const std::int32_t* feat = feature_.data();
-  const double* val = value_.data();
-  const std::int32_t* left = left_.data();
-  double acc = base_score_;
-  for (const std::int32_t root : roots_) {
-    std::int32_t i = root;
-    std::int32_t f = feat[i];
-    while (f >= 0) {
-      // Same predicate as the node walk: x <= threshold goes left, anything
-      // else — including NaN — goes right.
-      i = left[i] +
-          static_cast<std::int32_t>(!(features[static_cast<std::size_t>(f)] <=
-                                      val[i]));
-      f = feat[i];
-    }
-    acc += scale_ * val[i];
-  }
-  return acc;
-}
-
 namespace {
 /// Rows walked in lockstep per tree. Small enough that the per-block state
 /// (row pointers, node cursors, accumulators) stays in registers / L1;
 /// large enough that the dependent-load chains of the walks overlap.
 constexpr std::size_t kRowBlock = 16;
+/// Blocks of fewer rows than this take the quantized kernel's few-row
+/// walk instead of a 16-lane block. A block pays for its mask build and
+/// shuffle-table fill whatever its row count; the few-row walk pays per
+/// row. Forced either way over BM_GbtPredictRows' 32 rotating ensembles
+/// on a 4-core AVX-512 Xeon, the few-row walk won at 4 rows (8.8 vs
+/// 10.7 us per call) and lost at 5 (11.8 vs 10.8 us); DESIGN.md §7.1.
+constexpr std::size_t kFewRows = 5;
 }  // namespace
 
 void FlatEnsemble::predict_rows_scalar(const Matrix& x, std::size_t begin,
@@ -486,7 +464,7 @@ void FlatEnsemble::predict_rows_scalar(const Matrix& x, std::size_t begin,
         }
       }
       // Per-row accumulation stays in tree order — the same operation
-      // sequence as predict_one and the node walk, hence bit-identical.
+      // sequence as the node walk, hence bit-identical.
       for (std::size_t r = 0; r < count; ++r) acc[r] += scale_ * val[idx[r]];
     }
     for (std::size_t r = 0; r < count; ++r) out[block + r] = acc[r];
@@ -520,49 +498,81 @@ inline void suffix_or_u16(std::uint16_t* mf, std::int32_t ranks) {
 }
 }  // namespace
 
+struct FlatEnsemble::RankScan {
+  const double* table;
+  const std::int16_t* grid;
+  double lo;
+  double scale;
+  std::int32_t cells;
+  std::int32_t ranks;  ///< Distinct thresholds; 0 = feature never split.
+
+  /// code = #thresholds < v in [0, ranks]; a NaN ranks above every
+  /// threshold, so it routes right of every split. The grid cell's start
+  /// rank can only undershoot (build time assigned cells with the same
+  /// mapping), and the +inf table terminator stops the scan without a
+  /// bounds check. The grid is ~4 cells per threshold, so one branchless
+  /// step almost always lands and the residual loop stays predictably
+  /// untaken.
+  std::size_t code(double v) const noexcept {
+    if (std::isnan(v)) return static_cast<std::size_t>(ranks);
+    auto c =
+        static_cast<std::size_t>(grid[quant_grid_cell(v, lo, scale, cells)]);
+    c += static_cast<std::size_t>(table[c] < v);
+    while (table[c] < v) ++c;
+    return c;
+  }
+};
+
+FlatEnsemble::RankScan FlatEnsemble::rank_scan(std::int32_t f) const {
+  const auto fi = static_cast<std::size_t>(f);
+  const std::int32_t goff = qgrid_off_[fi];
+  return {qtable_.data() + qtable_off_[fi],
+          qgridrank_.data() + goff,
+          qgrid_lo_[fi],
+          qgrid_scale_[fi],
+          qgrid_off_[fi + 1] - goff,
+          qmask_off_[fi + 1] - qmask_off_[fi]};
+}
+
 void FlatEnsemble::build_block_masks(const Matrix& x, std::size_t block,
                                      std::size_t count,
                                      std::uint16_t* masks) const {
   const double* rows[kRowBlock];
   for (std::size_t r = 0; r < count; ++r) rows[r] = x.row(block + r).data();
   for (std::int32_t f = 0; f < quant_features_; ++f) {
-    const std::int32_t moff = qmask_off_[static_cast<std::size_t>(f)];
-    const std::int32_t ranks =
-        qmask_off_[static_cast<std::size_t>(f) + 1] - moff;
-    if (ranks == 0) continue;  // Feature never split — no masks to build.
-    std::uint16_t* mf = masks + moff;
-    for (std::int32_t k = 0; k < ranks; ++k) mf[k] = 0;
-    const double* table = qtable_.data() + qtable_off_[f];
-    const double lo = qgrid_lo_[static_cast<std::size_t>(f)];
-    const double scale = qgrid_scale_[static_cast<std::size_t>(f)];
-    const std::int32_t goff = qgrid_off_[static_cast<std::size_t>(f)];
-    const std::int32_t cells =
-        qgrid_off_[static_cast<std::size_t>(f) + 1] - goff;
-    const std::int16_t* grid = qgridrank_.data() + goff;
+    const RankScan scan = rank_scan(f);
+    if (scan.ranks == 0) continue;  // Feature never split: no masks.
+    std::uint16_t* mf = masks + qmask_off_[static_cast<std::size_t>(f)];
+    for (std::int32_t k = 0; k < scan.ranks; ++k) mf[k] = 0;
     for (std::size_t r = 0; r < count; ++r) {
-      const double v = rows[r][static_cast<std::size_t>(f)];
-      // code = #thresholds < v in [0, ranks]. The grid cell's start rank
-      // can only undershoot (build time assigned cells with the same
-      // mapping), and the +inf table terminator stops the scan without a
-      // bounds check. The grid is ~4 cells per threshold, so one
-      // branchless step almost always lands and the residual loop stays
-      // predictably untaken.
-      std::size_t code;
-      if (std::isnan(v)) {
-        code = static_cast<std::size_t>(ranks);  // Right of every split.
-      } else {
-        code = static_cast<std::size_t>(
-            grid[quant_grid_cell(v, lo, scale, cells)]);
-        code += static_cast<std::size_t>(table[code] < v);
-        while (table[code] < v) ++code;
-      }
+      const std::size_t code = scan.code(rows[r][static_cast<std::size_t>(f)]);
       // A row with code c routes right at ranks 0..c-1: bucket its bit at
       // rank c-1, then suffix-OR below spreads it down.
       if (code > 0) mf[code - 1] |= static_cast<std::uint16_t>(1u << r);
     }
-    suffix_or_u16(mf, ranks);
+    suffix_or_u16(mf, scan.ranks);
   }
   masks[mask_count()] = 0;  // Virtual padding splits read this entry.
+}
+
+void FlatEnsemble::build_row_preds(const Matrix& x, std::size_t first,
+                                   std::size_t count,
+                                   std::uint8_t* pred) const {
+  const std::size_t stride = mask_count() + 1;
+  for (std::size_t r = 0; r < count; ++r) {
+    const double* row = x.row(first + r).data();
+    std::uint8_t* pr = pred + r * stride;
+    for (std::int32_t f = 0; f < quant_features_; ++f) {
+      const RankScan scan = rank_scan(f);
+      if (scan.ranks == 0) continue;
+      // A row with code c routes right at ranks 0..c-1.
+      const std::size_t code = scan.code(row[static_cast<std::size_t>(f)]);
+      std::uint8_t* pf = pr + qmask_off_[static_cast<std::size_t>(f)];
+      std::memset(pf, 1, code);
+      std::memset(pf + code, 0, static_cast<std::size_t>(scan.ranks) - code);
+    }
+    pr[stride - 1] = 0;  // Virtual padding splits read this entry.
+  }
 }
 
 namespace {
@@ -605,6 +615,31 @@ inline void quant_tree_scalar(const QuantView& m, std::size_t t,
   }
   for (std::size_t r = 0; r < count; ++r)
     acc[r] += m.scale * ql[slot[r] - internal];
+}
+
+/// Few-row walk: N rows (N <= 2) through every padded tree in lockstep,
+/// their slots in registers (a third interleaved row measured slower than
+/// a pair plus a single). Row r's predicates are the bytes
+/// pred[r * stride ..] (build_row_preds): 1 where it routes right. A
+/// lone-leaf tree takes zero steps and lands on its one leaf; deep trees
+/// just take more steps.
+template <std::size_t N>
+void quant_walk_few(const QuantView& m, const std::uint8_t* pred,
+                    std::size_t stride, double* acc) {
+  const std::uint8_t* row_pred[N];
+  for (std::size_t r = 0; r < N; ++r) row_pred[r] = pred + r * stride;
+  for (std::size_t t = 0; t < m.tree_count; ++t) {
+    const std::int32_t d = m.depth[t];
+    const std::int32_t* qi = m.qmask_idx + m.qsplit_off[t];
+    std::int32_t slot[N] = {};
+    for (std::int32_t level = 0; level < d; ++level)
+      for (std::size_t r = 0; r < N; ++r)
+        slot[r] = 2 * slot[r] + 1 + row_pred[r][qi[slot[r]]];
+    // Leaves follow the 2^d - 1 internal slots of the padded tree.
+    const std::int32_t leaf0 = m.qleaf_off[t] - ((1 << d) - 1);
+    for (std::size_t r = 0; r < N; ++r)
+      acc[r] += m.scale * m.qleaf[leaf0 + slot[r]];
+  }
 }
 
 }  // namespace
@@ -775,14 +810,17 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
                        qsplit_off_.data(), qleaf_off_.data(),
                        depth_.data(),      roots_.size(),
                        scale_};
-  // The block's predicate-mask table (+1 zeroed pad entry for virtual
-  // padding splits). A few hundred entries for histogram-trained models.
+  // One buffer holds either the block's predicate-mask table (one uint16
+  // per predicate, +1 zeroed pad entry for virtual padding splits) or two
+  // rows of few-row predicates (the same entries as bytes). A few hundred
+  // to a few thousand entries for histogram-trained models.
+  const std::size_t entries = mask_count() + 1;
   constexpr std::size_t kStackMasks = 4096;
   std::uint16_t masks_stack[kStackMasks];
   std::vector<std::uint16_t> masks_heap;
   std::uint16_t* masks = masks_stack;
-  if (mask_count() + 1 > kStackMasks) {
-    masks_heap.resize(mask_count() + 1);
+  if (entries > kStackMasks) {
+    masks_heap.resize(entries);
     masks = masks_heap.data();
   }
 #if XFL_X86_KERNELS
@@ -792,7 +830,8 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
   alignas(32) std::uint16_t qbits_stack[kStackTreeBits];
   std::vector<std::uint16_t> qbits_heap;
   std::uint16_t* qbits = qbits_stack;
-  if (use_avx2 && roots_.size() * kRowBlock > kStackTreeBits) {
+  if (use_avx2 && end - begin >= kFewRows &&
+      roots_.size() * kRowBlock > kStackTreeBits) {
     qbits_heap.resize(roots_.size() * kRowBlock);
     qbits = qbits_heap.data();
   }
@@ -800,10 +839,26 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
   double acc[kRowBlock];
   for (std::size_t block = begin; block < end; block += kRowBlock) {
     const std::size_t count = std::min(kRowBlock, end - block);
-    build_block_masks(x, block, count, masks);
     // Seed every lane: the vector form accumulates dead tail lanes too
     // (walked but never stored), so they must hold defined values.
     for (std::size_t r = 0; r < kRowBlock; ++r) acc[r] = base_score_;
+    if (count < kFewRows) {
+      // Few-row walk, two rows at a time: the same leaves in the same
+      // tree order, without paying for a 16-lane block. Two rows of
+      // predicate bytes fit the block's mask buffer.
+      auto* pred = reinterpret_cast<std::uint8_t*>(masks);
+      for (std::size_t r = 0; r < count; r += 2) {
+        const std::size_t pair = std::min<std::size_t>(2, count - r);
+        build_row_preds(x, block + r, pair, pred);
+        if (pair == 2)
+          quant_walk_few<2>(view, pred, entries, acc + r);
+        else
+          quant_walk_few<1>(view, pred, entries, acc + r);
+      }
+      for (std::size_t r = 0; r < count; ++r) out[block + r] = acc[r];
+      continue;
+    }
+    build_block_masks(x, block, count, masks);
 #if XFL_X86_KERNELS
     if (use_avx2) {
       quant_fill_bits(view, masks, qbits);
@@ -911,10 +966,16 @@ void FlatEnsemble::predict_batch(const Matrix& x, std::span<double> out,
     run(0, x.rows());
   metrics.rows.add(x.rows());
   metrics.batches.add(1);
-  metrics.batch_rows.record(static_cast<double>(x.rows()));
   metrics.batch_us.record(static_cast<double>(obs::monotonic_us() - start_us));
-  metrics.kernel_active.set(static_cast<double>(static_cast<int>(resolved)));
-  kernel_rows_counter(resolved).add(x.rows());
+  // The gauge is one unsharded line: written by every serving thread on
+  // every call it would bounce between cores, so it is written only when
+  // the kernel changes.
+  const auto kernel_value = static_cast<double>(static_cast<int>(resolved));
+  if (metrics.kernel_active.value() != kernel_value)
+    metrics.kernel_active.set(kernel_value);
+  (resolved == Kernel::kQuantized ? metrics.quantized_rows
+                                  : metrics.scalar_rows)
+      .add(x.rows());
 }
 
 }  // namespace xfl::ml

@@ -77,6 +77,18 @@
 //     accumulated scalar in tree order; trees deeper than 4 walk a
 //     portable scalar form of the same layout.
 //
+//     A block costs its mask build and shuffle-table fill whatever its
+//     row count, and per-edge serving calls the kernel with 1-3 rows. So
+//     blocks of fewer than kFewRows (5) rows take the *few-row walk*
+//     over the same arrays instead: each row ranks each feature once
+//     (the same rank routine as the block masks), fills one byte per
+//     predicate (feature, rank), and walks every padded tree branch-free
+//     with slot = 2*slot + 1 + pred[qmask_idx[slot]] for depth(t) levels,
+//     two rows interleaved per tree. Lone leaves (depth 0) and trees
+//     deeper than 4 need no special case. The crossover was measured
+//     with both paths forced over BM_GbtPredictRows' 32 rotating
+//     ensembles (DESIGN.md §7.1).
+//
 // Quantization error bound: rank codes preserve the `x <= t` predicate
 // exactly whenever every threshold is representable in the table — which
 // build() guarantees by construction — so the quantized kernel routes
@@ -195,10 +207,6 @@ class FlatEnsemble {
   /// kQuantized request to kScalar.
   Kernel effective_kernel(Kernel requested = Kernel::kAuto) const;
 
-  /// Ensemble prediction for one row. Bit-identical to the node walk
-  /// (always the scalar walk: one row has no lanes to vectorise).
-  double predict_one(std::span<const double> features) const;
-
   /// Predict every row of x into out (out.size() == x.rows()), blocking
   /// rows across `pool` when provided. Block boundaries never change
   /// results: each row owns its output slot and its own walk. `kernel`
@@ -245,6 +253,12 @@ class FlatEnsemble {
   void predict_rows_quantized(const Matrix& x, std::size_t begin,
                               std::size_t end, double* out) const;
 
+  /// One feature's rank coder (sorted threshold table plus acceleration
+  /// grid). The block masks and the few-row predicates both rank values
+  /// through it, so there is one rank routine.
+  struct RankScan;
+  RankScan rank_scan(std::int32_t f) const;
+
   /// Build the per-block predicate-mask table: for every feature f and
   /// threshold rank k, masks[qmask_off_[f] + k] has bit r set iff row r of
   /// the block routes right at any split on (f, k) — i.e. #thresholds of
@@ -253,6 +267,14 @@ class FlatEnsemble {
   /// point there).
   void build_block_masks(const Matrix& x, std::size_t block,
                          std::size_t count, std::uint16_t* masks) const;
+
+  /// Few-row form of the mask table: for each of the `count` rows
+  /// starting at `first`, a run of mask_count() + 1 bytes at
+  /// pred[r * (mask_count() + 1)], one byte per predicate (feature, rank)
+  /// that is 1 iff row r routes right there. Ranks each feature once per
+  /// row and skips the block's suffix-OR; each run's pad byte is zeroed.
+  void build_row_preds(const Matrix& x, std::size_t first, std::size_t count,
+                       std::uint8_t* pred) const;
 
   /// Total predicate-mask entries per block (sum of per-feature distinct
   /// threshold counts); buffers hold one extra pad entry.

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -15,11 +16,37 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 namespace detail {
 
-std::size_t shard_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return index;
+namespace {
+/// The last shard is shared; the others are leased one thread each.
+constexpr std::size_t kSharedShard = kMetricShards - 1;
+/// Bit i set while a live thread owns shard i.
+std::atomic<std::uint32_t> leased_shards{0};
+static_assert(kSharedShard < 32, "lease bits fit one word");
+}  // namespace
+
+ShardLease::ShardLease() noexcept : index(kSharedShard), owned(false) {
+  constexpr std::uint32_t kAll = (std::uint32_t{1} << kSharedShard) - 1;
+  std::uint32_t taken = leased_shards.load(std::memory_order_relaxed);
+  while ((taken & kAll) != kAll) {
+    const int bit = std::countr_zero(~taken & kAll);
+    if (leased_shards.compare_exchange_weak(
+            taken, taken | (std::uint32_t{1} << bit),
+            std::memory_order_acquire, std::memory_order_relaxed)) {
+      index = static_cast<std::size_t>(bit);
+      owned = true;
+      return;
+    }
+  }
+}
+
+ShardLease::~ShardLease() {
+  if (!owned) return;
+  leased_shards.fetch_and(~(std::uint32_t{1} << index),
+                          std::memory_order_release);
+  // A static destructor that still writes a metric after this thread's
+  // thread-locals are gone then lands on the shared shard.
+  owned = false;
+  index = kSharedShard;
 }
 
 std::atomic<bool>& metrics_switch() noexcept {
@@ -65,18 +92,28 @@ void Histogram::record(double v) noexcept {
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), v) -
       upper_bounds_.begin());
-  Shard& shard = shards_[detail::shard_index()];
-  shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
-  // Extremes via CAS, only when v is new; losing the race only means
-  // another writer installed a value at least as extreme.
+  const detail::ShardLease& lease = detail::shard_lease();
+  Shard& shard = shards_[lease.index];
+  detail::shard_add(shard.counts[bucket], std::uint64_t{1}, lease.owned);
+  detail::shard_add(shard.sum, v, lease.owned);
+  // Extremes only when v is new: an owner stores, the shared shard CASes
+  // (losing the race only means another writer installed a value at
+  // least as extreme).
   double seen = shard.min.load(std::memory_order_relaxed);
-  while (v < seen && !shard.min.compare_exchange_weak(
-                         seen, v, std::memory_order_relaxed)) {
+  if (lease.owned) {
+    if (v < seen) shard.min.store(v, std::memory_order_relaxed);
+  } else {
+    while (v < seen && !shard.min.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
   }
   seen = shard.max.load(std::memory_order_relaxed);
-  while (v > seen && !shard.max.compare_exchange_weak(
-                         seen, v, std::memory_order_relaxed)) {
+  if (lease.owned) {
+    if (v > seen) shard.max.store(v, std::memory_order_relaxed);
+  } else {
+    while (v > seen && !shard.max.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
   }
 }
 
@@ -155,7 +192,7 @@ std::vector<double> log_bucket_bounds(double lo, double hi, double growth) {
 
 std::span<const double> quantile_latency_bounds_us() {
   static const std::vector<double> bounds =
-      log_bucket_bounds(1.0, 1.0e7, 1.08);
+      log_bucket_bounds(0.01, 1.0e7, 1.08);
   return bounds;
 }
 

@@ -4,14 +4,15 @@
 //   static auto& rows = xfl::obs::counter("gbt.predict.rows");
 //   rows.add(batch.rows());
 //
-// Hot-path cost model: every writer thread owns one of kMetricShards
-// cache-line-padded cells per metric, so an increment is a single relaxed
-// fetch_add on an uncontended line — nothing on the write path takes a
-// lock or orders memory. Scrapes (value()/snapshot()) sum the shards;
-// because each increment lands in exactly one shard, totals are exact, not
-// sampled. A global kill switch (set_metrics_enabled) turns every write
-// into one relaxed load, which is what the overhead guard benchmarks
-// against.
+// Hot-path cost model: every metric has kMetricShards cache-line-padded
+// cells. A writer thread leases one of the first kMetricShards - 1 cells
+// for its lifetime; as the cell's only writer it adds with a relaxed load
+// and store — no locked instruction, nothing ordered. Threads that find
+// every lease taken share the last cell and add with a relaxed fetch_add.
+// Scrapes (value()/snapshot()) sum the shards; because each increment
+// lands in exactly one shard, totals are exact, not sampled. A global kill
+// switch (set_metrics_enabled) turns every write into one relaxed load,
+// which is what the overhead guard benchmarks against.
 #pragma once
 
 #include <array>
@@ -34,8 +35,38 @@ namespace xfl::obs {
 inline constexpr std::size_t kMetricShards = 16;
 
 namespace detail {
-/// This thread's shard slot (assigned once, round-robin).
-std::size_t shard_index() noexcept;
+/// A writer thread's shard, held for the thread's lifetime. `owned` means
+/// no other live thread writes shard `index`; otherwise `index` is the
+/// last, shared shard. A thread's stores to its cells happen before the
+/// lease's release, and the next owner acquires it, so ownership passes
+/// on without losing an increment.
+struct ShardLease {
+  ShardLease() noexcept;
+  ~ShardLease();
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+  std::size_t index;
+  bool owned;
+};
+
+/// This thread's lease. Inline, so a metric write reads a thread-local
+/// instead of making a call.
+inline const ShardLease& shard_lease() noexcept {
+  thread_local ShardLease lease;
+  return lease;
+}
+
+/// cell += n: a plain load and store when this thread owns the cell's
+/// shard (it is the only writer), a fetch_add on the shared shard.
+template <typename T>
+inline void shard_add(std::atomic<T>& cell, T n, bool owned) noexcept {
+  if (owned)
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  else
+    cell.fetch_add(n, std::memory_order_relaxed);
+}
+
 std::atomic<bool>& metrics_switch() noexcept;
 }  // namespace detail
 
@@ -49,8 +80,8 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
     if (!metrics_enabled()) return;
-    cells_[detail::shard_index()].value.fetch_add(n,
-                                                  std::memory_order_relaxed);
+    const detail::ShardLease& lease = detail::shard_lease();
+    detail::shard_add(cells_[lease.index].value, n, lease.owned);
   }
   std::uint64_t value() const noexcept;
 
@@ -91,7 +122,8 @@ class Gauge {
 /// Fixed-bucket histogram: bucket i counts samples <= bounds[i], plus an
 /// implicit overflow bucket. Counts, the running sum and the extremes are
 /// sharded like Counter cells; a sample costs two relaxed loads for the
-/// extremes and a CAS only when it is a new minimum or maximum.
+/// extremes and a store (a CAS on the shared shard) only when it is a new
+/// minimum or maximum.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
@@ -141,8 +173,10 @@ std::span<const double> default_latency_bounds_us();
 /// error from within-bucket interpolation is under ~4%.
 std::vector<double> log_bucket_bounds(double lo, double hi, double growth);
 
-/// Fine log-spaced latency bounds (1us..10s, ~4% resolution) for
+/// Fine log-spaced latency bounds (10ns..10s, ~4% resolution) for
 /// histograms whose quantiles are exported — the serve-path stage timers.
+/// They start well below 1us because some stages (request parse) average
+/// a fraction of a microsecond.
 std::span<const double> quantile_latency_bounds_us();
 
 /// Process-wide name -> metric registry. Lookups lock; the returned
@@ -169,7 +203,8 @@ class Registry {
   std::string counters_compact() const;
 
   /// Zero every metric (values, not registrations). For tests and
-  /// paired-overhead measurements.
+  /// paired-overhead measurements, while no thread writes: an owner's
+  /// load-and-store that straddles the reset puts its old value back.
   void reset();
 
  private:

@@ -12,8 +12,11 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/number.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/gbt.hpp"
@@ -176,10 +179,12 @@ TEST(InferenceEquivalence, ForcedScalarAlwaysAvailableAndExact) {
         << "row " << r;
 }
 
+/// Raw nodes {feature, threshold_or_value, left, right} of one tree.
+using RawTree = std::vector<std::array<double, 4>>;
+
 /// Build an ensemble straight through the Builder (bypassing fit()) so we
 /// can hand it pathological shapes a training run would never produce.
-FlatEnsemble build_raw(
-    const std::vector<std::vector<std::array<double, 4>>>& trees) {
+FlatEnsemble build_raw(const std::vector<RawTree>& trees) {
   FlatEnsemble::Builder builder(0.5, 1.0);
   for (const auto& tree : trees) {
     builder.begin_tree();
@@ -201,7 +206,7 @@ TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
     /// Columns the query matrix needs (the walk reads features[id], so a
     /// huge-feature-id ensemble needs a correspondingly wide matrix).
     std::size_t cols;
-    std::vector<std::vector<std::array<double, 4>>> trees;
+    std::vector<RawTree> trees;
   };
   std::vector<Case> cases;
   // A NaN split threshold cannot be rank-coded (NaN compares false).
@@ -222,7 +227,7 @@ TEST(InferenceEquivalence, QuantizeRejectedEnsemblesFallBackExactly) {
     Case deep;
     deep.reason = "tree too deep to pad";
     deep.cols = 1;
-    std::vector<std::array<double, 4>> chain;
+    RawTree chain;
     const int levels = 21;
     for (int d = 0; d < levels; ++d)
       chain.push_back({0.0, static_cast<double>(d) - 10.0,
@@ -292,8 +297,173 @@ TEST(InferenceEquivalence, QuantizedBuilderEnsembleExactOnEdgeValues) {
   if (flat.effective_kernel(Kernel::kQuantized) == Kernel::kQuantized) {
     EXPECT_EQ(quantized, scalar);
   }
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    EXPECT_EQ(flat.predict_one(x.row(r)), scalar[r]) << "row " << r;
+  // A one-row predict_batch answers each row alone with the same bits.
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    Matrix one(1, 1);
+    one.at(0, 0) = x.at(r, 0);
+    double single = 0.0;
+    flat.predict_batch(one, {&single, 1});
+    EXPECT_EQ(single, scalar[r]) << "row " << r;
+  }
+}
+
+/// Load a GradientBoostedTrees from hand-built trees through the model
+/// file format, so the real node walk (predict_nodewalk) is the reference
+/// for shapes a training run would never produce.
+GradientBoostedTrees load_raw(std::size_t cols, double learning_rate,
+                              double base, const std::vector<RawTree>& trees) {
+  std::string text = "xfl-gbt-v1\n";
+  append_line(text, cols, learning_rate, base);
+  text += "0\n";  // No importance block.
+  append_line(text, trees.size());
+  for (const auto& tree : trees) {
+    append_line(text, tree.size());
+    for (const auto& node : tree) {
+      const auto feature = static_cast<std::int32_t>(node[0]);
+      append_line(text, feature, feature >= 0 ? node[1] : 0.0,
+                  feature >= 0 ? 0.0 : node[1],
+                  static_cast<std::int32_t>(node[2]),
+                  static_cast<std::int32_t>(node[3]));
+    }
+  }
+  std::istringstream in(text);
+  return GradientBoostedTrees::load(in);
+}
+
+/// Append a random subtree of at most `depth` split levels to `tree`;
+/// splits draw features from [0, split_features) and thresholds from
+/// `thresholds`. Returns the subtree root's index.
+std::int32_t grow_random(RawTree& tree, Rng& rng, int depth,
+                         std::int32_t split_features,
+                         const std::vector<double>& thresholds) {
+  const auto index = static_cast<std::int32_t>(tree.size());
+  if (depth == 0 || rng.uniform() < 0.2) {
+    tree.push_back({-1.0, rng.normal(), 0.0, 0.0});
+    return index;
+  }
+  const auto feature = rng.uniform_int(0, split_features - 1);
+  const double threshold = thresholds[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(thresholds.size()) - 1))];
+  tree.push_back({static_cast<double>(feature), threshold, 0.0, 0.0});
+  const std::int32_t left =
+      grow_random(tree, rng, depth - 1, split_features, thresholds);
+  const std::int32_t right =
+      grow_random(tree, rng, depth - 1, split_features, thresholds);
+  tree[static_cast<std::size_t>(index)][2] = left;
+  tree[static_cast<std::size_t>(index)][3] = right;
+  return index;
+}
+
+/// Every row count from 1 to 17 — below and above the few-row crossover
+/// and past one 16-row block — through the forced quantized kernel, the
+/// scalar kernel and the one-row path, each against the node walk. Rows
+/// are drawn from `pool` in a rotation, so every value meets every count.
+void expect_every_row_count_exact(
+    const GradientBoostedTrees& model,
+    const std::vector<std::vector<double>>& pool) {
+  const FlatEnsemble& flat = model.flat();
+  ASSERT_TRUE(flat.quantized_supported()) << flat.quantize_reject_reason();
+  const std::size_t cols = pool.front().size();
+  std::size_t next = 0;
+  for (std::size_t rows = 1; rows <= 17; ++rows) {
+    for (int rep = 0; rep < 6; ++rep) {
+      Matrix x(rows, cols);
+      for (std::size_t r = 0; r < rows; ++r, ++next)
+        for (std::size_t c = 0; c < cols; ++c)
+          x.at(r, c) = pool[next % pool.size()][c];
+      std::vector<double> quantized(rows), scalar(rows);
+      flat.predict_batch(x, quantized, nullptr, Kernel::kQuantized);
+      flat.predict_batch(x, scalar, nullptr, Kernel::kScalar);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double reference = model.predict_nodewalk(x.row(r));
+        EXPECT_EQ(quantized[r], reference) << "rows " << rows << " row " << r;
+        EXPECT_EQ(scalar[r], reference) << "rows " << rows << " row " << r;
+        EXPECT_EQ(model.predict(x.row(r)), reference)
+            << "rows " << rows << " row " << r;
+      }
+    }
+  }
+}
+
+/// Query values for a feature split on `thresholds`: each threshold, one
+/// ulp either side of it, NaN, the infinities, huge magnitudes and a few
+/// values between.
+std::vector<double> edge_values(const std::vector<double>& thresholds,
+                                Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {std::numeric_limits<double>::quiet_NaN(),
+                                kInf, -kInf, 1e300, -1e300, 0.0};
+  for (const double t : thresholds) {
+    values.push_back(t);
+    values.push_back(std::nextafter(t, kInf));
+    values.push_back(std::nextafter(t, -kInf));
+  }
+  for (int i = 0; i < 8; ++i) values.push_back(rng.uniform(-3.0, 3.0));
+  return values;
+}
+
+// The few-row walk on hand-built shapes: lone-leaf trees, shallow leaves
+// padded out to their tree's depth, trees deeper than the vector walk's
+// 4 levels, and a feature no tree splits on.
+TEST(InferenceEquivalence, FewRowWalkExactOnEveryShapeAndRowCount) {
+  Rng rng(2024);
+  const std::vector<double> thresholds = {-2.0, -1.25, -0.5, 0.0,
+                                          0.3,  0.75,  1.5,  2.5};
+  std::vector<RawTree> trees;
+  trees.push_back({{-1.0, 0.625, 0, 0}});  // Lone leaf.
+  // Root split with one leaf child and one depth-2 subtree: the leaf is
+  // padded down two levels.
+  trees.push_back({{0.0, 0.3, 1, 2},
+                   {-1.0, -1.0, 0, 0},
+                   {1.0, -0.5, 3, 4},
+                   {-1.0, 2.0, 0, 0},
+                   {2.0, 0.75, 5, 6},
+                   {-1.0, 3.0, 0, 0},
+                   {-1.0, 4.0, 0, 0}});
+  for (int t = 0; t < 60; ++t) {
+    RawTree tree;
+    // Depth up to 7, features 0..2 only: feature 3 is never split.
+    grow_random(tree, rng, 1 + t % 7, 3, thresholds);
+    trees.push_back(std::move(tree));
+    if (t % 15 == 0) trees.push_back({{-1.0, rng.normal(), 0, 0}});
+  }
+  const GradientBoostedTrees model = load_raw(4, 0.1, 0.5, trees);
+  EXPECT_GT(model.flat().max_depth(), 4);
+
+  const auto values = edge_values(thresholds, rng);
+  std::vector<std::vector<double>> pool;
+  for (std::size_t i = 0; i < 3 * values.size(); ++i)
+    pool.push_back({values[i % values.size()],
+                    values[(i * 7 + 3) % values.size()],
+                    values[(i * 11 + 5) % values.size()],
+                    values[(i * 13 + 1) % values.size()]});
+  expect_every_row_count_exact(model, pool);
+}
+
+// More distinct thresholds than the kernel's stack mask buffer holds
+// (4096 entries), so both the block and the few-row walk run on the heap
+// buffer.
+TEST(InferenceEquivalence, FewRowWalkExactOnHeapMaskBuffer) {
+  Rng rng(77);
+  std::vector<double> thresholds;
+  for (int i = 0; i < 5000; ++i)
+    thresholds.push_back(-2.5 + 0.001 * static_cast<double>(i));
+  std::vector<RawTree> trees;
+  for (const double t : thresholds)
+    trees.push_back({{0.0, t, 1, 2},
+                     {-1.0, rng.normal(), 0, 0},
+                     {-1.0, rng.normal(), 0, 0}});
+  const GradientBoostedTrees model = load_raw(2, 0.05, -1.0, trees);
+
+  std::vector<double> probes;
+  for (int i = 0; i < 40; ++i)
+    probes.push_back(thresholds[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(thresholds.size()) - 1))]);
+  const auto values = edge_values(probes, rng);
+  std::vector<std::vector<double>> pool;
+  for (std::size_t i = 0; i < values.size(); ++i)
+    pool.push_back({values[i], values[(i * 5 + 2) % values.size()]});
+  expect_every_row_count_exact(model, pool);
 }
 
 // The compiled engine reports a shape consistent with its source config.

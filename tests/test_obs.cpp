@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <latch>
 #include <random>
 #include <sstream>
 #include <string>
@@ -141,6 +142,40 @@ TEST(Metrics, HistogramExactUnderConcurrentWriters) {
     });
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(histogram.snapshot().count, kThreads * kPerThread);
+}
+
+TEST(Metrics, ExactWithMoreLiveWritersThanLeasedShards) {
+  // 24 writers alive at once: kMetricShards - 1 of them lease a shard and
+  // add with a plain load and store, the rest share the last shard. Three
+  // waves, so later threads take over the leases earlier ones released.
+  static constexpr double kBounds[] = {10.0, 100.0};
+  auto& counter = xfl::obs::counter("test.obs.lease_counter");
+  auto& histogram = xfl::obs::histogram("test.obs.lease_hist", kBounds);
+  Registry::instance().reset();
+  constexpr int kWaves = 3;
+  constexpr int kThreads = 24;
+  constexpr std::uint64_t kPerThread = 40000;
+  static_assert(kThreads > static_cast<int>(xfl::obs::kMetricShards));
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::latch all_alive(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&] {
+        all_alive.arrive_and_wait();
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+          counter.add(1);
+          histogram.record(static_cast<double>(i % 200));
+        }
+      });
+    for (auto& thread : threads) thread.join();
+  }
+  const std::uint64_t total = kWaves * kThreads * kPerThread;
+  EXPECT_EQ(counter.value(), total);
+  const auto snap = histogram.snapshot();
+  EXPECT_EQ(snap.count, total);
+  EXPECT_EQ(snap.counts[0], total * 11 / 200);  // i % 200 in 0..10.
+  EXPECT_EQ(snap.min, 0.0);
+  EXPECT_EQ(snap.max, 199.0);
 }
 
 TEST(Metrics, DisabledSwitchDropsWrites) {
@@ -305,6 +340,22 @@ TEST(Metrics, QuantileErrorStaysWithinOneBucketGrowth) {
   Registry::instance().reset();
   EXPECT_EQ(hist.snapshot().min, 0.0) << "reset empties the extremes";
   EXPECT_EQ(hist.snapshot().max, 0.0);
+}
+
+TEST(Metrics, SubMicrosecondStageQuantilesStayWithinOneBucketGrowth) {
+  // The serve stage timers use these bounds, and request parse averages
+  // about 0.2 us: its quantiles must come from real buckets, not from
+  // interpolating inside a first bucket that spans [0, 1 us].
+  const auto bounds = xfl::obs::quantile_latency_bounds_us();
+  xfl::obs::Histogram hist(std::vector<double>(bounds.begin(), bounds.end()));
+  constexpr int kSamples = 2001;
+  for (int i = 0; i < kSamples; ++i)
+    hist.record(0.1 + 0.2 * static_cast<double>(i) / (kSamples - 1));
+  const auto snap = hist.snapshot();
+  for (const double p : {10.0, 50.0, 90.0}) {
+    const double exact = 0.1 + 0.2 * p / 100.0;
+    EXPECT_NEAR(snap.quantile(p), exact, exact * 0.08) << "p" << p;
+  }
 }
 
 TEST(Metrics, RegistryExportsCarryQuantilesForPopulatedHistograms) {
