@@ -131,7 +131,8 @@ BENCHMARK(BM_ContentionSweep)
 
 // Arg 0: training rows; arg 1: GbtConfig::threads (0 = hardware
 // concurrency, 1 = serial). The fitted model is bit-identical across
-// thread counts, so the configurations are directly comparable.
+// thread counts, so the configurations are directly comparable. 47000
+// rows is the production global model's training size.
 void BM_GbtTrain(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -154,7 +155,9 @@ void BM_GbtTrain(benchmark::State& state) {
 BENCHMARK(BM_GbtTrain)
     ->Args({500, 1})
     ->Args({2000, 1})
-    ->Args({2000, 0});
+    ->Args({2000, 0})
+    ->Args({47000, 1})
+    ->Args({47000, 4});
 
 // Serving-path engines on the same fitted model (default config: 200
 // trees, depth 4) and the same 2000-row batch. Arg 0 selects the engine:

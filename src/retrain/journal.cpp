@@ -27,6 +27,8 @@ namespace {
 struct JournalMetrics {
   obs::Counter& appended = obs::counter("retrain.journal.appended");
   obs::Counter& rotations = obs::counter("retrain.journal.rotations");
+  obs::Counter& unlink_errors = obs::counter("retrain.journal.unlink_errors");
+  obs::Counter& unreadable = obs::counter("retrain.journal.unreadable_segments");
   obs::Gauge& segments = obs::gauge("retrain.journal.segments");
   obs::Gauge& bytes = obs::gauge("retrain.journal.bytes");
 };
@@ -213,10 +215,12 @@ void TrainingJournal::rotate_locked() {
     const std::string victim = (std::filesystem::path(options_.directory) /
                                 segment_name(segments_.front()))
                                    .string();
-    if (::unlink(victim.c_str()) != 0 && errno != ENOENT)
+    if (::unlink(victim.c_str()) != 0 && errno != ENOENT) {
+      journal_metrics().unlink_errors.add(1);
       XFL_LOG(warn) << "training journal retention unlink failed"
                     << obs::kv("path", victim)
                     << obs::kv("errno", std::strerror(errno));
+    }
     segments_.erase(segments_.begin());
   }
   journal_metrics().segments.set(static_cast<double>(segments_.size()));
@@ -292,6 +296,7 @@ TrainingJournal::LoadResult TrainingJournal::load(const std::string& directory,
     std::ifstream in(path);
     if (!in) {
       // Unreadable segment: evidence lost, refit continues on the rest.
+      journal_metrics().unreadable.add(1);
       XFL_LOG(warn) << "training journal segment unreadable"
                     << obs::kv("path", path);
       continue;

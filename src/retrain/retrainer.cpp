@@ -28,6 +28,7 @@ struct RetrainMetrics {
   obs::Counter& rejected = obs::counter("retrain.rejected");
   obs::Counter& skipped = obs::counter("retrain.skipped");
   obs::Counter& errors = obs::counter("retrain.errors");
+  obs::Counter& journal_drops = obs::counter("retrain.journal.append_errors");
   obs::Gauge& last_version = obs::gauge("retrain.last_version");
   obs::Gauge& candidate_mdape = obs::gauge("retrain.candidate_mdape_pct");
   obs::Gauge& incumbent_mdape = obs::gauge("retrain.incumbent_mdape_pct");
@@ -410,6 +411,7 @@ RetrainService::RetrainService(serve::PredictionServer& server,
         } catch (const std::exception& e) {
           // The serve path must survive a full disk; drop the record and
           // say so — the monitor still has it in memory.
+          retrain_metrics().journal_drops.add(1);
           XFL_LOG(error) << "training journal append failed"
                          << obs::kv("what", e.what());
         }

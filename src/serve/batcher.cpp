@@ -21,6 +21,7 @@ struct BatcherMetrics {
   obs::Counter& explain_rows = obs::counter("serve.batch.explain_rows");
   obs::Counter& timeouts = obs::counter("serve.request.timeout");
   obs::Counter& failures = obs::counter("serve.batch.failures");
+  obs::Counter& callback_errors = obs::counter("serve.batch.callback_errors");
   obs::Counter& steals = obs::counter("serve.batch.steals");
   obs::Gauge& depth = obs::gauge("serve.queue.depth");
   obs::Histogram& latency =
@@ -52,6 +53,7 @@ void deliver(const BatchItem& item, const PredictOutcome& outcome) {
   } catch (const std::exception& error) {
     // A callback failure (e.g. a dead socket) must not take the batch
     // worker down with it.
+    batcher_metrics().callback_errors.add(1);
     XFL_LOG(warn) << "serve batch callback threw"
                   << obs::kv("what", error.what());
   }

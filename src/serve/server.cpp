@@ -34,6 +34,8 @@ struct ServerMetrics {
   obs::Counter& requests = obs::counter("serve.request.count");
   obs::Counter& admin = obs::counter("serve.request.admin");
   obs::Counter& feedback = obs::counter("serve.request.feedback");
+  obs::Counter& attribution_errors =
+      obs::counter("serve.feedback.attribution_errors");
   obs::Counter& bad = obs::counter("serve.request.bad");
   obs::Counter& overloaded = obs::counter("serve.request.overloaded");
   obs::Counter& shutting_down = obs::counter("serve.request.shutting_down");
@@ -704,6 +706,7 @@ void PredictionServer::handle_feedback(
         monitor_.record_attribution(explained.front().feature_names,
                                     explained.front().contributions);
     } catch (const std::exception& error) {
+      server_metrics().attribution_errors.add(1);
       XFL_LOG(warn) << "feedback attribution failed"
                     << obs::kv("trace_id", feedback.trace_id)
                     << obs::kv("what", error.what());

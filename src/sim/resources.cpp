@@ -1,6 +1,7 @@
 #include "sim/resources.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/contracts.hpp"
@@ -12,11 +13,6 @@ ResourceId ResourcePool::add(std::string name, double capacity_Bps) {
   capacity_.push_back(capacity_Bps);
   names_.push_back(std::move(name));
   return static_cast<ResourceId>(capacity_.size() - 1);
-}
-
-double ResourcePool::capacity(ResourceId id) const {
-  XFL_EXPECTS(id < capacity_.size());
-  return capacity_[id];
 }
 
 const std::string& ResourcePool::name(ResourceId id) const {
@@ -35,119 +31,175 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-void MaxMinSolver::mark_dirty(ResourceId resource) {
-  // Resources beyond resources_ have never been planned; they start dirty.
-  if (resource >= resources_.size() || resources_[resource].dirty) return;
-  resources_[resource].dirty = true;
-  dirty_list_.push_back(resource);
-}
-
-std::size_t MaxMinSolver::find(std::size_t flow) {
-  while (flow_slots_[flow].parent != flow) {
-    auto& parent = flow_slots_[flow].parent;
-    parent = flow_slots_[parent].parent;
-    flow = parent;
+MaxMinSolver::FlowId MaxMinSolver::join(const ResourcePool& pool,
+                                        std::span<const ResourceUsage> usage,
+                                        double cap_Bps, std::uint64_t order) {
+  for (const auto& use : usage) {  // Before any state changes.
+    XFL_EXPECTS(use.resource < pool.size());
+    XFL_EXPECTS(use.weight > 0.0);
+    XFL_EXPECTS(use.consumption_factor > 0.0);
+  }
+  if (resources_.size() < pool.size()) resources_.resize(pool.size());
+  FlowId flow;
+  if (free_.empty()) {
+    flow = static_cast<FlowId>(flows_.size());
+    flows_.emplace_back();
+  } else {
+    flow = free_.back();
+    free_.pop_back();
+  }
+  flows_[flow] = {.usage = usage, .cap = cap_Bps, .solve_cap = cap_Bps,
+                  .order = order};
+  if (usage.empty()) unbound_.push_back(flow);
+  for (const auto& use : usage) {
+    resources_[use.resource].flows.push_back(flow);
+    mark_dirty(use.resource);
   }
   return flow;
 }
 
-std::size_t MaxMinSolver::plan(const ResourcePool& pool,
-                               std::span<const FlowRef> flows) {
-  const std::size_t resource_count = pool.size();
-  for (const auto& flow : flows)  // Before any state changes.
-    for (const auto& use : flow.usage) {
-      XFL_EXPECTS(use.resource < resource_count);
-      XFL_EXPECTS(use.weight > 0.0);
-      XFL_EXPECTS(use.consumption_factor > 0.0);
-    }
-  const std::size_t seen = resources_.size();  // Later ones start dirty.
-  resources_.resize(resource_count);
-  const std::size_t flow_count = flows.size();
-  flow_slots_.assign(flow_count, FlowSlot{});
-  roots_.reserve(flow_count);
-  active_.reserve(flow_count);
+void MaxMinSolver::leave(FlowId flow) {
+  XFL_EXPECTS(flow < flows_.size());
+  if (flows_[flow].usage.empty()) {  // A departed flow lands here too.
+    const auto it = std::find(unbound_.begin(), unbound_.end(), flow);
+    XFL_EXPECTS(it != unbound_.end());
+    unbound_.erase(it);
+  }
+  // One index entry per usage entry; their order within a resource is
+  // irrelevant (plan() sorts each component into flow order).
+  for (const auto& use : flows_[flow].usage) {
+    auto& on = resources_[use.resource].flows;
+    *std::find(on.begin(), on.end(), flow) = on.back();
+    on.pop_back();
+    mark_dirty(use.resource);
+  }
+  flows_[flow] = {};
+  free_.push_back(flow);
+}
 
-  // Union flows that share a resource. The root of a component is its
-  // smallest flow index, so roots come first in flow order.
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    flow_slots_[f].parent = f;
-    for (const auto& use : flows[f].usage) {
-      std::size_t& first = resources_[use.resource].first_flow;
-      if (first == kNone) {
-        first = f;
-        continue;
+void MaxMinSolver::reorder(FlowId flow, std::uint64_t order) {
+  XFL_EXPECTS(flow < flows_.size());
+  flows_[flow].order = order;
+  for (const auto& use : flows_[flow].usage) mark_dirty(use.resource);
+}
+
+void MaxMinSolver::mark_dirty(ResourceId resource) {
+  if (resource >= resources_.size()) resources_.resize(resource + 1);
+  if (resources_[resource].dirty) return;
+  resources_[resource].dirty = true;
+  dirty_list_.push_back(resource);
+}
+
+void MaxMinSolver::reach(ResourceId resource) {
+  auto& slot = resources_[resource];
+  if (slot.visit == plan_) return;
+  slot.visit = plan_;
+  reached_.push_back(resource);
+}
+
+std::size_t MaxMinSolver::plan() {
+  ++plan_;
+  reached_.clear();
+  selected_.clear();
+  components_.clear();
+  const auto by_order = [this](FlowId a, FlowId b) {
+    return flows_[a].order < flows_[b].order;
+  };
+  // Each dirty resource not yet reached seeds one component: breadth-first
+  // over resource -> flows -> resources, with reached_ as the queue.
+  for (const ResourceId seed : dirty_list_) {
+    resources_[seed].dirty = false;
+    if (resources_[seed].visit == plan_) continue;
+    const std::size_t begin = selected_.size();
+    std::size_t next = reached_.size();
+    reach(seed);
+    while (next < reached_.size())
+      for (const FlowId f : resources_[reached_[next++]].flows) {
+        auto& flow = flows_[f];
+        if (flow.visit == plan_) continue;
+        flow.visit = plan_;
+        flow.component = components_.size();
+        selected_.push_back(f);
+        for (const auto& use : flow.usage) reach(use.resource);
       }
-      const std::size_t a = find(f);
-      const std::size_t b = find(first);
-      if (a < b) flow_slots_[b].parent = a;
-      if (b < a) flow_slots_[a].parent = b;
+    if (selected_.size() == begin) {  // It lost its last flow.
+      resources_[seed].load = 0.0;
+      reached_.pop_back();
+      continue;
     }
+    std::sort(selected_.begin() + static_cast<std::ptrdiff_t>(begin),
+              selected_.end(), by_order);
+    components_.push_back({selected_.size(), reached_.size()});
   }
-
-  // A component is re-solved if it holds a dirty resource. Flows without
-  // resources form their own component and are always re-solved.
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    if (flows[f].usage.empty()) flow_slots_[f].dirty_root = true;
-    for (const auto& use : flows[f].usage) {
-      auto& resource = resources_[use.resource];
-      if (resource.dirty || use.resource >= seen)
-        flow_slots_[find(f)].dirty_root = true;
-      resource.first_flow = kNone;
-    }
-  }
-  for (const ResourceId r : dirty_list_) resources_[r].dirty = false;
   dirty_list_.clear();
-
-  // Thread each selected component's flows into a list, in flow order.
-  roots_.clear();
-  std::size_t count = 0;
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    const std::size_t root = find(f);
-    auto& slot = flow_slots_[f];
-    if (!flow_slots_[root].dirty_root) continue;
-    slot.selected = true;
-    ++count;
-    slot.next = kNone;
-    if (root == f)
-      roots_.push_back(f);
-    else
-      flow_slots_[flow_slots_[root].tail].next = f;
-    flow_slots_[root].tail = f;
+  // A flow without resources is a component of its own.
+  for (const FlowId f : unbound_) {
+    flows_[f].visit = plan_;
+    flows_[f].component = components_.size();
+    selected_.push_back(f);
+    components_.push_back({selected_.size(), reached_.size()});
   }
-  return count;
+  for (const FlowId f : selected_) flows_[f].solve_cap = flows_[f].cap;
+  return selected_.size();
 }
 
-void MaxMinSolver::solve(const ResourcePool& pool,
-                         std::span<const FlowRef> flows,
-                         std::span<double> rates) {
-  XFL_EXPECTS(flows.size() == flow_slots_.size());
-  XFL_EXPECTS(rates.size() == flows.size());
-  for (const std::size_t root : roots_)
-    solve_component(pool, flows, root, rates);
+void MaxMinSolver::set_cap(FlowId flow, double cap_Bps) {
+  XFL_EXPECTS(flow < flows_.size() && flows_[flow].visit == plan_);
+  auto& slot = flows_[flow];
+  if (std::bit_cast<std::uint64_t>(slot.solve_cap) ==
+      std::bit_cast<std::uint64_t>(cap_Bps))
+    return;  // Same inputs, same rates.
+  slot.solve_cap = cap_Bps;
+  components_[slot.component].stale = true;
 }
 
-void MaxMinSolver::solve_component(const ResourcePool& pool,
-                                   std::span<const FlowRef> flows,
-                                   std::size_t root, std::span<double> rates) {
+void MaxMinSolver::solve(const ResourcePool& pool) {
+  std::size_t flow_begin = 0;
+  std::size_t resource_begin = 0;
+  for (auto& component : components_) {
+    const std::size_t flow_end = component.flow_end;
+    const std::size_t resource_end = component.resource_end;
+    if (component.stale) {
+      component.stale = false;
+      solve_component(pool, flow_begin, flow_end);
+      // Every flow on these resources is in this component, which
+      // selected_ holds in flow order: the same additions, in the same
+      // order, as a sum over every flow.
+      for (std::size_t k = resource_begin; k < resource_end; ++k)
+        resources_[reached_[k]].load = 0.0;
+      for (std::size_t k = flow_begin; k < flow_end; ++k) {
+        const FlowSlot& flow = flows_[selected_[k]];
+        for (const auto& use : flow.usage)
+          resources_[use.resource].load += flow.rate * use.consumption_factor;
+      }
+    }
+    flow_begin = flow_end;
+    resource_begin = resource_end;
+  }
+}
+
+void MaxMinSolver::solve_component(const ResourcePool& pool, std::size_t begin,
+                                   std::size_t end) {
   // Same operations, in the same order, as one global solve restricted to
   // this component: capacities reset, weights summed in flow order.
   active_.clear();
-  for (std::size_t f = root; f != kNone; f = flow_slots_[f].next) {
-    XFL_EXPECTS(flows[f].cap_Bps >= 0.0);  // Also rejects NaN.
+  for (std::size_t k = begin; k < end; ++k) {
+    const FlowId f = selected_[k];
+    XFL_EXPECTS(flows_[f].solve_cap >= 0.0);  // Also rejects NaN.
     active_.push_back(f);
-    for (const auto& use : flows[f].usage) {
+    for (const auto& use : flows_[f].usage) {
       auto& resource = resources_[use.resource];
       resource.remaining_cap = pool.capacity(use.resource);
       resource.remaining_weight = 0.0;
     }
   }
-  for (const std::size_t f : active_)
-    for (const auto& use : flows[f].usage)
+  for (const FlowId f : active_)
+    for (const auto& use : flows_[f].usage)
       resources_[use.resource].remaining_weight += use.weight;
   // rho_r is the first operation of every share on r; keeping it per
   // resource, refreshed when r changes, leaves each share's value as is.
-  for (const std::size_t f : active_)
-    for (const auto& use : flows[f].usage) {
+  for (const FlowId f : active_)
+    for (const auto& use : flows_[f].usage) {
       auto& resource = resources_[use.resource];
       resource.fill = resource.remaining_cap / resource.remaining_weight;
     }
@@ -159,8 +211,8 @@ void MaxMinSolver::solve_component(const ResourcePool& pool,
     std::size_t best = kNone;
     double first_candidate = kInf;
     for (std::size_t k = 0; k < active_.size(); ++k) {
-      const FlowRef& flow = flows[active_[k]];
-      double candidate = flow.cap_Bps;
+      const FlowSlot& flow = flows_[active_[k]];
+      double candidate = flow.solve_cap;
       for (const auto& use : flow.usage) {
         const auto& resource = resources_[use.resource];
         const double share =
@@ -181,11 +233,11 @@ void MaxMinSolver::solve_component(const ResourcePool& pool,
       best = 0;
       best_rate = first_candidate;
     }
-    const std::size_t frozen = active_[best];
+    FlowSlot& frozen = flows_[active_[best]];
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(best));
     const double rate = std::max(best_rate, 0.0);
-    rates[frozen] = rate;
-    for (const auto& use : flows[frozen].usage) {
+    frozen.rate = rate;
+    for (const auto& use : frozen.usage) {
       auto& resource = resources_[use.resource];
       resource.remaining_cap =
           std::max(0.0, resource.remaining_cap - rate * use.consumption_factor);
@@ -198,13 +250,16 @@ void MaxMinSolver::solve_component(const ResourcePool& pool,
 
 std::vector<double> maxmin_allocate(const ResourcePool& pool,
                                     const std::vector<FlowSpec>& flows) {
-  std::vector<FlowRef> refs;
-  refs.reserve(flows.size());
-  for (const auto& flow : flows) refs.push_back({flow.usage, flow.cap_Bps});
-  std::vector<double> rates(flows.size(), 0.0);
-  MaxMinSolver solver;  // Fresh: every resource starts dirty.
-  solver.plan(pool, refs);
-  solver.solve(pool, refs, rates);
+  MaxMinSolver solver;  // Fresh: every flow joins, so everything is dirty.
+  std::vector<MaxMinSolver::FlowId> ids;
+  ids.reserve(flows.size());
+  for (std::size_t f = 0; f < flows.size(); ++f)
+    ids.push_back(solver.join(pool, flows[f].usage, flows[f].cap_Bps, f));
+  solver.plan();
+  solver.solve(pool);
+  std::vector<double> rates;
+  rates.reserve(flows.size());
+  for (const auto id : ids) rates.push_back(solver.rate(id));
   return rates;
 }
 

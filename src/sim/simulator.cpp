@@ -25,6 +25,7 @@ struct SimMetrics {
   obs::Counter& transfers = obs::counter("sim.transfers");
   obs::Counter& reallocations = obs::counter("sim.reallocations");
   obs::Counter& flows_offered = obs::counter("sim.flows_offered");
+  obs::Counter& flows_visited = obs::counter("sim.flows_visited");
   obs::Counter& flows_resolved = obs::counter("sim.flows_resolved");
   obs::Histogram& run_us = obs::histogram("sim.run_us");
 };
@@ -197,75 +198,77 @@ void Simulator::refresh_cpu(endpoint::EndpointId id) {
   solver_.mark_dirty(cpu);
 }
 
-void Simulator::mark_dirty(std::span<const ResourceUsage> usage) {
-  for (const auto& use : usage) solver_.mark_dirty(use.resource);
+void Simulator::start_flow(std::size_t index) {
+  auto& transfer = transfers_[index];
+  transfer.state = TransferState::kRunning;
+  transfer.flow = solver_.join(pool_, transfer.usage, transfer.tcp_cap_Bps,
+                               live_pos_[index]);
+  if (flow_owner_.size() <= transfer.flow) flow_owner_.resize(transfer.flow + 1);
+  flow_owner_[transfer.flow] = index;
+  running_.insert(std::lower_bound(running_.begin(), running_.end(),
+                                   live_pos_[index],
+                                   [this](std::size_t t, std::size_t pos) {
+                                     return live_pos_[t] < pos;
+                                   }),
+                  index);
+}
+
+void Simulator::stop_flow(std::size_t index) {
+  solver_.leave(transfers_[index].flow);
+  running_.erase(std::find(running_.begin(), running_.end(), index));
+}
+
+void Simulator::start_background(std::size_t b) {
+  auto& bg = backgrounds_[b];
+  if (bg.demand_Bps <= 0.0) return;  // Nothing to carry: not a flow.
+  const std::size_t key = transfers_.size() + b;
+  bg.flow = solver_.join(pool_, {&bg.use, 1}, bg.demand_Bps, key);
+  if (flow_owner_.size() <= bg.flow) flow_owner_.resize(bg.flow + 1);
+  flow_owner_[bg.flow] = key;
 }
 
 void Simulator::reallocate(double /*now*/) {
-  // 1. Collect flows: running transfers first, then active backgrounds.
-  //    Flows the solver will not re-solve keep their current rates.
-  running_.clear();
-  active_backgrounds_.clear();
-  flows_.clear();
-  rates_.clear();
-  for (const std::size_t i : live_) {
-    const auto& transfer = transfers_[i];
-    if (transfer.state != TransferState::kRunning) continue;
-    running_.push_back(i);
-    flows_.push_back({transfer.usage, transfer.tcp_cap_Bps});
-    rates_.push_back(transfer.rate_Bps);
-  }
-  const std::size_t transfer_flows = flows_.size();
-  for (std::size_t b = 0; b < backgrounds_.size(); ++b) {
-    const auto& bg = backgrounds_[b];
-    if (!bg.on || bg.demand_Bps <= 0.0) continue;
-    active_backgrounds_.push_back(b);
-    flows_.push_back({{&bg.use, 1}, bg.demand_Bps});
-    rates_.push_back(bg.rate_Bps);
-  }
-
-  // 2. Re-solve the components an event changed (resources.hpp).
+  // 1. Re-solve the components an event changed (resources.hpp). Flows the
+  //    solver does not select keep their rates, and their resources their
+  //    loads.
   ++reallocations_;
-  flows_offered_ += flows_.size();
-  flows_resolved_ += solver_.plan(pool_, flows_);
-  solver_.solve(pool_, flows_, rates_);
+  flows_offered_ += solver_.flow_count();
+  flows_visited_ += solver_.plan();
+  const auto selected = solver_.selected();
+  flows_resolved_ += selected.size();
+  solver_.solve(pool_);
 
-  // 3. Fixed-point pass for per-file overhead efficiency (DESIGN.md §5.2):
+  // 2. Fixed-point pass for per-file overhead efficiency (DESIGN.md §5.2):
   //    cap each transfer at the throughput its pass-1 burst rate sustains
   //    once per-file dead time is accounted for, then re-solve so that the
-  //    released capacity benefits other flows.
-  if (config_.allocation_passes >= 2 && transfer_flows > 0) {
-    for (std::size_t f = 0; f < transfer_flows; ++f) {
-      if (!solver_.selected(f)) continue;
-      const auto& transfer = transfers_[running_[f]];
+  //    released capacity benefits other flows. Backgrounds keep their
+  //    demand as cap; only components whose caps changed are re-solved.
+  if (config_.allocation_passes >= 2) {
+    for (const auto f : selected) {
+      const std::size_t owner = flow_owner_[f];
+      if (owner >= transfers_.size()) continue;
+      const auto& transfer = transfers_[owner];
       const double per_pair =
-          rates_[f] / static_cast<double>(transfer.procs);
+          solver_.rate(f) / static_cast<double>(transfer.procs);
       const double effective =
           static_cast<double>(transfer.procs) *
           storage::file_overhead_efficiency_Bps(per_pair,
                                                 transfer.mean_file_bytes,
                                                 transfer.per_file_overhead_s);
-      flows_[f].cap_Bps =
-          std::max(kMinCapBps, std::min(transfer.tcp_cap_Bps, effective));
+      solver_.set_cap(
+          f, std::max(kMinCapBps, std::min(transfer.tcp_cap_Bps, effective)));
     }
-    solver_.solve(pool_, flows_, rates_);
+    solver_.solve(pool_);
   }
 
-  // 4. Record per-resource consumption, then the rate and utilisation of
-  //    each re-solved transfer. A transfer in a clean component keeps both:
-  //    its rate, and the loads and capacities of its resources, are as
-  //    they were.
-  resource_load_.assign(pool_.size(), 0.0);
-  for (std::size_t f = 0; f < flows_.size(); ++f)
-    for (const auto& use : flows_[f].usage)
-      resource_load_[use.resource] += rates_[f] * use.consumption_factor;
-
-  for (std::size_t f = transfer_flows; f < flows_.size(); ++f)
-    backgrounds_[active_backgrounds_[f - transfer_flows]].rate_Bps = rates_[f];
-  for (std::size_t f = 0; f < transfer_flows; ++f) {
-    if (!solver_.selected(f)) continue;
-    auto& transfer = transfers_[running_[f]];
-    transfer.rate_Bps = rates_[f];
+  // 3. Record the rate and utilisation of each re-solved transfer. A
+  //    transfer in a clean component keeps both: its rate, and the loads
+  //    and capacities of its resources, are as they were.
+  for (const auto f : selected) {
+    const std::size_t owner = flow_owner_[f];
+    if (owner >= transfers_.size()) continue;
+    auto& transfer = transfers_[owner];
+    transfer.rate_Bps = solver_.rate(f);
     // Utilisation drives the fault model and must measure *external*
     // contention: the load others place on the transfer's resources. A lone
     // transfer saturating its own bottleneck is not a stressed system, so
@@ -274,8 +277,9 @@ void Simulator::reallocate(double /*now*/) {
     for (const auto& use : transfer.usage) {
       const double cap = pool_.capacity(use.resource);
       if (cap <= 0.0) continue;
-      const double own = rates_[f] * use.consumption_factor;
-      const double external = std::max(0.0, resource_load_[use.resource] - own);
+      const double own = transfer.rate_Bps * use.consumption_factor;
+      const double external =
+          std::max(0.0, solver_.load(use.resource) - own);
       util = std::max(util, external / cap);
     }
     transfer.utilisation = std::min(util, 1.0);
@@ -314,6 +318,7 @@ std::optional<std::pair<double, std::size_t>> Simulator::next_completion(
 void Simulator::complete_transfer(std::size_t index, double now) {
   auto& transfer = transfers_[index];
   XFL_EXPECTS(transfer.state == TransferState::kRunning);
+  stop_flow(index);
   transfer.state = TransferState::kDone;
   ++transfer.epoch;
   ++completed_;
@@ -321,17 +326,22 @@ void Simulator::complete_transfer(std::size_t index, double now) {
   instances_[transfer.req.dst] -= transfer.procs;
   refresh_cpu(transfer.req.src);
   refresh_cpu(transfer.req.dst);
-  mark_dirty(transfer.usage);
   // Swap-remove from the live list. The moved transfer now precedes the
-  // ones it jumped over, which changes flow order on its resources.
+  // ones it jumped over, which changes flow order on its resources; it was
+  // the last running transfer in live_ order, so it moves up in running_.
   const std::size_t slot = live_pos_[index];
   const std::size_t last = live_.back();
-  if (last != index && transfers_[last].state == TransferState::kRunning)
-    mark_dirty(transfers_[last].usage);
   live_[slot] = last;
   live_pos_[last] = slot;
   live_.pop_back();
   live_pos_[index] = static_cast<std::size_t>(-1);
+  if (last != index && transfers_[last].state == TransferState::kRunning) {
+    solver_.reorder(transfers_[last].flow, slot);
+    const auto to = std::lower_bound(
+        running_.begin(), running_.end() - 1, slot,
+        [this](std::size_t t, std::size_t pos) { return live_pos_[t] < pos; });
+    std::rotate(to, running_.end() - 1, running_.end());
+  }
   --active_transfers_[transfer.req.src];
   --active_transfers_[transfer.req.dst];
 
@@ -381,14 +391,11 @@ void Simulator::record_sample(const MonitorState& monitor, double now) {
       if (transfer.req.src == id) sample.out_Bps += transfer.rate_Bps;
     }
   }
-  if (!resource_load_.empty()) {
-    sample.disk_read_Bps = resource_load_[res.disk_read];
-    sample.disk_write_Bps = resource_load_[res.disk_write];
-    sample.cpu_load =
-        spec.cpu_Bps > 0.0
-            ? std::min(1.0, resource_load_[res.cpu] / spec.cpu_Bps)
-            : 0.0;
-  }
+  sample.disk_read_Bps = solver_.load(res.disk_read);
+  sample.disk_write_Bps = solver_.load(res.disk_write);
+  sample.cpu_load = spec.cpu_Bps > 0.0
+                        ? std::min(1.0, solver_.load(res.cpu) / spec.cpu_Bps)
+                        : 0.0;
   result_.samples[id].push_back(sample);
 }
 
@@ -462,8 +469,7 @@ void Simulator::handle_event(const Event& event, double now) {
       if (transfer.epoch != event.epoch ||
           transfer.state != TransferState::kStartup)
         break;
-      transfer.state = TransferState::kRunning;
-      mark_dirty(transfer.usage);
+      start_flow(event.index);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -486,8 +492,8 @@ void Simulator::handle_event(const Event& event, double now) {
             std::min(done, policy.refetch_fraction * transfer.mean_file_bytes *
                                rng_.uniform());
         transfer.remaining_bytes += refetch;
+        stop_flow(event.index);
         transfer.state = TransferState::kStalled;
-        mark_dirty(transfer.usage);
         ++transfer.epoch;
         push_event(now + policy.retry_delay_s, EventType::kResume, event.index,
                    transfer.epoch);
@@ -502,8 +508,7 @@ void Simulator::handle_event(const Event& event, double now) {
       if (transfer.epoch != event.epoch ||
           transfer.state != TransferState::kStalled)
         break;
-      transfer.state = TransferState::kRunning;
-      mark_dirty(transfer.usage);
+      start_flow(event.index);
       reallocate(now);
       schedule_fault_candidate(event.index, now);
       break;
@@ -511,13 +516,14 @@ void Simulator::handle_event(const Event& event, double now) {
     case EventType::kBackgroundToggle: {
       auto& bg = backgrounds_[event.index];
       bg.on = !bg.on;
-      mark_dirty({&bg.use, 1});
       double next_mean;
       if (bg.on) {
         bg.demand_Bps =
             rng_.uniform(bg.spec.demand_lo_Bps, bg.spec.demand_hi_Bps);
+        start_background(event.index);
         next_mean = bg.spec.mean_on_s;
       } else {
+        if (bg.demand_Bps > 0.0) solver_.leave(bg.flow);
         bg.demand_Bps = 0.0;
         next_mean = bg.spec.mean_off_s;
       }
@@ -536,9 +542,7 @@ void Simulator::handle_event(const Event& event, double now) {
       const auto& monitor = wan_monitors_[event.index];
       WanSample sample;
       sample.time_s = now;
-      sample.load_Bps = resource_load_.empty()
-                            ? 0.0
-                            : resource_load_[monitor.resource];
+      sample.load_Bps = solver_.load(monitor.resource);
       result_.wan_samples[{monitor.src_site, monitor.dst_site}].push_back(
           sample);
       push_event(now + monitor.interval_s, EventType::kWanSample, event.index);
@@ -563,8 +567,10 @@ SimResult Simulator::run() {
     const double p_on =
         bg.spec.mean_on_s / (bg.spec.mean_on_s + bg.spec.mean_off_s);
     bg.on = rng_.bernoulli(p_on);
-    if (bg.on)
+    if (bg.on) {
       bg.demand_Bps = rng_.uniform(bg.spec.demand_lo_Bps, bg.spec.demand_hi_Bps);
+      start_background(b);
+    }
     const double mean = bg.on ? bg.spec.mean_on_s : bg.spec.mean_off_s;
     push_event(rng_.exponential(1.0 / mean), EventType::kBackgroundToggle, b);
   }
@@ -621,6 +627,7 @@ SimResult Simulator::run() {
   metrics.transfers.add(transfers_.size());
   metrics.reallocations.add(reallocations_);
   metrics.flows_offered.add(flows_offered_);
+  metrics.flows_visited.add(flows_visited_);
   metrics.flows_resolved.add(flows_resolved_);
   metrics.run_us.record(static_cast<double>(elapsed_us));
   XFL_LOG(debug) << "sim run complete"

@@ -21,7 +21,6 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -153,6 +152,7 @@ class Simulator {
     double utilisation = 0.0;
     std::uint64_t epoch = 0;  ///< Invalidates stale fault/resume events.
     std::vector<ResourceUsage> usage;
+    MaxMinSolver::FlowId flow = 0;  ///< Its solver flow while running.
   };
 
   enum class EventType : std::uint8_t {
@@ -182,8 +182,8 @@ class Simulator {
     BackgroundSpec spec;
     bool on = false;
     double demand_Bps = 0.0;
-    double rate_Bps = 0.0;
     ResourceUsage use;  ///< Its one resource, at spec.weight.
+    MaxMinSolver::FlowId flow = 0;  ///< Its solver flow while demanding.
   };
 
   struct MonitorState {
@@ -211,7 +211,9 @@ class Simulator {
   const net::WanPath& wan_path(net::SiteId src_site, net::SiteId dst_site);
   void build_usage(ActiveTransfer& transfer);
   void refresh_cpu(endpoint::EndpointId id);
-  void mark_dirty(std::span<const ResourceUsage> usage);
+  void start_flow(std::size_t index);
+  void stop_flow(std::size_t index);
+  void start_background(std::size_t b);
   void reallocate(double now);
   void advance_progress(double from, double to);
   std::optional<std::pair<double, std::size_t>> next_completion(double now) const;
@@ -240,17 +242,18 @@ class Simulator {
   std::size_t completed_ = 0;
   bool ran_ = false;
 
-  // Flow table rebuilt in place by reallocate() (no per-event allocation
-  // once warm): running transfers in live_ order, then active backgrounds.
-  // running_ and active_backgrounds_ map flow slots back to their owners.
+  // The solver's flow table persists across events: a transfer joins when
+  // it starts or resumes data and leaves when it stalls or completes, a
+  // background while it is on with a positive demand. Flow order is running transfers in live_
+  // order (order key: slot in live_), then active backgrounds by index
+  // (key: transfers_.size() + index). flow_owner_ maps a solver flow back
+  // to that key's owner: a transfer index, or transfers_.size() + index.
   MaxMinSolver solver_;
-  std::vector<FlowRef> flows_;
-  std::vector<double> rates_;
-  std::vector<std::size_t> running_;
-  std::vector<std::size_t> active_backgrounds_;
-  std::vector<double> resource_load_;  ///< Consumption per resource.
+  std::vector<std::size_t> flow_owner_;
+  std::vector<std::size_t> running_;  ///< Running transfers, in live_ order.
   std::uint64_t reallocations_ = 0;
-  std::uint64_t flows_offered_ = 0;   ///< Flows handed to the solver.
+  std::uint64_t flows_offered_ = 0;   ///< Flows in the table, per reallocation.
+  std::uint64_t flows_visited_ = 0;   ///< Of those, flows the planner touched.
   std::uint64_t flows_resolved_ = 0;  ///< Of those, flows re-solved.
 
   // Incremental state so that reallocate() never scans the full (possibly

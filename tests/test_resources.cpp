@@ -425,105 +425,347 @@ TEST(MaxMinOracle, WeightedFreezeOrderIsByRate) {
   EXPECT_EQ(rates[1], 50.0);
 }
 
-// Incremental re-solve: drive MaxMinSolver the way the simulator does —
-// joins, leaves, capacity and cap changes, swap-removes and reorders, each
-// marking the resources it touches — with the simulator's two passes (the
-// second re-caps re-solved flows from their first-pass rate). After every
-// step, every rate must equal a from-scratch oracle solve bit for bit.
-struct Tracked {
-  FlowSpec spec;
-  double rate = 0.0;
+// Incremental re-solve: a flow table driven through MaxMinSolver's
+// join/leave API the way the simulator drives it. The table keeps the flows
+// in flow order with sparse order keys (so a join can land between two
+// flows), mirrors the solver's dirty marks, and runs the simulator's two
+// passes (the second re-caps the selected flows from their first-pass
+// rate). check() then compares, bit for bit, every rate and every
+// per-resource load with a from-scratch oracle solve, and the selected set
+// with the flows of exactly the components that hold a resource dirtied
+// since the previous plan (plus every flow with empty usage).
+class IncrementalTable {
+ public:
+  explicit IncrementalTable(ResourcePool& pool) : pool_(pool) {}
+
+  struct Flow {
+    FlowSpec spec;
+    std::uint64_t key = 0;
+    MaxMinSolver::FlowId id = 0;
+  };
+
+  std::size_t size() const { return flows_.size(); }
+  const Flow& operator[](std::size_t k) const { return flows_[k]; }
+
+  /// Join `spec` at slot `at` of the flow order.
+  void join(FlowSpec spec, std::size_t at) {
+    const std::uint64_t lo = at == 0 ? 0 : flows_[at - 1].key;
+    const std::uint64_t hi =
+        at == flows_.size() ? lo + (std::uint64_t{1} << 33) : flows_[at].key;
+    ASSERT_GE(hi - lo, 2u) << "order keys exhausted";
+    Flow flow{std::move(spec), lo + (hi - lo) / 2, 0};
+    flow.id = solver_.join(pool_, flow.spec.usage, flow.spec.cap_Bps, flow.key);
+    touch(flow.spec);
+    flows_.insert(flows_.begin() + static_cast<std::ptrdiff_t>(at),
+                  std::move(flow));
+  }
+
+  /// Leave, the order of the others kept. Returns the departed spec.
+  FlowSpec leave(std::size_t k) {
+    solver_.leave(flows_[k].id);
+    touch(flows_[k].spec);
+    FlowSpec spec = std::move(flows_[k].spec);
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(k));
+    return spec;
+  }
+
+  /// Leave; the last flow takes the departed one's place in flow order.
+  FlowSpec swap_remove(std::size_t k) {
+    const std::uint64_t key = flows_[k].key;
+    FlowSpec spec = leave(k);
+    if (k < flows_.size()) {
+      Flow moved = std::move(flows_.back());
+      flows_.pop_back();
+      moved.key = key;
+      solver_.reorder(moved.id, key);
+      touch(moved.spec);
+      flows_.insert(flows_.begin() + static_cast<std::ptrdiff_t>(k),
+                    std::move(moved));
+    }
+    return spec;
+  }
+
+  /// Two flows trade places in flow order.
+  void trade(std::size_t a, std::size_t b) {
+    std::swap(flows_[a].key, flows_[b].key);
+    solver_.reorder(flows_[a].id, flows_[a].key);
+    solver_.reorder(flows_[b].id, flows_[b].key);
+    touch(flows_[a].spec);
+    touch(flows_[b].spec);
+    std::swap(flows_[a], flows_[b]);
+  }
+
+  /// A new cap: the flow leaves and rejoins at its place.
+  void recap(std::size_t k, double cap_Bps) {
+    FlowSpec spec = leave(k);
+    spec.cap_Bps = cap_Bps;
+    join(std::move(spec), k);
+  }
+
+  void set_capacity(ResourceId r, double capacity_Bps) {
+    pool_.set_capacity(r, capacity_Bps);
+    solver_.mark_dirty(r);
+    dirty_.push_back(r);
+  }
+
+  /// Plan and solve both passes, then compare against the oracle.
+  void step() {
+    const auto expected = expected_selection();
+    offered_ += flows_.size();
+    const std::size_t visited = solver_.plan();
+    resolved_ += visited;
+    std::vector<MaxMinSolver::FlowId> selected(solver_.selected().begin(),
+                                               solver_.selected().end());
+    EXPECT_EQ(visited, selected.size());
+    std::sort(selected.begin(), selected.end());
+    EXPECT_EQ(selected, expected) << "selected flows";
+    dirty_.clear();
+
+    solver_.solve(pool_);
+    for (const auto id : solver_.selected())
+      solver_.set_cap(id, second_cap(spec_of(id), solver_.rate(id)));
+    solver_.solve(pool_);
+
+    std::vector<FlowSpec> specs;
+    for (const auto& flow : flows_) specs.push_back(flow.spec);
+    const auto first = oracle::reference_maxmin_allocate(pool_, specs);
+    for (std::size_t f = 0; f < specs.size(); ++f)
+      specs[f].cap_Bps = second_cap(specs[f], first[f]);
+    const auto want = oracle::reference_maxmin_allocate(pool_, specs);
+    std::vector<double> got;
+    for (const auto& flow : flows_) got.push_back(solver_.rate(flow.id));
+    expect_bit_identical(got, want);
+
+    std::vector<double> load(pool_.size(), 0.0);
+    for (std::size_t f = 0; f < specs.size(); ++f)
+      for (const auto& use : specs[f].usage)
+        load[use.resource] += want[f] * use.consumption_factor;
+    for (std::size_t r = 0; r < pool_.size(); ++r)
+      EXPECT_TRUE(same_bits(solver_.load(static_cast<ResourceId>(r)), load[r]))
+          << "load of resource " << r << ": "
+          << solver_.load(static_cast<ResourceId>(r)) << " vs oracle "
+          << load[r];
+  }
+
+  std::uint64_t offered() const { return offered_; }
+  std::uint64_t resolved() const { return resolved_; }
+
+ private:
+  static double second_cap(const FlowSpec& spec, double first_rate) {
+    return std::max(1.0, std::min(spec.cap_Bps, 0.75 * first_rate + 1e7));
+  }
+
+  void touch(const FlowSpec& spec) {
+    for (const auto& use : spec.usage) dirty_.push_back(use.resource);
+  }
+
+  const FlowSpec& spec_of(MaxMinSolver::FlowId id) const {
+    return std::find_if(flows_.begin(), flows_.end(),
+                        [id](const Flow& flow) { return flow.id == id; })
+        ->spec;
+  }
+
+  /// From scratch: union the live flows over shared resources and keep the
+  /// components that hold a dirty resource, plus flows with empty usage.
+  std::vector<MaxMinSolver::FlowId> expected_selection() const {
+    std::vector<std::size_t> parent(flows_.size());
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    const auto find = [&parent](std::size_t f) {
+      while (parent[f] != f) f = parent[f] = parent[parent[f]];
+      return f;
+    };
+    std::vector<std::size_t> first(pool_.size(), flows_.size());
+    for (std::size_t f = 0; f < flows_.size(); ++f)
+      for (const auto& use : flows_[f].spec.usage) {
+        if (first[use.resource] == flows_.size())
+          first[use.resource] = f;
+        else
+          parent[find(f)] = find(first[use.resource]);
+      }
+    std::vector<bool> dirty_root(flows_.size(), false);
+    for (const ResourceId r : dirty_)
+      if (first[r] != flows_.size()) dirty_root[find(first[r])] = true;
+    std::vector<MaxMinSolver::FlowId> expected;
+    for (std::size_t f = 0; f < flows_.size(); ++f)
+      if (flows_[f].spec.usage.empty() || dirty_root[find(f)])
+        expected.push_back(flows_[f].id);
+    std::sort(expected.begin(), expected.end());
+    return expected;
+  }
+
+  ResourcePool& pool_;
+  MaxMinSolver solver_;
+  std::vector<Flow> flows_;
+  std::vector<ResourceId> dirty_;
+  std::uint64_t offered_ = 0;
+  std::uint64_t resolved_ = 0;
 };
 
+// The production shape: joins anywhere in the order, leaves, swap-removes,
+// capacity and cap changes, and flows trading places.
 class IncrementalSequence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalSequence, MatchesFromScratchAfterEveryStep) {
   Rng rng(GetParam());
   auto inst = make_instance(Shape::kProduction, GetParam());
   ResourcePool& pool = inst.pool;
-  std::vector<Tracked> flows;
-  for (auto& spec : inst.flows) flows.push_back({std::move(spec), 0.0});
+  IncrementalTable table(pool);
+  for (auto& spec : inst.flows) table.join(std::move(spec), table.size());
   std::vector<FlowSpec> spares;  // Flows that left, to rejoin later.
 
-  MaxMinSolver solver;
-  auto touch = [&](const FlowSpec& spec) {
-    for (const auto& use : spec.usage) solver.mark_dirty(use.resource);
-  };
-  auto second_cap = [](const FlowSpec& spec, double first_rate) {
-    return std::max(1.0, std::min(spec.cap_Bps, 0.75 * first_rate + 1e7));
-  };
-
-  std::uint64_t offered = 0, resolved = 0;
-  std::vector<FlowRef> refs;
-  std::vector<double> rates;
   for (int step = 0; step < 300; ++step) {
     const auto action = step == 0 ? -1 : rng.uniform_int(0, 5);
     const auto pick = [&] {
-      return static_cast<std::size_t>(rng.uniform_int(0, flows.size() - 1));
+      return static_cast<std::size_t>(rng.uniform_int(0, table.size() - 1));
     };
     if (action == 0 && !spares.empty()) {  // Join at a random slot.
-      const auto at = static_cast<std::ptrdiff_t>(rng.uniform_int(0, flows.size()));
-      touch(spares.back());
-      flows.insert(flows.begin() + at, {std::move(spares.back()), 0.0});
+      const auto at = static_cast<std::size_t>(rng.uniform_int(0, table.size()));
+      table.join(std::move(spares.back()), at);
       spares.pop_back();
-    } else if (action == 1 && flows.size() > 2) {  // Leave, order kept.
-      const auto k = pick();
-      touch(flows[k].spec);
-      spares.push_back(flows[k].spec);
-      flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(k));
-    } else if (action == 2 && flows.size() > 2) {  // Swap-remove.
-      const auto k = pick();
-      touch(flows[k].spec);
-      spares.push_back(flows[k].spec);
-      if (k + 1 != flows.size()) {
-        touch(flows.back().spec);
-        flows[k] = std::move(flows.back());
-      }
-      flows.pop_back();
+    } else if (action == 1 && table.size() > 2) {  // Leave, order kept.
+      spares.push_back(table.leave(pick()));
+    } else if (action == 2 && table.size() > 2) {  // Swap-remove.
+      spares.push_back(table.swap_remove(pick()));
     } else if (action == 3) {  // Capacity change (or a no-op rewrite).
       const auto r = static_cast<ResourceId>(rng.uniform_int(0, pool.size() - 1));
-      pool.set_capacity(r, rng.bernoulli(0.1) ? 0.0 : rng.uniform(1e8, 2e9));
-      solver.mark_dirty(r);
+      table.set_capacity(r, rng.bernoulli(0.1) ? 0.0 : rng.uniform(1e8, 2e9));
     } else if (action == 4) {  // Demand (cap) change.
-      auto& flow = flows[pick()];
-      flow.spec.cap_Bps = rng.uniform(1e7, 2e9);
-      touch(flow.spec);
+      const auto k = pick();
+      table.recap(k, rng.uniform(1e7, 2e9));
     } else if (action == 5) {  // Two flows trade places.
       const auto a = pick(), b = pick();
-      touch(flows[a].spec);
-      touch(flows[b].spec);
-      std::swap(flows[a], flows[b]);
+      if (a != b) table.trade(a, b);
     }
-
-    refs.clear();
-    rates.clear();
-    for (const auto& flow : flows) {
-      refs.push_back({flow.spec.usage, flow.spec.cap_Bps});
-      rates.push_back(flow.rate);
-    }
-    offered += flows.size();
-    resolved += solver.plan(pool, refs);
-    solver.solve(pool, refs, rates);
-    for (std::size_t f = 0; f < flows.size(); ++f)
-      if (solver.selected(f)) refs[f].cap_Bps = second_cap(flows[f].spec, rates[f]);
-    solver.solve(pool, refs, rates);
-    for (std::size_t f = 0; f < flows.size(); ++f) flows[f].rate = rates[f];
-
-    std::vector<FlowSpec> specs;
-    for (const auto& flow : flows) specs.push_back(flow.spec);
-    const auto first = oracle::reference_maxmin_allocate(pool, specs);
-    for (std::size_t f = 0; f < specs.size(); ++f)
-      specs[f].cap_Bps = second_cap(specs[f], first[f]);
     SCOPED_TRACE(testing::Message() << "step " << step << " action " << action);
-    expect_bit_identical(rates, oracle::reference_maxmin_allocate(pool, specs));
+    table.step();
     if (HasFailure()) return;
   }
-  EXPECT_LT(resolved, offered);  // Clean components were skipped.
+  EXPECT_LT(table.resolved(), table.offered());  // Clean components were skipped.
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSequence,
                          ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL,
                                            7ULL, 8ULL));
+
+// The index's edge cases: transfers that join and leave on shared
+// resources, background toggles inserted in the middle of the order, flows
+// with empty usage, and resources drained of their last flow (whose load
+// must then read 0, bit for bit).
+class IncrementalIndex : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IncrementalIndex, JoinLeaveMatchesFromScratchWithLoads) {
+  Rng rng(GetParam());
+  ResourcePool pool;
+  for (int r = 0; r < 16; ++r)
+    pool.add("r" + std::to_string(r), rng.uniform(1e8, 2e9));
+  // Resources 0-7 are shared by transfers; 8-15 carry one background each.
+  const auto transfer = [&] {
+    FlowSpec spec;
+    const auto uses = rng.uniform_int(2, 5);
+    for (std::int64_t u = 0; u < uses; ++u)
+      spec.usage.push_back({static_cast<ResourceId>(rng.uniform_int(0, 7)),
+                            static_cast<double>(rng.uniform_int(1, 8)),
+                            rng.uniform(1.0, 1.5)});
+    spec.cap_Bps = rng.uniform(1e8, 2e9);
+    return spec;
+  };
+  const auto background = [&](ResourceId r) {
+    FlowSpec spec;
+    spec.usage = {{r, rng.uniform(1.0, 256.0), 1.0}};
+    spec.cap_Bps = rng.uniform(1e7, 1e9);
+    return spec;
+  };
+  const auto unbound = [&] {
+    FlowSpec spec;
+    spec.cap_Bps = rng.uniform(1e7, 1e9);
+    return spec;
+  };
+
+  IncrementalTable table(pool);
+  for (int t = 0; t < 6; ++t) table.join(transfer(), table.size());
+  for (ResourceId r = 8; r < 16; ++r)
+    if (rng.bernoulli(0.5)) table.join(background(r), table.size());
+  table.join(unbound(), rng.bernoulli(0.5) ? 0 : table.size());
+
+  const auto pick = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, table.size() - 1));
+  };
+  const auto slot = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, table.size()));
+  };
+  for (int step = 0; step < 300; ++step) {
+    const auto action = step == 0 ? -1 : rng.uniform_int(0, 7);
+    if (action == 0) {  // A transfer joins anywhere in the order.
+      table.join(transfer(), slot());
+    } else if (action == 1 && table.size() > 3) {  // Leave, order kept.
+      table.leave(pick());
+    } else if (action == 2 && table.size() > 3) {  // Swap-remove.
+      table.swap_remove(pick());
+    } else if (action == 3) {  // A background toggles, mid-order.
+      const auto r = static_cast<ResourceId>(rng.uniform_int(8, 15));
+      std::size_t on = table.size();
+      for (std::size_t k = 0; k < table.size(); ++k)
+        if (table[k].spec.usage.size() == 1 &&
+            table[k].spec.usage[0].resource == r)
+          on = k;
+      if (on < table.size())
+        table.leave(on);  // Its resource loses its last flow.
+      else
+        table.join(background(r), slot());
+    } else if (action == 4) {  // A flow with empty usage joins or leaves.
+      std::size_t found = table.size();
+      for (std::size_t k = 0; k < table.size(); ++k)
+        if (table[k].spec.usage.empty()) found = k;
+      if (found < table.size() && rng.bernoulli(0.5))
+        table.leave(found);
+      else
+        table.join(unbound(), slot());
+    } else if (action == 5) {  // Drain a shared resource.
+      const auto r = static_cast<ResourceId>(rng.uniform_int(0, 7));
+      for (std::size_t k = table.size(); k-- > 0;)
+        for (const auto& use : table[k].spec.usage)
+          if (use.resource == r) {
+            table.leave(k);
+            break;
+          }
+    } else if (action == 6) {  // Capacity change.
+      const auto r = static_cast<ResourceId>(rng.uniform_int(0, 15));
+      table.set_capacity(r, rng.bernoulli(0.1) ? 0.0 : rng.uniform(1e8, 2e9));
+    } else if (action == 7 && table.size() > 0) {  // Cap change.
+      const auto k = pick();
+      table.recap(k, rng.uniform(1e7, 2e9));
+    }
+    SCOPED_TRACE(testing::Message() << "step " << step << " action " << action);
+    table.step();
+    if (HasFailure()) return;
+  }
+  EXPECT_LT(table.resolved(), table.offered());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalIndex,
+                         ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL,
+                                           7ULL, 8ULL));
+
+TEST(MaxMinSolver, ChecksUsageAtJoinAndLivenessAtLeave) {
+  ResourcePool pool;
+  const auto r = pool.add("r", 10.0);
+  MaxMinSolver solver;
+  const ResourceUsage bad[] = {{r, 1.0, 1.0}, {r, 1.0, 0.0}};
+  EXPECT_THROW(solver.join(pool, bad, 5.0, 0), xfl::ContractViolation);
+  EXPECT_EQ(solver.flow_count(), 0u);  // Nothing changed.
+  EXPECT_EQ(solver.plan(), 0u);
+  const ResourceUsage good[] = {{r, 1.0, 1.0}};
+  const auto id = solver.join(pool, good, 5.0, 0);
+  EXPECT_EQ(solver.plan(), 1u);
+  solver.solve(pool);
+  EXPECT_EQ(solver.rate(id), 5.0);
+  EXPECT_EQ(solver.load(r), 5.0);
+  solver.leave(id);
+  EXPECT_THROW(solver.leave(id), xfl::ContractViolation);  // Already gone.
+  EXPECT_EQ(solver.plan(), 0u);
+  solver.solve(pool);
+  EXPECT_EQ(solver.load(r), 0.0);  // Lost its last flow.
+}
 
 }  // namespace
 }  // namespace xfl::sim

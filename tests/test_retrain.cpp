@@ -36,6 +36,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
 #include "retrain/journal.hpp"
 #include "retrain/retrainer.hpp"
 #include "serve/client.hpp"
@@ -738,6 +739,39 @@ TEST(RetrainE2E, DriftAlarmTriggersValidatedHotReloadAndMdapeRecovers) {
     EXPECT_GT(service.journal().appended(), 48u);
   }
   server.stop();
+}
+
+TEST(RetrainE2E, JournalAppendFailureIsCountedAndServingContinues) {
+  // Every append rotates (1-byte segments), and the journal directory is
+  // replaced by a plain file after start-up, so each rotation's open
+  // fails. The serve path drops the record, answers the feedback, and
+  // counts the drop in retrain.journal.append_errors.
+  const std::string dir = fresh_dir("append_fails");
+  TrainingJournal::Options journal_options{dir};
+  journal_options.max_segment_bytes = 1;
+
+  serve::ModelHost host(shared_model());
+  serve::PredictionServer server(host);
+  RetrainService service(server, journal_options, fast_retrain_options());
+  std::filesystem::remove_all(dir);
+  std::ofstream(dir) << "not a directory\n";
+  auto& drops = obs::counter("retrain.journal.append_errors");
+  const auto drops_before = drops.value();
+
+  server.start();
+  {
+    serve::PredictionClient client("127.0.0.1", server.port());
+    const auto mix = edge_mix(0, 1);
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto reply = client.predict(mix[i]);
+      ASSERT_TRUE(reply.ok);
+      const auto feedback = client.feedback(reply.trace_id, 100.0);
+      EXPECT_TRUE(feedback.matched);
+    }
+  }
+  server.stop();
+  EXPECT_EQ(drops.value() - drops_before, 3u);
+  std::filesystem::remove(dir);
 }
 
 TEST(RetrainE2E, RetrainStatusWithoutServiceReportsDisabled) {

@@ -308,6 +308,32 @@ TEST(Simulator, ReallocationCountersShowPartialResolve) {
   EXPECT_LT(resolved_count, offered_count);
 }
 
+TEST(Simulator, ReallocationVisitsOnlyDirtyComponents) {
+  // The planner walks outward from the dirty resources over the solver's
+  // resource -> flow index, so the flows it touches are exactly the flows
+  // it re-solves: far fewer than the flows in the table. (A planner that
+  // scans the whole table would visit every offered flow.)
+  auto& offered = obs::counter("sim.flows_offered");
+  auto& visited = obs::counter("sim.flows_visited");
+  auto& resolved = obs::counter("sim.flows_resolved");
+  const auto offered_before = offered.value();
+  const auto visited_before = visited.value();
+  const auto resolved_before = resolved.value();
+
+  ProductionConfig config;
+  config.duration_s = 4.0 * 3600.0;
+  const auto result = make_production(config).run();
+  ASSERT_GT(result.log.size(), 0u);
+
+  const auto offered_count = offered.value() - offered_before;
+  const auto visited_count = visited.value() - visited_before;
+  const auto resolved_count = resolved.value() - resolved_before;
+  EXPECT_GT(visited_count, 0u);
+  EXPECT_EQ(visited_count, resolved_count);
+  EXPECT_LT(visited_count * 4, offered_count)
+      << visited_count << " of " << offered_count << " offered flows visited";
+}
+
 TEST(Simulator, ByteConservationUnderContention) {
   // Total bytes logged equals total bytes requested, faults or not.
   TwoSiteWorld world;
