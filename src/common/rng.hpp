@@ -25,15 +25,28 @@ class Rng {
   /// the xoshiro authors; any seed (including 0) yields a valid state.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Raw 64-bit draw (xoshiro256++).
-  std::uint64_t next_u64();
+  /// Raw 64-bit draw (xoshiro256++). Inline, like uniform(): per-row
+  /// draws (GBT row subsampling) would otherwise pay two calls per draw.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next_u64(); }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
@@ -79,6 +92,10 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   // Cached second variate from the polar method.
   bool has_cached_normal_ = false;

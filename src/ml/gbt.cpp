@@ -1,6 +1,8 @@
 #include "ml/gbt.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -11,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/number.hpp"
@@ -68,29 +71,75 @@ std::size_t GradientBoostedTrees::resolved_threads() const {
   return hw == 0 ? 1 : hw;
 }
 
-void GradientBoostedTrees::build_bins(
-    const Matrix& x, std::vector<std::vector<std::uint16_t>>& binned,
-    ThreadPool* pool) {
+namespace {
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Order-preserving unsigned key of a double: a < b exactly when
+/// sort_key(a) < sort_key(b). -0.0 and 0.0 share a key, since they compare
+/// equal.
+std::uint64_t sort_key(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value == 0.0 ? 0.0 : value);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+/// The value of a sort_key (0.0 for the shared zero key).
+double key_value(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit : ~key);
+}
+
+/// Stable LSD radix sort of keys, one byte per pass, carrying `order`
+/// along. A pass whose byte is the same in every key is skipped. Being
+/// stable, it leaves equal keys in their incoming order.
+void radix_sort(std::vector<std::uint64_t>& keys,
+                std::vector<std::uint32_t>& order) {
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const std::uint64_t key : keys)
+    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 255];
+  std::vector<std::uint64_t> keys_out(n);
+  std::vector<std::uint32_t> order_out(n);
+  for (std::size_t d = 0; d < 8; ++d) {
+    const unsigned shift = static_cast<unsigned>(8 * d);
+    auto& next = counts[d];
+    if (next[(keys[0] >> shift) & 255] == n) continue;
+    std::uint32_t start = 0;
+    for (std::uint32_t& slot : next) start += std::exchange(slot, start);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t pos = next[(keys[i] >> shift) & 255]++;
+      keys_out[pos] = keys[i];
+      order_out[pos] = order[i];
+    }
+    keys.swap(keys_out);
+    order.swap(order_out);
+  }
+}
+}  // namespace
+
+void GradientBoostedTrees::build_bins(const Matrix& x,
+                                      std::vector<std::uint16_t>& codes,
+                                      ThreadPool* pool) {
   const std::size_t n = x.rows();
-  bin_edges_.assign(x.cols(), {});
-  binned.assign(x.cols(), {});
+  const std::size_t width = x.cols();
+  bin_edges_.assign(width, {});
+  codes.assign(n * width, 0);
   const auto max_bins = static_cast<std::size_t>(config_.max_bins);
   auto bin_column = [&](std::size_t c) {
-    // One sort of (value, row) pairs serves both jobs: the distinct values
+    // One sort of the rows by value serves both jobs: the distinct values
     // define the edges, and a single merge walk assigns every row's code —
-    // no per-value binary search. Codes are stored column-major for
-    // cache-friendly histogram accumulation.
-    std::vector<std::pair<double, std::size_t>> order(n);
-    for (std::size_t r = 0; r < n; ++r) order[r] = {x.at(r, c), r};
-    std::sort(order.begin(), order.end());
+    // no per-value binary search. Equal values keep ascending row order, so
+    // each distinct value is taken from its first row.
+    std::vector<std::uint64_t> keys(n);
+    std::vector<std::uint32_t> order(n);
+    for (std::size_t r = 0; r < n; ++r) keys[r] = sort_key(x.at(r, c));
+    std::iota(order.begin(), order.end(), 0u);
+    radix_sort(keys, order);
     std::vector<double> distinct;
     distinct.reserve(n);
-    for (const auto& [value, row] : order)
-      if (distinct.empty() || distinct.back() != value)
-        distinct.push_back(value);
+    for (std::size_t i = 0; i < n; ++i)
+      if (i == 0 || keys[i] != keys[i - 1])
+        distinct.push_back(x.at(order[i], c));
 
-    auto& codes = binned[c];
-    codes.assign(n, 0);
     auto& edges = bin_edges_[c];
     if (distinct.size() <= 1) return;  // Constant feature: no split points.
     if (distinct.size() <= max_bins) {
@@ -111,19 +160,23 @@ void GradientBoostedTrees::build_bins(
     }
     // Code b counts the edges < value, i.e. value lands in
     // (edges[b-1], edges[b]]; values are visited ascending, so the edge
-    // cursor only moves forward.
+    // cursor only moves forward. At most max_bins - 1 edges, so every code
+    // fits a uint16 (GbtConfig::kMaxBins).
     std::size_t e = 0;
-    for (const auto& [value, row] : order) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value = key_value(keys[i]);
       while (e < edges.size() && value > edges[e]) ++e;
-      codes[row] = static_cast<std::uint16_t>(e);
+      codes[order[i] * width + c] = static_cast<std::uint16_t>(e);
     }
   };
-  if (pool != nullptr && x.cols() > 1) {
-    pool->parallel_for(x.cols(), bin_column);
+  if (pool != nullptr && width > 1) {
+    pool->parallel_for(width, bin_column);
   } else {
-    for (std::size_t c = 0; c < x.cols(); ++c) bin_column(c);
+    for (std::size_t c = 0; c < width; ++c) bin_column(c);
   }
 }
+
+using detail::HistCell;
 
 namespace {
 /// Leaf weight under the XGBoost squared-loss objective: -G / (H + lambda).
@@ -144,37 +197,91 @@ struct SplitScan {
   std::size_t left_count = 0;
 };
 
-/// Minimum (node rows x candidate columns) before a per-node histogram
+/// Minimum (node rows x active columns) before a per-node histogram
 /// build is worth fanning out to the pool.
 constexpr std::size_t kMinParallelHistWork = 8192;
+
+/// Row-wise histogram build: one pass over rows[begin, end) that reads each
+/// row's gradient (and weight) once and adds it to the bin of every active
+/// column in [k_begin, k_end). Rows go four to a pass, so each column's
+/// feature index and slice are loaded once for four cell updates, and the
+/// four rows are added to that column in partition order. A (column, bin)
+/// cell therefore still sums its rows in partition order; only the
+/// interleaving across columns differs from a column-by-column build, so
+/// the sums are bit-identical to it. A weighted row adds its multiplicity
+/// to the cell's count where an unweighted row adds 1; the gradient already
+/// folds the weight in.
+template <bool Weighted>
+void accumulate_rows(const std::uint16_t* codes, std::size_t stride,
+                     const std::uint32_t* rows, std::size_t begin,
+                     std::size_t end, const double* grads,
+                     const std::uint32_t* weights,
+                     const std::uint32_t* active_col,
+                     const std::size_t* offset, std::size_t k_begin,
+                     std::size_t k_end, HistCell* hist) {
+  auto row_cell = [&](std::size_t r) {
+    return HistCell{grads[r], Weighted ? static_cast<double>(weights[r]) : 1.0};
+  };
+  std::size_t p = begin;
+  for (; p + 4 <= end; p += 4) {
+    const std::size_t r0 = rows[p], r1 = rows[p + 1], r2 = rows[p + 2],
+                      r3 = rows[p + 3];
+    const HistCell g0 = row_cell(r0), g1 = row_cell(r1), g2 = row_cell(r2),
+                   g3 = row_cell(r3);
+    const std::uint16_t* c0 = codes + r0 * stride;
+    const std::uint16_t* c1 = codes + r1 * stride;
+    const std::uint16_t* c2 = codes + r2 * stride;
+    const std::uint16_t* c3 = codes + r3 * stride;
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+      const std::size_t col = active_col[k];
+      HistCell* slice = hist + offset[k];
+      slice[c0[col]] += g0;
+      slice[c1[col]] += g1;
+      slice[c2[col]] += g2;
+      slice[c3[col]] += g3;
+    }
+  }
+  for (; p < end; ++p) {
+    const std::size_t r = rows[p];
+    const HistCell g = row_cell(r);
+    const std::uint16_t* c = codes + r * stride;
+    for (std::size_t k = k_begin; k < k_end; ++k)
+      hist[offset[k] + c[active_col[k]]] += g;
+  }
+}
 }  // namespace
 
 GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
-    const std::vector<std::vector<std::uint16_t>>& binned,
-    const std::vector<double>& grad, std::span<const std::uint32_t> weights,
-    std::vector<std::size_t>& sampled, std::vector<std::size_t>& unsampled,
-    const std::vector<std::size_t>& cols, const std::vector<double>& inv_hess,
-    FitScratch& fit_scratch, ThreadPool* pool,
-    std::vector<std::int32_t>& leaf_of) {
+    const std::vector<std::uint16_t>& codes, const std::vector<double>& grad,
+    std::span<const std::uint32_t> weights, std::vector<std::uint32_t>& sampled,
+    std::vector<std::uint32_t>& unsampled, const std::vector<std::size_t>& cols,
+    const std::vector<double>& inv_hess, FitScratch& fit_scratch,
+    ThreadPool* pool, std::vector<std::int32_t>& leaf_of) {
   Tree tree;
   // A depth-d tree has at most 2^(d+1) - 1 nodes.
   tree.nodes.reserve((std::size_t{2} << config_.max_depth) - 1);
-  const std::size_t width = cols.size();
-  std::vector<std::vector<double>>& hist_pool = fit_scratch.hist_pool;
-  std::vector<std::vector<std::uint32_t>>& count_pool = fit_scratch.count_pool;
+  const std::size_t stride = feature_count_;
+  std::vector<std::vector<HistCell>>& hist_pool = fit_scratch.hist_pool;
 
-  // Flat histogram layout: candidate column j owns the half-open slice
-  // [offset[j], offset[j+1]) of two parallel arrays — gradient sums in a
-  // double buffer and row counts (== hessian sums, squared loss) in a
-  // uint32 buffer, so count accumulation, subtraction, and the scan's
-  // running hessian are integer ops. Constant features get an empty slice.
+  // Flat histogram layout: the active columns are the candidate columns
+  // that are not constant (a constant one can never split), in candidate
+  // order, and active column k owns the cells [offset[k], offset[k+1]),
+  // one per bin. A cell holds the bin's gradient sum and its row count
+  // (== hessian sum, squared loss); the counts are exact integers held in
+  // doubles (at most 2^32 < 2^53), so accumulation and subtraction stay
+  // exact and the scan reads them back as integers.
+  std::vector<std::uint32_t>& active_col = fit_scratch.active_col;
   std::vector<std::size_t>& offset = fit_scratch.offset;
-  offset.assign(width + 1, 0);
-  for (std::size_t j = 0; j < width; ++j) {
-    const auto& edges = bin_edges_[cols[j]];
-    offset[j + 1] = offset[j] + (edges.empty() ? 0 : edges.size() + 1);
+  active_col.clear();
+  offset.assign(1, 0);
+  for (const std::size_t c : cols) {
+    const auto& edges = bin_edges_[c];
+    if (edges.empty()) continue;
+    active_col.push_back(static_cast<std::uint32_t>(c));
+    offset.push_back(offset.back() + edges.size() + 1);
   }
-  const std::size_t total_bins = offset[width];
+  const std::size_t active = active_col.size();
+  const std::size_t total_bins = offset[active];
 
   // Work queue of nodes to try to split. Each node owns a contiguous range
   // of `sampled` ([sampled_begin, sampled_end)) and of `unsampled`, plus its
@@ -186,9 +293,8 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     std::size_t sampled_begin, sampled_end;
     std::size_t unsampled_begin, unsampled_end;
     double grad_sum;
-    std::size_t count_sum;         // Hessian sum as an exact row count.
-    std::vector<double> hist;      // Gradient sums; empty until built.
-    std::vector<std::uint32_t> counts;  // Row counts; empty until built.
+    std::size_t count_sum;     // Hessian sum as an exact row count.
+    std::vector<HistCell> hist;  // Empty until built.
   };
   std::vector<Pending> pending;
   // A depth-d tree pops at most 2^(d+1) - 1 nodes and the queue holds one
@@ -198,86 +304,73 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
 
   // Histogram buffers cycle through `hist_pool` instead of being allocated
   // per node: an acquire reuses a retired node's capacity.
-  auto acquire_hist = [&](std::vector<double>& hist,
-                          std::vector<std::uint32_t>& counts) {
+  auto acquire_hist = [&](std::vector<HistCell>& hist) {
     if (!hist_pool.empty()) {
       hist = std::move(hist_pool.back());
       hist_pool.pop_back();
     }
-    if (!count_pool.empty()) {
-      counts = std::move(count_pool.back());
-      count_pool.pop_back();
-    }
-    hist.assign(total_bins, 0.0);
-    counts.assign(total_bins, 0);
+    hist.assign(total_bins, HistCell{0.0, 0.0});
   };
-  auto release_hist = [&](std::vector<double>& hist,
-                          std::vector<std::uint32_t>& counts) {
+  auto release_hist = [&](std::vector<HistCell>& hist) {
     if (hist.capacity() != 0) hist_pool.push_back(std::move(hist));
-    if (counts.capacity() != 0) count_pool.push_back(std::move(counts));
   };
 
-  // Builds the histogram of every candidate column over one node's sampled
-  // rows. Each column owns its output slice, and rows are visited in the
-  // partition order (ascending original row order), so the result does not
-  // depend on how columns are distributed over workers.
-  auto build_hist = [&](const Pending& task, std::vector<double>& hist,
-                        std::vector<std::uint32_t>& counts) {
-    acquire_hist(hist, counts);
-    auto column_job = [&](std::size_t j) {
-      if (offset[j + 1] == offset[j]) return;  // Constant feature.
-      const std::uint16_t* column_bins = binned[cols[j]].data();
-      const std::size_t* rows = sampled.data();
-      const double* grads = grad.data();
-      double* grad_slice = hist.data() + offset[j];
-      std::uint32_t* count_slice = counts.data() + offset[j];
+  // Builds the histogram of every active column over one node's sampled
+  // rows, row-wise. A large node splits the active columns into one
+  // contiguous range per worker and each worker runs the same row loop
+  // over its range: every column's slice is written by one worker, in
+  // partition order, so the result does not depend on the thread count.
+  auto build_hist = [&](const Pending& task, std::vector<HistCell>& hist) {
+    acquire_hist(hist);
+    auto column_range = [&](std::size_t k_begin, std::size_t k_end) {
       if (weights.empty()) {
-        for (std::size_t p = task.sampled_begin; p < task.sampled_end; ++p) {
-          const std::size_t r = rows[p];
-          const std::size_t bin = column_bins[r];
-          grad_slice[bin] += grads[r];
-          count_slice[bin] += 1;
-        }
+        accumulate_rows<false>(codes.data(), stride, sampled.data(),
+                               task.sampled_begin, task.sampled_end,
+                               grad.data(), nullptr, active_col.data(),
+                               offset.data(), k_begin, k_end, hist.data());
       } else {
-        // Weighted rows carry their multiplicity into the count (hessian)
-        // histogram; the gradient already folds the weight in.
-        const std::uint32_t* row_weights = weights.data();
-        for (std::size_t p = task.sampled_begin; p < task.sampled_end; ++p) {
-          const std::size_t r = rows[p];
-          const std::size_t bin = column_bins[r];
-          grad_slice[bin] += grads[r];
-          count_slice[bin] += row_weights[r];
-        }
+        accumulate_rows<true>(codes.data(), stride, sampled.data(),
+                              task.sampled_begin, task.sampled_end,
+                              grad.data(), weights.data(), active_col.data(),
+                              offset.data(), k_begin, k_end, hist.data());
       }
     };
     const std::size_t rows_in_node = task.sampled_end - task.sampled_begin;
-    if (pool != nullptr && width > 1 &&
-        rows_in_node * width >= kMinParallelHistWork) {
-      pool->parallel_for(width, column_job);
+    if (pool != nullptr && active > 1 &&
+        rows_in_node * active >= kMinParallelHistWork) {
+      const std::size_t parts = std::min(pool->thread_count(), active);
+      pool->parallel_for(parts, [&](std::size_t part) {
+        column_range(part * active / parts, (part + 1) * active / parts);
+      });
     } else {
-      for (std::size_t j = 0; j < width; ++j) column_job(j);
+      column_range(0, active);
     }
   };
 
   // Stable in-place partition of idx[begin, end) on the winning split;
   // returns the boundary. Stability keeps every node's rows in ascending
-  // original order, which pins the histogram accumulation order.
+  // original order, which pins the histogram accumulation order. Every row
+  // is written to both the left cursor and the right staging buffer and
+  // only the matching cursor advances, so the loop has no data-dependent
+  // branch (the left write never passes the read position).
   fit_scratch.rows.resize(std::max(sampled.size(), unsampled.size()));
-  auto partition_range = [&](std::vector<std::size_t>& idx, std::size_t begin,
-                             std::size_t end,
-                             const std::vector<std::uint16_t>& column_bins,
-                             std::size_t split_bin) {
-    std::size_t* right_rows = fit_scratch.rows.data();
+  auto partition_range = [&](std::vector<std::uint32_t>& idx,
+                             std::size_t begin, std::size_t end,
+                             std::size_t split_col, std::size_t split_bin) {
+    std::uint32_t* rows = idx.data();
+    std::uint32_t* right_rows = fit_scratch.rows.data();
+    const std::uint16_t* column_codes = codes.data() + split_col;
     std::size_t right_count = 0;
     std::size_t mid = begin;
     for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t r = idx[p];
-      if (column_bins[r] <= split_bin)
-        idx[mid++] = r;
-      else
-        right_rows[right_count++] = r;
+      const std::uint32_t r = rows[p];
+      const bool right = column_codes[r * stride] > split_bin;
+      rows[mid] = r;
+      right_rows[right_count] = r;
+      mid += !right;
+      right_count += right;
     }
-    std::copy_n(right_rows, right_count, idx.data() + mid);
+    std::copy_n(right_rows, right_count, rows + mid);
     return mid;
   };
 
@@ -286,7 +379,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
       leaf_of[sampled[p]] = task.node;
     for (std::size_t p = task.unsampled_begin; p < task.unsampled_end; ++p)
       leaf_of[unsampled[p]] = task.node;
-    release_hist(task.hist, task.counts);
+    release_hist(task.hist);
   };
 
   double root_grad = 0.0;
@@ -302,9 +395,9 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
   tree.nodes[0].value =
       leaf_value(root_grad, static_cast<double>(root_count), config_.lambda);
   pending.push_back({0, 0, 0, sampled.size(), 0, unsampled.size(), root_grad,
-                     root_count, {}, {}});
+                     root_count, {}});
 
-  std::vector<SplitScan> scans(width);
+  std::vector<SplitScan> scans(active);
   while (!pending.empty()) {
     Pending task = std::move(pending.back());
     pending.pop_back();
@@ -325,11 +418,12 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
         parent_grad * parent_grad * inv_hess[parent_count];
 
     if (task.hist.empty())  // Root (children arrive with histograms).
-      build_hist(task, task.hist, task.counts);
+      build_hist(task, task.hist);
 
-    // Scan every candidate column's histogram for its best split, then
-    // reduce in candidate order (first strictly-better wins) so ties break
+    // Scan every active column's histogram for its best split, then reduce
+    // in candidate order (first strictly-better wins) so ties break
     // identically to a serial left-to-right scan over (column, bin).
+    // Constant candidates never qualify, so skipping them changes nothing.
     //
     // Counts are exact integers even in derived (subtracted) histograms, so
     // "child non-empty and heavy enough" folds into one integer comparison
@@ -340,43 +434,40 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     const std::size_t min_child = static_cast<std::size_t>(
         std::ceil(std::max(1.0, config_.min_child_weight)));
     const double min_score_sum = 2.0 * config_.gamma + parent_score;
-    for (std::size_t j = 0; j < width; ++j) {
+    for (std::size_t k = 0; k < active; ++k) {
       SplitScan scan;
       scan.score_sum = min_score_sum;
-      const std::size_t bins = offset[j + 1] - offset[j];
-      if (bins != 0) {
-        const double* grad_cursor = task.hist.data() + offset[j];
-        const std::uint32_t* count_cursor = task.counts.data() + offset[j];
-        double left_grad = 0.0;
-        std::size_t left_count = 0;
-        for (std::size_t b = 0; b + 1 < bins; ++b) {
-          left_grad += grad_cursor[b];
-          left_count += count_cursor[b];
-          const std::size_t right_count = parent_count - left_count;
-          if (right_count < min_child) break;
-          if (left_count < min_child) continue;
-          const double right_grad = parent_grad - left_grad;
-          const double score_sum =
-              left_grad * left_grad * inv_hess[left_count] +
-              right_grad * right_grad * inv_hess[right_count];
-          if (score_sum > scan.score_sum) {
-            scan.valid = true;
-            scan.score_sum = score_sum;
-            scan.bin = b;
-            scan.left_grad = left_grad;
-            scan.left_count = left_count;
-          }
+      const std::size_t bins = offset[k + 1] - offset[k];
+      const HistCell* cell = task.hist.data() + offset[k];
+      double left_grad = 0.0;
+      std::size_t left_count = 0;
+      for (std::size_t b = 0; b + 1 < bins; ++b) {
+        left_grad += cell[b][0];
+        left_count += static_cast<std::size_t>(cell[b][1]);
+        const std::size_t right_count = parent_count - left_count;
+        if (right_count < min_child) break;
+        if (left_count < min_child) continue;
+        const double right_grad = parent_grad - left_grad;
+        const double score_sum =
+            left_grad * left_grad * inv_hess[left_count] +
+            right_grad * right_grad * inv_hess[right_count];
+        if (score_sum > scan.score_sum) {
+          scan.valid = true;
+          scan.score_sum = score_sum;
+          scan.bin = b;
+          scan.left_grad = left_grad;
+          scan.left_count = left_count;
         }
       }
-      scans[j] = scan;
+      scans[k] = scan;
     }
     double best_score_sum = min_score_sum;
-    std::size_t best_j = 0;
+    std::size_t best_k = 0;
     bool found = false;
-    for (std::size_t j = 0; j < width; ++j) {
-      if (scans[j].valid && scans[j].score_sum > best_score_sum) {
-        best_score_sum = scans[j].score_sum;
-        best_j = j;
+    for (std::size_t k = 0; k < active; ++k) {
+      if (scans[k].valid && scans[k].score_sum > best_score_sum) {
+        best_score_sum = scans[k].score_sum;
+        best_k = k;
         found = true;
       }
     }
@@ -387,18 +478,17 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
 
     // Materialise the split.
     const double best_gain = 0.5 * (best_score_sum - parent_score);
-    const std::size_t best_col = cols[best_j];
-    const std::size_t best_bin = scans[best_j].bin;
-    const double left_grad = scans[best_j].left_grad;
-    const std::size_t left_count = scans[best_j].left_count;
+    const std::size_t best_col = active_col[best_k];
+    const std::size_t best_bin = scans[best_k].bin;
+    const double left_grad = scans[best_k].left_grad;
+    const std::size_t left_count = scans[best_k].left_count;
     const double right_grad = parent_grad - left_grad;
     const std::size_t right_count = parent_count - left_count;
-    const auto& column_bins = binned[best_col];
     const std::size_t sampled_mid = partition_range(
-        sampled, task.sampled_begin, task.sampled_end, column_bins, best_bin);
+        sampled, task.sampled_begin, task.sampled_end, best_col, best_bin);
     const std::size_t unsampled_mid =
         partition_range(unsampled, task.unsampled_begin, task.unsampled_end,
-                        column_bins, best_bin);
+                        best_col, best_bin);
     XFL_ENSURES(sampled_mid > task.sampled_begin &&
                 sampled_mid < task.sampled_end);
 
@@ -425,7 +515,6 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
                  unsampled_mid,
                  left_grad,
                  left_count,
-                 {},
                  {}};
     Pending right{right_index,
                   task.depth + 1,
@@ -435,7 +524,6 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
                   task.unsampled_end,
                   right_grad,
                   right_count,
-                  {},
                   {}};
 
     // Histogram subtraction: build the smaller child's histogram directly
@@ -459,15 +547,13 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     Pending& large = (&small == &left) ? right : left;
     const bool small_needs = can_split(small);
     const bool large_needs = can_split(large);
-    if (small_needs || large_needs) build_hist(small, small.hist, small.counts);
+    if (small_needs || large_needs) build_hist(small, small.hist);
     if (large_needs) {
-      for (std::size_t b = 0; b < total_bins; ++b) task.hist[b] -= small.hist[b];
       for (std::size_t b = 0; b < total_bins; ++b)
-        task.counts[b] -= small.counts[b];
+        task.hist[b] -= small.hist[b];
       large.hist = std::move(task.hist);
-      large.counts = std::move(task.counts);
     } else {
-      release_hist(task.hist, task.counts);
+      release_hist(task.hist);
     }
 
     pending.push_back(std::move(left));
@@ -504,11 +590,11 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
 
   // Columns are independent, so edge derivation + code assignment fans out
   // per column.
-  std::vector<std::vector<std::uint16_t>> binned;
+  std::vector<std::uint16_t> codes;
   {
     XFL_SPAN("gbt.fit.bin");
     const std::uint64_t bin_start_us = obs::monotonic_us();
-    build_bins(x, binned, pool);
+    build_bins(x, codes, pool);
     metrics.bin_us.record(
         static_cast<double>(obs::monotonic_us() - bin_start_us));
   }
@@ -551,8 +637,10 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
       grad[i] *= static_cast<double>(weights[i]);
 
   Rng rng(config_.seed);
-  std::vector<std::size_t> all_rows(n);
-  std::iota(all_rows.begin(), all_rows.end(), 0);
+  // Row indices are uint32 to halve the index traffic of the row loops.
+  XFL_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), 0u);
   std::vector<std::size_t> all_cols(feature_count_);
   std::iota(all_cols.begin(), all_cols.end(), 0);
 
@@ -563,29 +651,37 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
   for (std::size_t h = 0; h <= total_weight; ++h)
     inv_hess[h] = 1.0 / (static_cast<double>(h) + config_.lambda);
 
-  std::vector<std::size_t> sampled, unsampled, cols;
+  std::vector<std::uint32_t> sampled, unsampled;
+  std::vector<std::size_t> cols;
   FitScratch scratch;
   std::vector<std::int32_t> leaf_of(n, 0);
   for (int t = 0; t < config_.trees; ++t) {
     XFL_SPAN("gbt.fit.tree");
     const std::uint64_t tree_start_us = obs::monotonic_us();
-    sampled.clear();
-    unsampled.clear();
     if (config_.subsample < 1.0) {
-      sampled.reserve(static_cast<std::size_t>(
-          static_cast<double>(n) * config_.subsample) + 1);
+      // One bernoulli(subsample) draw per row, in row order. Each row is
+      // written to both lists and only the matching cursor advances, so
+      // the split has no data-dependent branch.
+      sampled.resize(n);
+      unsampled.resize(n);
+      std::size_t kept = 0;
+      std::size_t dropped = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        if (rng.bernoulli(config_.subsample))
-          sampled.push_back(i);
-        else
-          unsampled.push_back(i);
+        const bool keep = rng.uniform() < config_.subsample;
+        sampled[kept] = static_cast<std::uint32_t>(i);
+        unsampled[dropped] = static_cast<std::uint32_t>(i);
+        kept += keep;
+        dropped += !keep;
       }
+      sampled.resize(kept);
+      unsampled.resize(dropped);
       if (sampled.size() < 2) {
         sampled = all_rows;
         unsampled.clear();
       }
     } else {
       sampled = all_rows;
+      unsampled.clear();
     }
 
     cols.clear();
@@ -597,7 +693,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
       cols = all_cols;
     }
 
-    Tree tree = grow_tree(binned, grad, weights, sampled, unsampled, cols,
+    Tree tree = grow_tree(codes, grad, weights, sampled, unsampled, cols,
                           inv_hess, scratch, pool, leaf_of);
     // Update predictions over *all* rows with shrinkage: every row was
     // routed to a leaf during growth, so this is an O(n) scatter rather

@@ -8,7 +8,10 @@
 //       0.5 * [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma.
 //   * Histogram (quantile-binned) split finding — the "approximate tree
 //     learning algorithm" the paper credits for XGBoost's efficiency.
-//   * Column-parallel histogram builds over a ThreadPool, the
+//   * Row-wise histogram builds over one row-major matrix of bin codes:
+//     each node's histogram is one pass over its rows that reads a row's
+//     gradient once and adds it to the bin of every active column (split
+//     by contiguous column ranges over a ThreadPool at large nodes), the
 //     histogram-subtraction trick (build the smaller child directly and
 //     derive the sibling as parent - child), and leaf-scatter prediction
 //     updates (O(n) per tree instead of per-row tree traversal). Results
@@ -42,6 +45,13 @@ namespace xfl::ml {
 
 class FlatEnsemble;
 
+namespace detail {
+/// One training histogram bin: {gradient sum, hessian sum}. The two lanes
+/// are added as one two-double vector; each lane is an ordinary IEEE double
+/// add, so the sums are those of two scalar adds.
+using HistCell = double __attribute__((vector_size(16)));
+}  // namespace detail
+
 /// Training hyperparameters.
 struct GbtConfig {
   int trees = 200;
@@ -60,11 +70,15 @@ struct GbtConfig {
   /// by row block for prediction), never by interleaving accumulation.
   int threads = 1;
 
+  /// Bin codes are uint16, so a feature can have at most 65,536 bins.
+  static constexpr int kMaxBins = 65536;
+
   bool valid() const {
     return trees >= 1 && learning_rate > 0.0 && max_depth >= 1 &&
            min_child_weight >= 0.0 && lambda >= 0.0 && gamma >= 0.0 &&
            subsample > 0.0 && subsample <= 1.0 && colsample > 0.0 &&
-           colsample <= 1.0 && max_bins >= 2 && threads >= 0;
+           colsample <= 1.0 && max_bins >= 2 && max_bins <= kMaxBins &&
+           threads >= 0;
   }
 };
 
@@ -165,11 +179,13 @@ class GradientBoostedTrees {
     double predict(std::span<const double> features) const;
   };
 
-  /// Derive per-feature bin edges and emit every value's bin code in one
-  /// sorted pass per column (no per-value binary search). `binned[c][r]` is
-  /// the code of x(r, c): code b means value in (edges[b-1], edges[b]].
-  void build_bins(const Matrix& x,
-                  std::vector<std::vector<std::uint16_t>>& binned,
+  /// Derive per-feature bin edges and emit every value's bin code from one
+  /// stable radix sort per column (no per-value binary search). `codes` is
+  /// row-major, `codes[r * x.cols() + c]` is the code of x(r, c): code b
+  /// means value in (edges[b-1], edges[b]]. A row's codes are adjacent, so
+  /// the row-wise histogram build reads one short run per row for all of
+  /// its columns.
+  void build_bins(const Matrix& x, std::vector<std::uint16_t>& codes,
                   ThreadPool* pool);
   /// Grow one tree over the sampled rows. `sampled` and `unsampled` together
   /// partition [0, n); both are reordered in place as nodes split so each
@@ -177,25 +193,29 @@ class GradientBoostedTrees {
   /// node every row r landed in, so the caller can update predictions with
   /// an O(n) scatter instead of re-traversing the tree per row.
   /// Reusable buffers shared by every grow_tree call of one fit, so the
-  /// per-tree hot path performs no allocations in steady state.
+  /// per-tree hot path performs no allocations in steady state. A node's
+  /// histogram is built row-wise over the row-major codes: one pass over
+  /// its rows adds each row's gradient to the bin of every active column.
   struct FitScratch {
     /// Retired histogram buffers, recycled across nodes and trees.
-    std::vector<std::vector<double>> hist_pool;
-    /// Retired row-count buffers, recycled alongside hist_pool.
-    std::vector<std::vector<std::uint32_t>> count_pool;
+    std::vector<std::vector<detail::HistCell>> hist_pool;
     /// Right-child row staging for the stable in-place partition.
-    std::vector<std::size_t> rows;
-    /// Per-candidate-column histogram slice offsets.
+    std::vector<std::uint32_t> rows;
+    /// The tree's active columns: its candidate columns that are not
+    /// constant, in candidate order.
+    std::vector<std::uint32_t> active_col;
+    /// Histogram slice offsets: active column k owns cells
+    /// [offset[k], offset[k + 1]).
     std::vector<std::size_t> offset;
   };
   /// `inv_hess[h]` must hold 1 / (h + lambda) for every integer hessian sum
   /// h in [0, total weight]. `weights` is empty (all rows weigh 1) or one
   /// integer multiplicity per row; histogram counts accumulate it.
-  Tree grow_tree(const std::vector<std::vector<std::uint16_t>>& binned,
+  Tree grow_tree(const std::vector<std::uint16_t>& codes,
                  const std::vector<double>& grad,
                  std::span<const std::uint32_t> weights,
-                 std::vector<std::size_t>& sampled,
-                 std::vector<std::size_t>& unsampled,
+                 std::vector<std::uint32_t>& sampled,
+                 std::vector<std::uint32_t>& unsampled,
                  const std::vector<std::size_t>& cols,
                  const std::vector<double>& inv_hess, FitScratch& scratch,
                  ThreadPool* pool, std::vector<std::int32_t>& leaf_of);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -174,6 +176,13 @@ TEST(Gbt, InvalidConfigRejected) {
   config = {};
   config.learning_rate = -0.1;
   EXPECT_THROW(GradientBoostedTrees{config}, xfl::ContractViolation);
+  // Bin codes are uint16: a larger budget would wrap codes past 65,535
+  // into the wrong bins instead of failing.
+  config = {};
+  config.max_bins = 65537;
+  EXPECT_THROW(GradientBoostedTrees{config}, xfl::ContractViolation);
+  config.max_bins = 65536;
+  EXPECT_NO_THROW(GradientBoostedTrees{config});
 }
 
 TEST(Gbt, WidthMismatchRejectedAtPredict) {
@@ -281,6 +290,94 @@ TEST(Gbt, EmptyImportanceBlockYieldsEmptyImportances) {
   const auto model = GradientBoostedTrees::load(stripped);
   ASSERT_TRUE(model.fitted());
   EXPECT_TRUE(model.feature_importance().empty());
+}
+
+// ------------------------------------------------------ trainer digests
+// FNV-1a digests of save() bytes, computed with the column-by-column
+// histogram trainer that preceded the row-wise kernel. Any change to the
+// histogram sums, the split choice or the subsample stream moves them.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Six columns: two continuous (3000 distinct values, so max_bins 300
+/// emits codes above 255), one with 12 levels, one constant, one with
+/// heavy ties, one pure noise. 3000 rows x 6 columns puts the top nodes
+/// above the parallel histogram threshold.
+Synthetic make_digest_data() {
+  Rng rng(2024);
+  Synthetic data;
+  const std::size_t n = 3000;
+  data.x = Matrix(n, 6);
+  data.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = rng.uniform(-3.0, 3.0);
+    const double b = rng.normal();
+    const double level = static_cast<double>(rng.uniform_int(0, 11));
+    const double tie = rng.bernoulli(0.8) ? 0.0 : rng.uniform();
+    data.x.at(i, 0) = a;
+    data.x.at(i, 1) = b;
+    data.x.at(i, 2) = level;
+    data.x.at(i, 3) = 4.0;
+    data.x.at(i, 4) = tie;
+    data.x.at(i, 5) = rng.uniform();
+    data.y[i] = a * a + 2.0 * std::sin(b) + 0.3 * level + 5.0 * tie +
+                rng.normal(0.0, 0.2);
+  }
+  return data;
+}
+
+TEST(Gbt, TrainingMatchesParentDigests) {
+  const auto data = make_digest_data();
+  std::vector<std::uint32_t> weights(data.y.size());
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights[i] = static_cast<std::uint32_t>(1 + (i * 7) % 5);
+
+  struct Case {
+    const char* name;
+    GbtConfig config;
+    bool weighted;
+    std::uint64_t digest;
+  };
+  GbtConfig base;
+  base.trees = 30;
+  GbtConfig sampled = base;
+  sampled.subsample = 0.7;
+  sampled.colsample = 0.6;
+  GbtConfig two_bins = base;
+  two_bins.max_bins = 2;
+  GbtConfig wide_bins = base;
+  wide_bins.max_bins = 300;
+  const std::vector<Case> cases = {
+      {"weighted", base, true, 0x1db7f72d297cd3deULL},
+      {"subsample 0.7, colsample 0.6", sampled, false,
+       0x95b8c8d1e162f2f6ULL},
+      {"constant column", base, false, 0x7c9323372c7f3e23ULL},
+      {"max_bins 2", two_bins, false, 0x6d9f0bc0db289b45ULL},
+      {"max_bins 300", wide_bins, false, 0x68a74c0061a56df1ULL},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 2, 4}) {
+      GbtConfig config = c.config;
+      config.threads = threads;
+      GradientBoostedTrees model(config);
+      if (c.weighted)
+        model.fit(data.x, data.y, weights);
+      else
+        model.fit(data.x, data.y);
+      std::string bytes;
+      model.save(bytes);
+      EXPECT_EQ(fnv1a(bytes), c.digest)
+          << c.name << ", threads " << threads << ": 0x" << std::hex
+          << fnv1a(bytes);
+    }
+  }
 }
 
 // ------------------------------------------------------- weighted fitting

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -15,6 +17,42 @@ namespace {
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// The first draws of two seeds, pinned: training subsamples and every
+// simulated workload are defined by this stream, so an edit to the engine
+// (or to how uniform() maps its bits) must fail here, not in a golden file.
+TEST(Rng, KnownAnswerStream) {
+  struct Expected {
+    std::uint64_t seed;
+    std::uint64_t next_u64[3];
+    std::uint64_t uniform_bits[3];
+    bool bernoulli[8];
+  };
+  const Expected expected[] = {
+      {0,
+       {0x53175d61490b23dfULL, 0x61da6f3dc380d507ULL, 0x5c0fdf91ec9a7bfcULL},
+       {0x3f8775fc61ddf2c0ULL, 0x3fdfb2813aebd296ULL, 0x3f950f0ddd5fc220ULL},
+       {false, false, true, true, true, true, true, true}},
+      {42,
+       {0xd0764d4f4476689fULL, 0x519e4174576f3791ULL, 0xfbe07cfb0c24ed8cULL},
+       {0x3fe66fb3ec019b06ULL, 0x3fe96463870e908dULL, 0x3fe2d1b3e009ca1bULL},
+       {true, false, true, false, false, false, false, true}},
+  };
+  for (const Expected& e : expected) {
+    Rng rng(e.seed);
+    for (const std::uint64_t want : e.next_u64) {
+      const std::uint64_t got = rng.next_u64();
+      EXPECT_EQ(got, want) << "seed " << e.seed << std::hex << ": 0x" << got;
+    }
+    for (const std::uint64_t want : e.uniform_bits) {
+      const double got = rng.uniform();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), want)
+          << "seed " << e.seed << ": " << std::hexfloat << got;
+    }
+    for (const bool want : e.bernoulli)
+      EXPECT_EQ(rng.bernoulli(0.5), want) << "seed " << e.seed;
+  }
 }
 
 TEST(Rng, DifferentSeedsDiverge) {

@@ -14,8 +14,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -28,9 +31,11 @@
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
 #include "serve/client.hpp"
+#include "serve/json.hpp"
 #include "serve/model_host.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -664,6 +669,75 @@ TEST(ServeE2E, ReloadFailureAnswersErrorAndKeepsServing) {
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.rate_mbps, model_a()->predict_rate_mbps(planned));
   EXPECT_EQ(reply.model_version, 1u);
+}
+
+// Hostile hot reloads: a truncated model, a byte-flipped model and a model
+// whose first tree claims 2^30 nodes. Each must come back as a structured
+// reload_failed reply, count once in serve.reload.failed, and leave the old
+// model serving: same version, answers bit-identical to direct calls.
+TEST(ServeE2E, HostileReloadFilesFailCleanlyAndKeepServing) {
+  std::string good;
+  {
+    std::ifstream in(saved_model_path(model_a(), "hostile_base.txt"),
+                     std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(good.size(), 1000u);
+
+  const std::string truncated = good.substr(0, good.size() / 2);
+  // Turn the first digit past the middle into a letter: the number it sat
+  // in no longer parses.
+  std::string flipped = good;
+  std::size_t at = flipped.find_first_of("0123456789", flipped.size() / 2);
+  ASSERT_NE(at, std::string::npos);
+  flipped[at] = static_cast<char>(flipped[at] ^ 0x40);
+  // The first GBT block: magic, header, importances, tree count, then the
+  // first tree's node count.
+  std::string crafted = good;
+  at = crafted.find("xfl-gbt-v1\n");
+  ASSERT_NE(at, std::string::npos);
+  for (int line = 0; line < 4; ++line) at = crafted.find('\n', at) + 1;
+  const std::size_t count_end = crafted.find('\n', at);
+  crafted.replace(at, count_end - at, std::to_string(1u << 30));
+
+  RunningServer running;
+  PredictionClient client("127.0.0.1", running.server->port());
+  const auto planned = transfer_mix()[3];
+  const std::vector<core::PlannedTransfer> one = {planned};
+  const double expected = model_a()->predict_rates_mbps(one)[0];
+  obs::Counter& failed = obs::counter("serve.reload.failed");
+  const std::pair<const char*, const std::string*> hostile[] = {
+      {"truncated", &truncated},
+      {"flipped", &flipped},
+      {"huge_node_count", &crafted}};
+  for (const auto& [name, bytes] : hostile) {
+    SCOPED_TRACE(name);
+    const std::string path =
+        testing::TempDir() + "hostile_" + std::string(name) + ".txt";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << *bytes;
+    }
+    const std::uint64_t failed_before = failed.value();
+    std::string line = "{\"cmd\":\"reload\",\"id\":\"hostile\",\"path\":";
+    append_json_string(line, path);
+    line += "}";
+    client.send_line(line);
+    const PredictReply reload =
+        PredictionClient::parse_reply(client.read_line());
+    EXPECT_EQ(reload.id, "hostile");
+    EXPECT_FALSE(reload.ok);
+    EXPECT_EQ(reload.error, kErrReloadFailed);
+    EXPECT_FALSE(reload.message.empty());
+    EXPECT_EQ(failed.value(), failed_before + 1);
+    EXPECT_EQ(running.host->version(), 1u);
+
+    const auto reply = client.predict(planned);
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(reply.model_version, 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reply.rate_mbps),
+              std::bit_cast<std::uint64_t>(expected));
+  }
 }
 
 // Satellite of the telemetry PR: the serve-path spans recorded while
