@@ -73,6 +73,20 @@ std::span<const double> attribution_bounds() {
 }
 }  // namespace
 
+const char* PlannedTransfer::invalid_field() const {
+  constexpr std::uint64_t kMaxEndpoint = 1u << 30;
+  constexpr std::uint64_t kMaxCount = 1ull << 40;
+  constexpr std::uint32_t kMaxStreams = 1u << 20;
+  if (src > kMaxEndpoint) return "src";
+  if (dst > kMaxEndpoint) return "dst";
+  if (!(bytes >= 0.0) || !std::isfinite(bytes)) return "bytes";
+  if (files < 1 || files > kMaxCount) return "files";
+  if (dirs < 1 || dirs > kMaxCount) return "dirs";
+  if (concurrency < 1 || concurrency > kMaxStreams) return "concurrency";
+  if (parallelism < 1 || parallelism > kMaxStreams) return "parallelism";
+  return nullptr;
+}
+
 TransferPredictor::TransferPredictor() : TransferPredictor(Options{}) {}
 
 TransferPredictor::TransferPredictor(Options options)
@@ -80,13 +94,15 @@ TransferPredictor::TransferPredictor(Options options)
   XFL_EXPECTS(options_.gbt.valid());
 }
 
-/// Fill a model's empirical residual-ratio quantiles from training data.
+/// Fill a model's empirical residual-ratio quantiles from training data,
+/// predicting through `pool` when given.
 void TransferPredictor::calibrate_interval(Model& model, const ml::Matrix& x,
-                                           const std::vector<double>& y) {
-  // One pass through the flattened batch engine instead of a per-row walk
-  // (serial: calibration runs inside fit(), which may already fan out).
+                                           const std::vector<double>& y,
+                                           ThreadPool* pool) {
+  // One pass through the flattened batch engine instead of a per-row walk;
+  // pooled and serial predicts are bit-identical.
   std::vector<double> predicted(x.rows());
-  model.boosted->predict_batch(x, predicted);
+  model.boosted->predict_batch(x, predicted, pool);
   std::vector<double> ratios;
   ratios.reserve(y.size());
   for (std::size_t r = 0; r < x.rows(); ++r)
@@ -125,32 +141,33 @@ void TransferPredictor::fit(const logs::LogStore& log) {
   // The models match the serial fit at every width: each task owns its
   // slot and its seed, and GBT output does not depend on its thread count.
   std::vector<Model> models(trainable.size() + 1);
-  std::size_t global_rows = 0;
+  // The global dataset outlives its task: the global model, which ends
+  // last, is calibrated on the whole pool once the fan-out has joined.
+  features::Dataset global;
   auto fit_model = [&](std::size_t i) {
-    const auto dataset =
-        i == 0 ? features::build_global_dataset(
-                     context.log, context.contention, all_edges,
-                     context.capabilities, dataset_options)
-               : features::build_edge_dataset(context.log, context.contention,
-                                              trainable[i - 1],
+    features::Dataset edge;
+    if (i == 0)
+      global = features::build_global_dataset(context.log, context.contention,
+                                              all_edges, context.capabilities,
                                               dataset_options);
-    if (i == 0) {
-      global_rows = dataset.rows();
-    } else if (dataset.rows() < options_.min_edge_transfers) {
+    else
+      edge = features::build_edge_dataset(context.log, context.contention,
+                                          trainable[i - 1], dataset_options);
+    const features::Dataset& dataset = i == 0 ? global : edge;
+    if (i != 0 && dataset.rows() < options_.min_edge_transfers)
       return;  // Too few usable rows: the edge falls back to global.
-    }
     Model& model = models[i];
     model.feature_names = dataset.feature_names;
-    const auto x = model.scaler.fit_transform(dataset.x);
     ml::GbtConfig config = options_.gbt;
     config.threads = 1;  // The pool already keeps every core busy.
     config.seed = i == 0 ? options_.seed + 1 : options_.seed;
     model.boosted = std::make_unique<ml::GradientBoostedTrees>(config);
-    model.boosted->fit(x, dataset.y);
-    calibrate_interval(model, x, dataset.y);
+    model.boosted->fit(dataset.x, dataset.y);
+    if (i != 0) calibrate_interval(model, dataset.x, dataset.y);
   };
   ThreadPool pool(static_cast<std::size_t>(width));
   pool.parallel_for(models.size(), fit_model);
+  calibrate_interval(models[0], global.x, global.y, &pool);
 
   // Commit only after every model trained, so a throwing fit leaves the
   // predictor as it was.
@@ -167,7 +184,7 @@ void TransferPredictor::fit(const logs::LogStore& log) {
   XFL_LOG(info) << "predictor fit complete"
                 << obs::kv("records", log.size())
                 << obs::kv("edge_models", edge_models_.size())
-                << obs::kv("global_rows", global_rows)
+                << obs::kv("global_rows", global.rows())
                 << obs::kv("kernel", serving_kernel());
 }
 
@@ -193,24 +210,19 @@ void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
   XFL_SPAN("predictor.refit_edge");
 
   Model model;
-  // Per-edge feature layout: kFeatureNames minus Nflt (prediction
-  // features only), the order write_features() emits.
-  for (const char* name : features::kFeatureNames)
-    if (std::string_view(name) != "Nflt") model.feature_names.emplace_back(name);
-
-  ml::Matrix raw(samples.size(), model.feature_names.size());
+  model.feature_names = features::feature_row_names(/*include_nflt=*/false);
+  ml::Matrix x(samples.size(), model.feature_names.size());
   std::vector<double> y;
   y.reserve(samples.size());
   for (std::size_t r = 0; r < samples.size(); ++r) {
     const EdgeSample& sample = samples[r];
     XFL_EXPECTS(std::isfinite(sample.observed_mbps) &&
                 sample.observed_mbps > 0.0);
-    write_features(sample.transfer, sample.load, /*with_capabilities=*/false,
-                   raw.row(r));
+    features::write_feature_row(sample.transfer, sample.load,
+                                /*include_nflt=*/false, x.row(r));
     y.push_back(sample.observed_mbps);
   }
 
-  const auto x = model.scaler.fit_transform(raw);
   model.boosted = std::make_unique<ml::GradientBoostedTrees>(gbt);
   model.boosted->fit(x, y, weights);
   calibrate_interval(model, x, y);
@@ -232,37 +244,6 @@ bool TransferPredictor::has_edge_model(const logs::EdgeKey& edge) const {
   return edge_models_.contains(edge);
 }
 
-void TransferPredictor::write_features(
-    const PlannedTransfer& transfer,
-    const features::ContentionFeatures& load, bool with_capabilities,
-    std::span<double> out) const {
-  // Mirrors features::kFeatureNames order with Nflt removed (prediction
-  // features only; Fig. 9 order): Ksout Kdin C P Ssout Ssin Sdout Sdin
-  // Ksin Kdout Nd Nb Gsrc Gdst Nf [ROmax_src RImax_dst].
-  XFL_EXPECTS(out.size() == (with_capabilities ? 17u : 15u));
-  out[0] = to_mbps(load.k_sout);
-  out[1] = to_mbps(load.k_din);
-  out[2] = static_cast<double>(transfer.concurrency);
-  out[3] = static_cast<double>(transfer.parallelism);
-  out[4] = load.s_sout;
-  out[5] = load.s_sin;
-  out[6] = load.s_dout;
-  out[7] = load.s_din;
-  out[8] = to_mbps(load.k_sin);
-  out[9] = to_mbps(load.k_dout);
-  out[10] = static_cast<double>(transfer.dirs);
-  out[11] = transfer.bytes;
-  out[12] = load.g_src;
-  out[13] = load.g_dst;
-  out[14] = static_cast<double>(transfer.files);
-  if (with_capabilities) {
-    const auto* src_capability = capability(transfer.src);
-    const auto* dst_capability = capability(transfer.dst);
-    out[15] = src_capability ? to_mbps(src_capability->ro_max_Bps) : 0.0;
-    out[16] = dst_capability ? to_mbps(dst_capability->ri_max_Bps) : 0.0;
-  }
-}
-
 const TransferPredictor::Model& TransferPredictor::model_for(
     const logs::EdgeKey& edge) const {
   const auto it = edge_models_.find(edge);
@@ -271,6 +252,9 @@ const TransferPredictor::Model& TransferPredictor::model_for(
 
 namespace {
 const features::ContentionFeatures kIdle{};
+
+/// Width of a dedicated edge model's feature row: every feature but Nflt.
+constexpr std::size_t kEdgeWidth = features::kFeatureCount - 1;
 
 /// A rate prediction is never non-positive.
 double served_rate(double raw_mbps) { return std::max(raw_mbps, 0.01); }
@@ -295,9 +279,9 @@ void TransferPredictor::serve_batch(
   XFL_EXPECTS(loads.empty() || loads.size() == transfers.size());
   // Sort the row indices by (serving model, index): each model's rows
   // become one ascending run, and the groups come out in one fixed order.
-  // Grouping only batches rows that share a model — every row is
-  // standardised with its own model's moments and walked independently,
-  // so the answers are bit-identical in any batch composition.
+  // Grouping only batches rows that share a model — every row is walked
+  // independently, so the answers are bit-identical in any batch
+  // composition.
   std::vector<const Model*> model_of(transfers.size());
   std::vector<std::size_t> order(transfers.size());
   for (std::size_t i = 0; i < transfers.size(); ++i) {
@@ -330,19 +314,24 @@ void TransferPredictor::serve_batch(
       (dedicated ? metrics.edge_hits : metrics.global_fallbacks)
           .add(indices.size());
 
-    // Feature rows are written straight into the group matrix, then
-    // standardised in place with the model's training moments.
-    const auto& means = model.scaler.means();
-    const auto& sigmas = model.scaler.sigmas();
-    const std::size_t cols = means.size();
+    // Raw feature rows are written straight into the group matrix; the
+    // global fallback appends the endpoint capabilities, 0 for an endpoint
+    // without history.
+    const std::size_t cols = model.feature_names.size();
+    XFL_EXPECTS(cols == kEdgeWidth + (dedicated ? 0 : 2));
     ml::Matrix x(indices.size(), cols);
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
+      const PlannedTransfer& transfer = transfers[indices[k]];
       const auto row = x.row(k);
-      write_features(transfers[i], loads.empty() ? kIdle : loads[i],
-                     !dedicated, row);
-      for (std::size_t c = 0; c < cols; ++c)
-        row[c] = (row[c] - means[c]) / sigmas[c];
+      features::write_feature_row(transfer,
+                                  loads.empty() ? kIdle : loads[indices[k]],
+                                  /*include_nflt=*/false,
+                                  row.first(kEdgeWidth));
+      if (dedicated) continue;
+      const auto* src = capability(transfer.src);
+      const auto* dst = capability(transfer.dst);
+      row[kEdgeWidth] = src ? to_mbps(src->ro_max_Bps) : 0.0;
+      row[kEdgeWidth + 1] = dst ? to_mbps(dst->ri_max_Bps) : 0.0;
     }
     raw.resize(indices.size());
     if (explain) {
@@ -393,7 +382,7 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
     const bool calibrated = model.ratio_p10 != 1.0 || model.ratio_p90 != 1.0;
     (calibrated ? metrics.explain_calibrated : metrics.explain_uncalibrated)
         .add(group.indices.size());
-    const std::size_t cols = model.scaler.means().size();
+    const std::size_t cols = model.feature_names.size();
     for (std::size_t k = 0; k < group.indices.size(); ++k) {
       RateExplanation& explanation = out[group.indices[k]];
       explanation.raw_mbps = group.raw[k];
@@ -411,7 +400,7 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
     // Rolling per-feature attribution magnitudes: one registry lookup per
     // feature per group (explain traffic is low-rate by design), then
     // lock-free records.
-    for (std::size_t c = 0; c < cols && c < model.feature_names.size(); ++c) {
+    for (std::size_t c = 0; c < cols; ++c) {
       auto& histogram = obs::histogram(
           "predictor.attribution." + model.feature_names[c],
           attribution_bounds());
@@ -462,7 +451,7 @@ std::vector<std::pair<std::string, double>> TransferPredictor::explain(
 }
 
 namespace {
-constexpr const char* kPredictorMagic = "xfl-predictor-v1";
+constexpr const char* kPredictorMagic = "xfl-predictor-v2";
 
 /// Sanity cap shared by every count field: a corrupted count must throw,
 /// not drive a multi-gigabyte resize.
@@ -478,13 +467,6 @@ void TransferPredictor::save_model(std::string& out, const char* label,
     out += ' ';
     out += name;
   }
-  out += '\n';
-  append_number(out, model.scaler.means().size());
-  for (const auto* moments : {&model.scaler.means(), &model.scaler.sigmas()})
-    for (const double m : *moments) {
-      out += ' ';
-      append_number(out, m);
-    }
   out += '\n';
   append_line(out, model.ratio_p10, model.ratio_p90);
   model.boosted->save(out);
@@ -505,23 +487,8 @@ TransferPredictor::Model TransferPredictor::load_model(
     fail("implausible feature-name count");
   model.feature_names.resize(name_count);
   for (auto& name : model.feature_names) name = in.token();
-  std::size_t moment_count = 0;
-  if (!in.read(moment_count)) fail("truncated feature-name block");
-  // Exactly one (mean, sigma) pair per feature; a mismatch means fields
-  // were dropped or swapped upstream.
-  if (moment_count != name_count)
-    fail("scaler moment count does not match feature count");
-  if (!in.fits(moment_count, 2)) fail("truncated scaler block");
-  std::vector<double> means(moment_count), sigmas(moment_count);
-  for (auto* moments : {&means, &sigmas})
-    for (double& m : *moments)
-      if (!in.read(m)) fail("truncated scaler block");
   if (!in.read(model.ratio_p10, model.ratio_p90))
-    fail("truncated scaler block");
-  for (const double s : sigmas)
-    if (!(s > 0.0)) fail("non-positive scaler sigma");
-  model.scaler = ml::StandardScaler::from_moments(std::move(means),
-                                                  std::move(sigmas));
+    fail("truncated residual band");
   model.boosted = std::make_unique<ml::GradientBoostedTrees>(
       ml::GradientBoostedTrees::load(in));
   if (model.boosted->feature_count() != name_count)

@@ -20,7 +20,6 @@
 
 #include "core/pipeline.hpp"
 #include "ml/gbt.hpp"
-#include "ml/scaler.hpp"
 
 namespace xfl {
 class ThreadPool;
@@ -37,6 +36,11 @@ struct PlannedTransfer {
   std::uint64_t dirs = 1;
   std::uint32_t concurrency = 4;
   std::uint32_t parallelism = 4;
+
+  /// The name of the first field outside the ranges the serve protocol
+  /// and the CLI accept (ids <= 2^30, finite bytes >= 0, files and dirs in
+  /// [1, 2^40], concurrency and parallelism in [1, 2^20]), or nullptr.
+  const char* invalid_field() const;
 };
 
 /// One joined prediction/feedback observation from the serve path — the
@@ -117,13 +121,12 @@ class TransferPredictor {
   TransferPredictor clone() const;
 
   /// Refit (or create) the dedicated model for `edge` from raw serving
-  /// samples. Builds the 15-column per-edge feature matrix, standardises
-  /// it with freshly fitted moments, trains a GBT under `gbt` with the
-  /// optional integer sample `weights` (the retrain worker's quantised
-  /// recency decay; empty = unweighted), and recalibrates the residual
-  /// interval. The global model and other edges are untouched. Requires
-  /// fit() (or load()), samples.size() >= 2, finite observed rates > 0,
-  /// and weights empty or parallel to samples.
+  /// samples. Builds the 15-column per-edge feature matrix, trains a GBT
+  /// on it under `gbt` with the optional integer sample `weights` (the
+  /// retrain worker's quantised recency decay; empty = unweighted), and
+  /// recalibrates the residual interval. The global model and other edges
+  /// are untouched. Requires fit() (or load()), samples.size() >= 2,
+  /// finite observed rates > 0, and weights empty or parallel to samples.
   void refit_edge(const logs::EdgeKey& edge, std::span<const EdgeSample> samples,
                   std::span<const std::uint32_t> weights, const ml::GbtConfig& gbt);
 
@@ -141,21 +144,21 @@ class TransferPredictor {
 
   /// Batch serving path: predict rates for many planned transfers at once.
   /// Transfers are grouped per serving model (edge or global fallback),
-  /// standardised into one matrix per group, and pushed through the
-  /// flattened batch-inference engine — bit-identical to calling
-  /// predict_rate_mbps per transfer, in any grouping. `expected_loads` is
-  /// either empty (all idle) or parallel to `transfers`. `pool` lets a
-  /// caller that already owns workers (e.g. the serve micro-batcher) fan
-  /// the flat kernel across them; results are bit-identical with or
-  /// without it. Requires fit().
+  /// written as raw feature rows into one matrix per group, and pushed
+  /// through the flattened batch-inference engine — bit-identical to
+  /// calling predict_rate_mbps per transfer, in any grouping.
+  /// `expected_loads` is either empty (all idle) or parallel to
+  /// `transfers`. `pool` lets a caller that already owns workers (e.g. the
+  /// serve micro-batcher) fan the flat kernel across them; results are
+  /// bit-identical with or without it. Requires fit().
   std::vector<double> predict_rates_mbps(
       std::span<const PlannedTransfer> transfers,
       std::span<const features::ContentionFeatures> expected_loads = {},
       ThreadPool* pool = nullptr) const;
 
-  /// Explained batch serving path: the same per-model grouping and
-  /// standardisation as predict_rates_mbps, routed through the flat
-  /// engine's Saabas attribution kernel. Each result's rate_mbps is
+  /// Explained batch serving path: the same per-model grouping and raw
+  /// feature rows as predict_rates_mbps, routed through the flat engine's
+  /// Saabas attribution kernel. Each result's rate_mbps is
   /// bit-identical to the rate predict_rates_mbps would serve, and its
   /// contributions + bias reconstruct raw_mbps bit-exactly (see
   /// RateExplanation). Per-feature |contribution| values are recorded
@@ -191,7 +194,7 @@ class TransferPredictor {
   const features::EndpointCapability* capability(
       endpoint::EndpointId endpoint) const;
 
-  /// Persist the fitted predictor (per-edge + global models, scalers,
+  /// Persist the fitted predictor (per-edge + global models, endpoint
   /// capabilities) to a line-oriented text stream; load() restores a
   /// predictor that answers identically. Requires fit().
   /// load() reads `in` to its end; malformed input throws
@@ -216,7 +219,6 @@ class TransferPredictor {
   /// the end of every GBT fit() and load(), so a (re)fit or load of the
   /// predictor can never serve a stale compiled model.
   struct Model {
-    ml::StandardScaler scaler;
     std::unique_ptr<ml::GradientBoostedTrees> boosted;
     std::vector<std::string> feature_names;
     /// Empirical training-residual ratio quantiles (actual / predicted).
@@ -238,30 +240,27 @@ class TransferPredictor {
   };
 
   static void calibrate_interval(Model& model, const ml::Matrix& x,
-                                 const std::vector<double>& y);
+                                 const std::vector<double>& y,
+                                 ThreadPool* pool = nullptr);
   /// The model file as text: save appends it to `out`, handing `out` to
   /// `flush` after each model; load parses it from `in`. clone() and the
   /// stream and file overloads all go through these.
   template <class Flush>
   void save(std::string& out, Flush&& flush) const;
   static TransferPredictor load(TokenReader& in);
-  /// One model's block of the model file: `label`, the feature names, the
-  /// scaler moments, the residual band, then the GBT.
+  /// One model's block of the model file (xfl-predictor-v2): `label`, the
+  /// feature names, the residual band, then the GBT over raw feature rows.
+  /// A v1 file (it also held standardisation moments) fails on the magic.
   static void save_model(std::string& out, const char* label,
                          const Model& model);
   static Model load_model(TokenReader& in, const std::string& label);
-  /// Write one transfer's feature row (per-edge layout, plus the endpoint
-  /// capabilities when `with_capabilities`) into `out`, which must be
-  /// exactly that wide.
-  void write_features(const PlannedTransfer& transfer,
-                      const features::ContentionFeatures& expected_load,
-                      bool with_capabilities, std::span<double> out) const;
   const Model& model_for(const logs::EdgeKey& edge) const;
   /// The one batch routine behind every predict and explain entry point:
-  /// group the transfers by serving model, standardise each group's
-  /// feature rows straight into one matrix, run the model's flat engine
-  /// (explain_batch when `explain`, else predict_batch), count the rows
-  /// per model class, and hand each group to `emit`. `loads` is empty
+  /// group the transfers by serving model, write each group's raw feature
+  /// rows (features::write_feature_row, plus the endpoint capabilities on
+  /// the global fallback) straight into one matrix, run the model's flat
+  /// engine (explain_batch when `explain`, else predict_batch), count the
+  /// rows per model class, and hand each group to `emit`. `loads` is empty
   /// (all idle) or parallel to `transfers`.
   template <typename Emit>
   void serve_batch(std::span<const PlannedTransfer> transfers,

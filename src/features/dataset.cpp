@@ -17,35 +17,7 @@
 
 namespace xfl::features {
 
-namespace {
-
-/// One raw feature row in canonical order (16 columns incl. Nflt).
-std::array<double, kFeatureCount> feature_row(
-    const logs::TransferRecord& record, const ContentionFeatures& contention) {
-  std::array<double, kFeatureCount> row{};
-  row[static_cast<std::size_t>(FeatureId::kKsout)] = to_mbps(contention.k_sout);
-  row[static_cast<std::size_t>(FeatureId::kKdin)] = to_mbps(contention.k_din);
-  row[static_cast<std::size_t>(FeatureId::kC)] = record.concurrency;
-  row[static_cast<std::size_t>(FeatureId::kP)] = record.parallelism;
-  row[static_cast<std::size_t>(FeatureId::kSsout)] = contention.s_sout;
-  row[static_cast<std::size_t>(FeatureId::kSsin)] = contention.s_sin;
-  row[static_cast<std::size_t>(FeatureId::kSdout)] = contention.s_dout;
-  row[static_cast<std::size_t>(FeatureId::kSdin)] = contention.s_din;
-  row[static_cast<std::size_t>(FeatureId::kKsin)] = to_mbps(contention.k_sin);
-  row[static_cast<std::size_t>(FeatureId::kKdout)] = to_mbps(contention.k_dout);
-  row[static_cast<std::size_t>(FeatureId::kNd)] =
-      static_cast<double>(record.dirs);
-  row[static_cast<std::size_t>(FeatureId::kNb)] = record.bytes;
-  row[static_cast<std::size_t>(FeatureId::kNflt)] =
-      static_cast<double>(record.faults);
-  row[static_cast<std::size_t>(FeatureId::kGsrc)] = contention.g_src;
-  row[static_cast<std::size_t>(FeatureId::kGdst)] = contention.g_dst;
-  row[static_cast<std::size_t>(FeatureId::kNf)] =
-      static_cast<double>(record.files);
-  return row;
-}
-
-std::vector<std::string> base_names(bool include_nflt) {
+std::vector<std::string> feature_row_names(bool include_nflt) {
   std::vector<std::string> names;
   names.reserve(kFeatureCount);
   for (std::size_t c = 0; c < kFeatureCount; ++c) {
@@ -55,20 +27,6 @@ std::vector<std::string> base_names(bool include_nflt) {
   }
   return names;
 }
-
-void push_base_row(const logs::TransferRecord& record,
-                   const ContentionFeatures& contention, bool include_nflt,
-                   std::vector<double>& scratch) {
-  const auto row = feature_row(record, contention);
-  scratch.clear();
-  for (std::size_t c = 0; c < kFeatureCount; ++c) {
-    if (!include_nflt && c == static_cast<std::size_t>(FeatureId::kNflt))
-      continue;
-    scratch.push_back(row[c]);
-  }
-}
-
-}  // namespace
 
 Dataset Dataset::select_features(const std::vector<bool>& keep) const {
   XFL_EXPECTS(keep.size() == feature_names.size());
@@ -94,14 +52,18 @@ Dataset build_edge_dataset(const logs::LogStore& log,
           : 0.0;
 
   Dataset dataset;
-  dataset.feature_names = base_names(options.include_nflt);
-  std::vector<double> scratch;
+  dataset.feature_names = feature_row_names(options.include_nflt);
+  // Sized once for every row the load filter could keep: a matrix grown by
+  // doubling frees ever larger blocks, which raises glibc's dynamic mmap
+  // and trim thresholds and leaves a fit's freed memory resident.
+  dataset.x.reserve(indices.size(), dataset.cols());
+  std::vector<double> row(dataset.cols());
   for (const std::size_t i : indices) {
     const auto& record = log[i];
     const double rate = record.rate_Bps();
     if (rate < min_rate) continue;
-    push_base_row(record, contention[i], options.include_nflt, scratch);
-    dataset.x.push_row(scratch);
+    write_feature_row(record, contention[i], options.include_nflt, row);
+    dataset.x.push_row(row);
     dataset.y.push_back(to_mbps(rate));
     dataset.record_indices.push_back(i);
   }
@@ -117,13 +79,17 @@ Dataset build_global_dataset(
   XFL_EXPECTS(contention.size() == log.size());
   XFL_EXPECTS(!edges.empty());
   Dataset dataset;
-  dataset.feature_names = base_names(options.include_nflt);
+  dataset.feature_names = feature_row_names(options.include_nflt);
+  const std::size_t base = dataset.cols();
   dataset.feature_names.emplace_back("ROmax_src");
   dataset.feature_names.emplace_back("RImax_dst");
   if (options.edge_rtt_s != nullptr)
     dataset.feature_names.emplace_back("RTT");
 
-  std::vector<double> scratch;
+  std::size_t transfers = 0;  // Sized once, as in build_edge_dataset.
+  for (const auto& edge : edges) transfers += log.edge_count(edge);
+  dataset.x.reserve(transfers, dataset.cols());
+  std::vector<double> row(dataset.cols());
   for (const auto& edge : edges) {
     const auto indices = log.edge_transfers(edge);
     if (indices.empty()) continue;
@@ -141,15 +107,16 @@ Dataset build_global_dataset(
       const auto& record = log[i];
       const double rate = record.rate_Bps();
       if (rate < min_rate) continue;
-      push_base_row(record, contention[i], options.include_nflt, scratch);
+      write_feature_row(record, contention[i], options.include_nflt,
+                        std::span(row).first(base));
       const auto src_it = capabilities.find(record.src);
       const auto dst_it = capabilities.find(record.dst);
       XFL_EXPECTS(src_it != capabilities.end() &&
                   dst_it != capabilities.end());
-      scratch.push_back(to_mbps(src_it->second.ro_max_Bps));
-      scratch.push_back(to_mbps(dst_it->second.ri_max_Bps));
-      if (options.edge_rtt_s != nullptr) scratch.push_back(rtt_s);
-      dataset.x.push_row(scratch);
+      row[base] = to_mbps(src_it->second.ro_max_Bps);
+      row[base + 1] = to_mbps(dst_it->second.ri_max_Bps);
+      if (options.edge_rtt_s != nullptr) row[base + 2] = rtt_s;
+      dataset.x.push_row(row);
       dataset.y.push_back(to_mbps(rate));
       dataset.record_indices.push_back(i);
     }

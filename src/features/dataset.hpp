@@ -11,9 +11,12 @@
 #include <array>
 #include <iosfwd>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/contracts.hpp"
+#include "common/units.hpp"
 #include "features/contention.hpp"
 #include "features/endpoint_stats.hpp"
 #include "logs/log_store.hpp"
@@ -47,6 +50,48 @@ inline constexpr std::array<const char*, 16> kFeatureNames = {
 
 /// Number of model features including Nflt.
 inline constexpr std::size_t kFeatureCount = 16;
+
+/// The names of write_feature_row's columns: kFeatureNames, without Nflt
+/// unless `include_nflt`.
+std::vector<std::string> feature_row_names(bool include_nflt);
+
+/// Write one transfer's feature row, in feature_row_names(include_nflt)
+/// order, into `out`, which must be exactly that wide. The one writer of
+/// the column order and units: the dataset builders pass a logged
+/// logs::TransferRecord, the predictor a planned core::PlannedTransfer
+/// (both carry bytes, files, dirs, concurrency and parallelism). Nflt
+/// reads `faults`, which only a logged record has.
+template <class Transfer>
+void write_feature_row(const Transfer& transfer,
+                       const ContentionFeatures& load, bool include_nflt,
+                       std::span<double> out) {
+  XFL_EXPECTS(out.size() == (include_nflt ? kFeatureCount : kFeatureCount - 1));
+  const auto column = [&out](FeatureId id) -> double& {
+    return out[static_cast<std::size_t>(id)];
+  };
+  column(FeatureId::kKsout) = to_mbps(load.k_sout);
+  column(FeatureId::kKdin) = to_mbps(load.k_din);
+  column(FeatureId::kC) = static_cast<double>(transfer.concurrency);
+  column(FeatureId::kP) = static_cast<double>(transfer.parallelism);
+  column(FeatureId::kSsout) = load.s_sout;
+  column(FeatureId::kSsin) = load.s_sin;
+  column(FeatureId::kSdout) = load.s_dout;
+  column(FeatureId::kSdin) = load.s_din;
+  column(FeatureId::kKsin) = to_mbps(load.k_sin);
+  column(FeatureId::kKdout) = to_mbps(load.k_dout);
+  column(FeatureId::kNd) = static_cast<double>(transfer.dirs);
+  column(FeatureId::kNb) = transfer.bytes;
+  // The columns after Nflt shift left by one when it is left out.
+  auto c = static_cast<std::size_t>(FeatureId::kNflt);
+  if constexpr (requires { transfer.faults; }) {
+    if (include_nflt) out[c++] = static_cast<double>(transfer.faults);
+  } else {
+    XFL_EXPECTS(!include_nflt);  // Faults are known only after the fact.
+  }
+  out[c++] = load.g_src;
+  out[c++] = load.g_dst;
+  out[c] = static_cast<double>(transfer.files);
+}
 
 /// Options controlling dataset construction.
 struct DatasetOptions {

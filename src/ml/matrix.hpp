@@ -35,6 +35,12 @@ class Matrix {
   /// Append a row (must match cols(); sets cols on the first row).
   void push_row(std::span<const double> values);
 
+  /// Room for `rows` rows of `cols` values, so push_row appends without
+  /// reallocating.
+  void reserve(std::size_t rows, std::size_t cols) {
+    data_.reserve(rows * cols);
+  }
+
   /// New matrix keeping only the columns flagged true in `keep`
   /// (keep.size() == cols()).
   Matrix select_columns(const std::vector<bool>& keep) const;

@@ -29,16 +29,6 @@ Matrix StandardScaler::transform(const Matrix& x) const {
   return out;
 }
 
-StandardScaler StandardScaler::from_moments(std::vector<double> means,
-                                            std::vector<double> sigmas) {
-  XFL_EXPECTS(!means.empty() && means.size() == sigmas.size());
-  for (const double sigma : sigmas) XFL_EXPECTS(sigma > 0.0);
-  StandardScaler scaler;
-  scaler.means_ = std::move(means);
-  scaler.sigmas_ = std::move(sigmas);
-  return scaler;
-}
-
 Matrix StandardScaler::fit_transform(const Matrix& x) {
   fit(x);
   return transform(x);

@@ -21,14 +21,7 @@ class StandardScaler {
   /// fit() then transform().
   Matrix fit_transform(const Matrix& x);
 
-  const std::vector<double>& means() const { return means_; }
-  const std::vector<double>& sigmas() const { return sigmas_; }
   bool fitted() const { return !means_.empty(); }
-
-  /// Rebuild a scaler from stored moments (model deserialisation).
-  /// Requires equal sizes and strictly positive sigmas.
-  static StandardScaler from_moments(std::vector<double> means,
-                                     std::vector<double> sigmas);
 
  private:
   std::vector<double> means_;

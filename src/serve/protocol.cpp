@@ -155,22 +155,26 @@ Frame parse_predict(const JsonValue& root, std::string id) {
   if (root.find("top_k") != nullptr && !frame.predict.explain)
     reject("'top_k' is only valid with 'explain'");
 
+  // The 32-bit fields are capped before they narrow; the transfer's own
+  // ranges are checked once it is whole.
+  constexpr std::uint64_t kU32 = 0xffffffffu;
+  constexpr std::uint64_t kU64 = ~std::uint64_t{0};
   auto& transfer = frame.predict.transfer;
   transfer.src = static_cast<endpoint::EndpointId>(
-      integral_or(root, "src", 0, 0, 1u << 30));
+      integral_or(root, "src", 0, 0, kU32));
   if (root.find("src") == nullptr) reject("missing required field 'src'");
   transfer.dst = static_cast<endpoint::EndpointId>(
-      integral_or(root, "dst", 0, 0, 1u << 30));
+      integral_or(root, "dst", 0, 0, kU32));
   if (root.find("dst") == nullptr) reject("missing required field 'dst'");
   transfer.bytes = require_number(root, "bytes");
-  if (!(transfer.bytes >= 0.0) || !std::isfinite(transfer.bytes))
-    reject("'bytes' must be finite and non-negative");
-  transfer.files = integral_or(root, "files", 1, 1, 1ull << 40);
-  transfer.dirs = integral_or(root, "dirs", 1, 1, 1ull << 40);
+  transfer.files = integral_or(root, "files", 1, 0, kU64);
+  transfer.dirs = integral_or(root, "dirs", 1, 0, kU64);
   transfer.concurrency = static_cast<std::uint32_t>(
-      integral_or(root, "concurrency", 4, 1, 1u << 20));
+      integral_or(root, "concurrency", 4, 0, kU32));
   transfer.parallelism = static_cast<std::uint32_t>(
-      integral_or(root, "parallelism", 4, 1, 1u << 20));
+      integral_or(root, "parallelism", 4, 0, kU32));
+  if (const char* field = transfer.invalid_field())
+    reject("field '" + std::string(field) + "' out of range");
   frame.predict.deadline_ms =
       integral_or(root, "deadline_ms", 0, 0, 86400u * 1000u);
   if (const JsonValue* load = root.find("load"))
@@ -693,34 +697,23 @@ Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
   // response stays correlatable, exactly like the JSON parser does.
   frame.reply.wire_id = id;
 
-  auto reject = [&frame](const char* what) {
+  auto reject = [&frame](std::string what) {
     frame.kind = Frame::Kind::kBad;
-    frame.error = what;
+    frame.error = std::move(what);
     return frame;
   };
 
   auto& transfer = frame.predict.transfer;
-  std::uint32_t src = 0, dst = 0, concurrency = 0, parallelism = 0,
-                deadline_ms = 0;
-  std::uint64_t files = 0, dirs = 0;
-  double bytes = 0.0;
+  std::uint32_t deadline_ms = 0;
   std::uint8_t flags = 0;
-  if (!cursor.u32(src) || !cursor.u32(dst) || !cursor.f64(bytes) ||
-      !cursor.u64(files) || !cursor.u64(dirs) || !cursor.u32(concurrency) ||
-      !cursor.u32(parallelism) || !cursor.u32(deadline_ms) ||
+  if (!cursor.u32(transfer.src) || !cursor.u32(transfer.dst) ||
+      !cursor.f64(transfer.bytes) || !cursor.u64(transfer.files) ||
+      !cursor.u64(transfer.dirs) || !cursor.u32(transfer.concurrency) ||
+      !cursor.u32(transfer.parallelism) || !cursor.u32(deadline_ms) ||
       !cursor.u8(flags))
     return reject("binary predict payload truncated");
-  if (src > (1u << 30) || dst > (1u << 30))
-    return reject("'src'/'dst' out of range");
-  if (!(bytes >= 0.0) || !std::isfinite(bytes))
-    return reject("'bytes' must be finite and non-negative");
-  if (files < 1 || files > (1ull << 40))
-    return reject("'files' out of range");
-  if (dirs < 1 || dirs > (1ull << 40)) return reject("'dirs' out of range");
-  if (concurrency < 1 || concurrency > (1u << 20))
-    return reject("'concurrency' out of range");
-  if (parallelism < 1 || parallelism > (1u << 20))
-    return reject("'parallelism' out of range");
+  if (const char* field = transfer.invalid_field())
+    return reject("'" + std::string(field) + "' out of range");
   if (deadline_ms > 86400u * 1000u) return reject("'deadline_ms' out of range");
   if ((flags & ~kLoadFlag) != 0)
     return reject("unknown binary predict flags");
@@ -753,13 +746,6 @@ Frame parse_binary_predict_impl(std::string_view payload, bool explain) {
   if (cursor.remaining() != 0)
     return reject("binary predict payload has trailing bytes");
 
-  transfer.src = static_cast<endpoint::EndpointId>(src);
-  transfer.dst = static_cast<endpoint::EndpointId>(dst);
-  transfer.bytes = bytes;
-  transfer.files = files;
-  transfer.dirs = dirs;
-  transfer.concurrency = concurrency;
-  transfer.parallelism = parallelism;
   frame.predict.deadline_ms = deadline_ms;
   frame.kind = Frame::Kind::kPredict;
   return frame;

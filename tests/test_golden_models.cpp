@@ -383,30 +383,56 @@ TEST(GoldenPredictor, TruncatedPrefixesThrow) {
   }
 }
 
-TEST(GoldenPredictor, FieldSwappedLabelRejected) {
-  std::string text = slurp(data_path("golden_predictor.txt"));
-  const auto at = text.find("edge-model");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 10, "edgy-model");  // Same length, wrong label.
+/// Loading `text` must throw std::runtime_error whose message has `why`.
+void expect_predictor_load_error(const std::string& text, const char* why) {
+  SCOPED_TRACE(why);
   std::istringstream in(text);
-  EXPECT_THROW(core::TransferPredictor::load(in), std::runtime_error);
+  try {
+    core::TransferPredictor::load(in);
+    ADD_FAILURE() << "loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(GoldenPredictor, FieldSwappedLabelRejected) {
+  const std::string text = slurp(data_path("golden_predictor.txt"));
+  std::string swapped = text;
+  const auto at = swapped.find("edge-model");
+  ASSERT_NE(at, std::string::npos);
+  swapped.replace(at, 10, "edgy-model");  // Same length, wrong label.
+  expect_predictor_load_error(swapped, "expected label");
+  // The previous format's magic: v1 files also carried standardisation
+  // moments, and there is no v1 reader, so the magic alone refuses it.
+  std::string v1 = text;
+  ASSERT_EQ(v1.rfind("xfl-predictor-v2\n", 0), 0u);
+  v1.replace(0, 16, "xfl-predictor-v1");
+  expect_predictor_load_error(v1, "bad magic");
 }
 
 TEST(GoldenPredictor, ShrunkFeatureCountRejected) {
-  // Decrement a feature-name count so the moment block no longer lines up
-  // — the count/moment cross-check must catch the swap.
-  std::string text = slurp(data_path("golden_predictor.txt"));
+  // Decrement the first edge model's feature-name count. Alone, it leaves
+  // the 15th name where the residual band belongs, which does not parse.
+  // With that name dropped too the block parses, and the GBT feature-count
+  // cross-check is what catches the swap.
+  const std::string text = slurp(data_path("golden_predictor.txt"));
   const auto label = text.find("edge-model\n");
   ASSERT_NE(label, std::string::npos);
   const auto count_at = label + std::string("edge-model\n").size();
   ASSERT_EQ(text.substr(count_at, 3), "15 ");
-  text.replace(count_at, 2, "14");
-  std::istringstream in(text);
-  EXPECT_THROW(core::TransferPredictor::load(in), std::runtime_error);
+  std::string shrunk = text;
+  shrunk.replace(count_at, 2, "14");
+  expect_predictor_load_error(shrunk, "truncated residual band");
+  const auto names_end = shrunk.find('\n', count_at);
+  const auto last_name = shrunk.rfind(' ', names_end);
+  shrunk.erase(last_name, names_end - last_name);
+  expect_predictor_load_error(
+      shrunk, "feature count does not match the model's trees");
 }
 
 TEST(GoldenPredictor, TreesWiderThanTheirFeatureNamesRejected) {
-  // Give the first edge model's GBT one feature more than its scaler
+  // Give the first edge model's GBT one feature more than its feature
   // names (importance block stripped, which is legal): it would load and
   // then fail every prediction's width check, so load must refuse it.
   std::string text = slurp(data_path("golden_predictor.txt"));
@@ -528,6 +554,64 @@ TEST(GoldenPredictor, LoadedModelServesBatchQueries) {
             global_rows);
   EXPECT_EQ(explain_calibrated.value() - explain_calibrated0, planned.size());
   EXPECT_EQ(explain_uncalibrated.value() - explain_uncalibrated0, 0u);
+}
+
+// Loaded and explained answers, pinned across model-file formats. Seeded
+// non-idle loads over edge rows and global-fallback rows (src == dst and
+// an endpoint with no history); the served rates, then every
+// explanation's contributions and bias, fold bit for bit into one FNV-1a
+// digest. kParentDigest was printed by this test on the last build whose
+// predictor standardised its features (format v1), run against that
+// build's golden_predictor.txt: the trees must answer raw feature rows
+// exactly as the standardised model answered standardised ones.
+TEST(GoldenPredictor, LoadedAndExplainedAnswersMatchParent) {
+  constexpr std::uint64_t kParentDigest = 0x7dfcfd9050208548ULL;
+  std::istringstream in(slurp(data_path("golden_predictor.txt")));
+  const auto predictor = core::TransferPredictor::load(in);
+
+  Rng rng(0x10ade);
+  std::vector<core::PlannedTransfer> planned(96);
+  std::vector<features::ContentionFeatures> loads(planned.size());
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    auto& transfer = planned[i];
+    transfer.src = static_cast<endpoint::EndpointId>(rng.uniform_int(0, 3));
+    const auto dst = rng.uniform_int(0, 4);
+    transfer.dst = dst == 4 ? 77 : static_cast<endpoint::EndpointId>(dst);
+    const auto exponent = static_cast<int>(rng.uniform_int(20, 36));
+    transfer.bytes = std::ldexp(rng.uniform(1.0, 2.0), exponent);
+    transfer.files = static_cast<std::uint64_t>(rng.uniform_int(1, 2000));
+    transfer.dirs = static_cast<std::uint64_t>(rng.uniform_int(1, 50));
+    transfer.concurrency = static_cast<std::uint32_t>(rng.uniform_int(1, 16));
+    transfer.parallelism = static_cast<std::uint32_t>(rng.uniform_int(1, 16));
+    auto& load = loads[i];
+    for (double* k : {&load.k_sout, &load.k_sin, &load.k_dout, &load.k_din})
+      *k = rng.uniform(0.0, 1.0e9);
+    for (double* g : {&load.g_src, &load.g_dst}) *g = rng.uniform(0.0, 8.0);
+    for (double* s : {&load.s_sout, &load.s_sin, &load.s_dout, &load.s_din})
+      *s = rng.uniform(0.0, 32.0);
+  }
+  std::size_t edge_rows = 0;
+  for (const auto& transfer : planned)
+    edge_rows += predictor.has_edge_model({transfer.src, transfer.dst}) ? 1 : 0;
+  ASSERT_GT(edge_rows, 0u);
+  ASSERT_LT(edge_rows, planned.size());
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (bits >> (8 * byte)) & 0xffu;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  for (const double rate : predictor.predict_rates_mbps(planned, loads))
+    fold(rate);
+  for (const auto& explanation : predictor.explain_rates_mbps(planned, loads)) {
+    for (const double contribution : explanation.contributions)
+      fold(contribution);
+    fold(explanation.bias_mbps);
+  }
+  EXPECT_EQ(digest, kParentDigest) << std::hex << "0x" << digest;
 }
 
 }  // namespace

@@ -671,10 +671,34 @@ TEST(ServeE2E, ReloadFailureAnswersErrorAndKeepsServing) {
   EXPECT_EQ(reply.model_version, 1u);
 }
 
-// Hostile hot reloads: a truncated model, a byte-flipped model and a model
-// whose first tree claims 2^30 nodes. Each must come back as a structured
-// reload_failed reply, count once in serve.reload.failed, and leave the old
-// model serving: same version, answers bit-identical to direct calls.
+/// `text` (a model file, format xfl-predictor-v2) rewritten in the
+/// previous format, v1, which also carried a standardisation line after
+/// each model's feature names: the count, then that many means and sigmas.
+std::string as_v1_model_file(std::string text) {
+  const std::string magic = "xfl-predictor-v2";
+  EXPECT_EQ(text.rfind(magic + "\n", 0), 0u);
+  text.replace(0, magic.size(), "xfl-predictor-v1");
+  for (const std::string label : {"edge-model\n", "global-model\n"}) {
+    for (auto at = text.find(label); at != std::string::npos;
+         at = text.find(label, at)) {
+      const auto names = at + label.size();
+      const auto next_line = text.find('\n', names) + 1;
+      const std::size_t count = std::stoul(text.substr(names, 8));
+      std::string moments = std::to_string(count);
+      for (std::size_t i = 0; i < 2 * count; ++i)
+        moments += i < count ? " 0" : " 1";
+      text.insert(next_line, moments + "\n");
+      at = next_line;
+    }
+  }
+  return text;
+}
+
+// Hostile hot reloads: a truncated model, a byte-flipped model, a model
+// whose first tree claims 2^30 nodes and a well-formed file of the previous
+// format (v1). Each must come back as a structured reload_failed reply,
+// count once in serve.reload.failed, and leave the old model serving: same
+// version, answers bit-identical to direct calls.
 TEST(ServeE2E, HostileReloadFilesFailCleanlyAndKeepServing) {
   std::string good;
   {
@@ -699,6 +723,7 @@ TEST(ServeE2E, HostileReloadFilesFailCleanlyAndKeepServing) {
   for (int line = 0; line < 4; ++line) at = crafted.find('\n', at) + 1;
   const std::size_t count_end = crafted.find('\n', at);
   crafted.replace(at, count_end - at, std::to_string(1u << 30));
+  const std::string v1 = as_v1_model_file(good);
 
   RunningServer running;
   PredictionClient client("127.0.0.1", running.server->port());
@@ -709,7 +734,8 @@ TEST(ServeE2E, HostileReloadFilesFailCleanlyAndKeepServing) {
   const std::pair<const char*, const std::string*> hostile[] = {
       {"truncated", &truncated},
       {"flipped", &flipped},
-      {"huge_node_count", &crafted}};
+      {"huge_node_count", &crafted},
+      {"v1_format", &v1}};
   for (const auto& [name, bytes] : hostile) {
     SCOPED_TRACE(name);
     const std::string path =

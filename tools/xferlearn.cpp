@@ -155,7 +155,8 @@ class ArgList {
 
 /// The transfer named by --src, --dst and --bytes (nullopt unless all
 /// three are given) and the optional --files, --dirs, --concurrency and
-/// --parallelism, which default as PlannedTransfer does.
+/// --parallelism, which default as PlannedTransfer does. A value outside
+/// the ranges the server accepts throws, naming its flag.
 std::optional<core::PlannedTransfer> planned_transfer(const ArgList& args) {
   if (!args.value("--src") || !args.value("--dst") || !args.value("--bytes"))
     return std::nullopt;
@@ -167,6 +168,11 @@ std::optional<core::PlannedTransfer> planned_transfer(const ArgList& args) {
   planned.dirs = args.number_or("--dirs", planned.dirs);
   planned.concurrency = args.number_or("--concurrency", planned.concurrency);
   planned.parallelism = args.number_or("--parallelism", planned.parallelism);
+  if (const char* field = planned.invalid_field()) {
+    const std::string flag = "--" + std::string(field);
+    throw std::runtime_error("bad value for " + flag + ": '" +
+                             args.value_or(flag, "") + "' is out of range");
+  }
   return planned;
 }
 
@@ -407,6 +413,10 @@ int cmd_predict_batch(const ArgList& args) {
     field(4, "dirs", transfer.dirs);
     field(5, "concurrency", transfer.concurrency);
     field(6, "parallelism", transfer.parallelism);
+    if (const char* bad = transfer.invalid_field())
+      throw std::runtime_error(*transfers_path + ": row " +
+                               std::to_string(r + 1) + ", column '" + bad +
+                               "' out of range");
     planned.push_back(transfer);
   }
   if (planned.empty()) {
