@@ -6,78 +6,61 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/log.hpp"
-
 namespace xfl {
 
-std::vector<CsvRow> read_csv(std::istream& in) {
-  std::vector<CsvRow> rows;
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_content = false;
-  char c;
-  while (in.get(c)) {
-    if (in_quotes) {
-      if (c == '"') {
-        if (in.peek() == '"') {
-          in.get(c);
-          field.push_back('"');
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        row_has_content = true;
-        break;
-      case ',':
-        row.push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        if (row_has_content || !field.empty()) {
-          row.push_back(std::move(field));
-          field.clear();
-          rows.push_back(std::move(row));
-          row.clear();
-        }
-        row_has_content = false;
-        break;
-      default:
-        field.push_back(c);
-        row_has_content = true;
-        break;
-    }
-  }
-  if (in_quotes) throw std::runtime_error("read_csv: unterminated quoted field");
-  if (row_has_content || !field.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+CsvReader::CsvReader(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  text_ = std::move(text).str();
 }
 
-std::vector<CsvRow> read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv_file: cannot open " + path);
-  auto rows = read_csv(in);
-  XFL_LOG(debug) << "csv file read" << obs::kv("path", path)
-                 << obs::kv("rows", rows.size());
-  return rows;
+CsvReader CsvReader::open(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("CsvReader: cannot open " + path);
+  return CsvReader(in);
+}
+
+// Fields are unescaped in place: the write cursor `out` never passes the
+// read cursor `pos_`, because a field's text is never longer unescaped.
+// text_ ends in '\0', so text[pos_] can be read at the end too.
+bool CsvReader::next() {
+  fields_.clear();
+  char* const text = text_.data();
+  std::size_t start = pos_;  // First byte of the field being built.
+  std::size_t out = pos_;
+  bool quoted = false;
+  bool content = false;  // The row has a field, even an empty one.
+  const auto end_field = [&] {
+    fields_.emplace_back(text + start, out - start);
+    start = out = pos_;
+  };
+  while (pos_ < text_.size()) {
+    const char c = text[pos_++];
+    if (c == '"' && quoted && text[pos_] == '"') {  // An escaped quote.
+      text[out++] = text[pos_++];
+    } else if (c == '"') {
+      quoted = !quoted;
+      content = true;
+    } else if (quoted || (c != ',' && c != '\n' && c != '\r')) {
+      text[out++] = c;
+      content = true;
+    } else if (c == ',') {
+      end_field();
+      content = true;
+    } else if (c == '\n' && content) {
+      end_field();
+      return true;
+    } else if (c == '\n') {
+      start = out = pos_;  // Blank line.
+    }
+  }
+  if (quoted) throw std::runtime_error("CsvReader: unterminated quoted field");
+  if (content) end_field();
+  return content;
 }
 
 std::string csv_escape(const std::string& field) {
-  const bool needs_quotes = field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return field;
+  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
   std::string out = "\"";
   for (char c : field) {
     if (c == '"') out += "\"\"";
@@ -88,10 +71,8 @@ std::string csv_escape(const std::string& field) {
 }
 
 void CsvWriter::write_row(const CsvRow& row) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i != 0) *out_ << ',';
-    *out_ << csv_escape(row[i]);
-  }
+  for (std::size_t i = 0; i < row.size(); ++i)
+    *out_ << (i == 0 ? "" : ",") << csv_escape(row[i]);
   *out_ << '\n';
 }
 

@@ -181,26 +181,24 @@ void write_dataset_csv(const Dataset& dataset, std::ostream& out) {
 }
 
 Dataset read_dataset_csv(std::istream& in) {
-  const auto rows = read_csv(in);
-  if (rows.empty()) throw std::runtime_error("read_dataset_csv: empty input");
-  const auto& header = rows.front();
+  CsvReader csv(in);
+  if (!csv.next()) throw std::runtime_error("read_dataset_csv: empty input");
+  const auto header = std::vector(csv.row().begin(), csv.row().end());
   if (header.size() < 2 || header.back() != "rate_mbps")
     throw std::runtime_error(
         "read_dataset_csv: last column must be rate_mbps");
   Dataset dataset;
   dataset.feature_names.assign(header.begin(), header.end() - 1);
-  std::vector<double> scratch(dataset.feature_names.size());
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    const auto& row = rows[r];
+  std::vector<double> values(header.size());
+  for (std::size_t r = 1; csv.next(); ++r) {
+    const auto row = csv.row();
     if (row.size() != header.size())
       throw std::runtime_error("read_dataset_csv: bad column count in row " +
                                std::to_string(r));
-    double rate = 0.0;
     for (std::size_t c = 0; c < row.size(); ++c)
-      parse_csv_field(row[c], c + 1 < row.size() ? scratch[c] : rate,
-                      "read_dataset_csv", r, header[c]);
-    dataset.x.push_row(scratch);
-    dataset.y.push_back(rate);
+      parse_csv_field(row[c], values[c], "read_dataset_csv", r, header[c]);
+    dataset.x.push_row(std::span(values).first(dataset.cols()));
+    dataset.y.push_back(values.back());
     dataset.record_indices.push_back(r - 1);
   }
   return dataset;

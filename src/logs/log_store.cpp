@@ -1,6 +1,7 @@
 #include "logs/log_store.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -122,30 +123,49 @@ void LogStore::write_csv(std::ostream& out) const {
 }
 
 LogStore LogStore::read_csv(std::istream& in) {
-  const auto rows = xfl::read_csv(in);
-  if (rows.empty()) {
-    XFL_LOG(debug) << "log csv empty";
-    return {};
-  }
+  const std::string where = "LogStore::read_csv";
+  CsvReader csv(in);
   LogStore store;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
+  if (!csv.next()) return store;
+  const auto header = csv.row();
+  for (std::size_t c = 0; c < std::max(header.size(), kCsvColumns); ++c) {
+    const std::string_view got = c < header.size() ? header[c] : "";
+    const std::string_view want = c < kCsvColumns ? kCsvHeader[c] : "";
+    if (got != want || c >= kCsvColumns)
+      throw std::runtime_error(where + ": header column " +
+                               std::to_string(c + 1) + " is '" +
+                               std::string(got) + "', expected '" +
+                               std::string(want) + "'");
+  }
+  for (std::size_t i = 1; csv.next(); ++i) {
+    const auto row = csv.row();
     if (row.size() != kCsvColumns)
-      throw std::runtime_error("LogStore::read_csv: bad column count in row " +
+      throw std::runtime_error(where + ": bad column count in row " +
                                std::to_string(i));
     TransferRecord r;
     std::size_t c = 0;
     const auto fields = [&](auto&... out) {
-      ((parse_csv_field(row[c], out, "LogStore::read_csv", i, kCsvHeader[c]),
-        ++c),
-       ...);
+      ((parse_csv_field(row[c], out, where, i, kCsvHeader[c]), ++c), ...);
     };
     fields(r.id, r.src, r.dst, r.start_s, r.end_s, r.bytes, r.files, r.dirs,
            r.concurrency, r.parallelism, r.faults);
-    r.src_type = row[11] == "GCP" ? endpoint::EndpointType::kPersonal
-                                  : endpoint::EndpointType::kServer;
-    r.dst_type = row[12] == "GCP" ? endpoint::EndpointType::kPersonal
-                                  : endpoint::EndpointType::kServer;
+    const auto type = [&](std::size_t column) {
+      for (const auto t : {endpoint::EndpointType::kServer,
+                           endpoint::EndpointType::kPersonal})
+        if (row[column] == to_string(t)) return t;
+      throw std::runtime_error(where + ": bad endpoint type '" +
+                               std::string(row[column]) + "' in row " +
+                               std::to_string(i) + ", column '" +
+                               kCsvHeader[column] + "'");
+    };
+    r.src_type = type(11);
+    r.dst_type = type(12);
+    if (!std::isfinite(r.start_s) || !std::isfinite(r.end_s) ||
+        !std::isfinite(r.bytes) || !r.valid())
+      throw std::runtime_error(
+          where + ": row " + std::to_string(i) +
+          " is not a transfer (finite times and bytes, end_s > start_s, "
+          "bytes >= 0, files, dirs, C and P >= 1)");
     store.append(std::move(r));
   }
   XFL_LOG(debug) << "log csv loaded" << obs::kv("records", store.size())

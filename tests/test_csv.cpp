@@ -4,12 +4,17 @@
 
 #include <sstream>
 
+#include "common/rng.hpp"
+
 namespace xfl {
 namespace {
 
 std::vector<CsvRow> parse(const std::string& text) {
   std::istringstream in(text);
-  return read_csv(in);
+  CsvReader csv(in);
+  std::vector<CsvRow> rows;
+  while (csv.next()) rows.emplace_back(csv.row().begin(), csv.row().end());
+  return rows;
 }
 
 TEST(Csv, ParsesSimpleRows) {
@@ -75,6 +80,68 @@ TEST(Csv, WriterRoundTrips) {
   EXPECT_EQ(rows[0], original);
 }
 
+/// Seeded rows of 1-6 fields drawn from an alphabet of CSV's special bytes
+/// (comma, quote, CR, LF, NUL) and plain ones, empty fields included. A row
+/// of one empty field writes a blank line, which a reader skips like any
+/// blank line, so such a row gets a second field.
+std::vector<CsvRow> random_rows(std::uint64_t seed, std::size_t count) {
+  static constexpr char kAlphabet[] = {',', '"', '\r', '\n',
+                                       '\0', 'a', 'Z', ' '};
+  Rng rng(seed);
+  std::vector<CsvRow> rows(count);
+  for (auto& row : rows) {
+    row.resize(static_cast<std::size_t>(rng.uniform_int(1, 6)));
+    for (auto& field : row) {
+      const auto length = rng.uniform_int(0, 8);
+      for (std::int64_t i = 0; i < length; ++i)
+        field.push_back(kAlphabet[rng.uniform_int(0, sizeof kAlphabet - 1)]);
+    }
+    if (row.size() == 1 && row[0].empty()) row.emplace_back("x");
+  }
+  return rows;
+}
+
+std::string write_rows(const std::vector<CsvRow>& rows) {
+  std::ostringstream out;
+  CsvWriter writer(out);
+  for (const auto& row : rows) writer.write_row(row);
+  return out.str();
+}
+
+// The in-place unescape gives back every field byte for byte, with rows
+// read many to a document.
+TEST(Csv, RandomRowsRoundTripByteForByte) {
+  const auto rows = random_rows(23, 2000);
+  for (std::size_t first = 0; first < rows.size(); first += 40) {
+    const std::vector<CsvRow> document(rows.begin() + first,
+                                       rows.begin() + first + 40);
+    EXPECT_EQ(parse(write_rows(document)), document) << "rows from " << first;
+  }
+}
+
+// Every prefix of a document either throws std::runtime_error (it ends
+// inside a quoted field) or yields rows: all but the last as written, the
+// last possibly cut short.
+TEST(Csv, EveryTruncationThrowsOrYieldsRows) {
+  const auto rows = random_rows(29, 60);
+  const std::string text = write_rows(rows);
+  std::size_t threw = 0;
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    std::vector<CsvRow> got;
+    try {
+      got = parse(text.substr(0, cut));
+    } catch (const std::runtime_error&) {
+      ++threw;
+      continue;
+    }
+    ASSERT_LE(got.size(), rows.size()) << "cut at " << cut;
+    for (std::size_t r = 0; r + 1 < got.size(); ++r)
+      ASSERT_EQ(got[r], rows[r]) << "cut at " << cut << ", row " << r;
+  }
+  EXPECT_GT(threw, 0u);
+  EXPECT_EQ(parse(text), rows);
+}
+
 TEST(Csv, WriterRoundTripsDoublesExactly) {
   std::ostringstream out;
   CsvWriter writer(out);
@@ -87,7 +154,7 @@ TEST(Csv, WriterRoundTripsDoublesExactly) {
 }
 
 TEST(Csv, ReadFileThrowsForMissingPath) {
-  EXPECT_THROW(read_csv_file("/nonexistent/path/file.csv"),
+  EXPECT_THROW(CsvReader::open("/nonexistent/path/file.csv"),
                std::runtime_error);
 }
 

@@ -49,6 +49,24 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// A fixture number, parsed as the fixtures were first checked: std::stod.
+double number(std::string_view field) { return std::stod(std::string(field)); }
+
+/// The committed GBT predictions: six features, then the model's answer.
+void read_gbt_fixture(ml::Matrix& x, std::vector<double>& expected) {
+  auto csv = CsvReader::open(data_path("golden_gbt_predictions.csv"));
+  ASSERT_TRUE(csv.next());  // The header.
+  for (std::size_t r = 1; csv.next(); ++r) {
+    const auto row = csv.row();
+    ASSERT_EQ(row.size(), 7u) << "fixture row " << r;
+    std::vector<double> features(6);
+    for (std::size_t c = 0; c < 6; ++c) features[c] = number(row[c]);
+    x.push_row(features);
+    expected.push_back(number(row[6]));
+  }
+  ASSERT_FALSE(expected.empty());
+}
+
 /// Every proper prefix ending at these cut points must throw, not crash,
 /// hang, or quietly yield a model.
 std::vector<std::size_t> cut_points(std::size_t size) {
@@ -71,17 +89,9 @@ TEST(GoldenGbt, PredictionsMatchCommitted) {
   std::istringstream in(slurp(data_path("golden_gbt.txt")));
   const auto model = ml::GradientBoostedTrees::load(in);
 
-  const auto rows = read_csv_file(data_path("golden_gbt_predictions.csv"));
-  ASSERT_GT(rows.size(), 1u);
   ml::Matrix x;
   std::vector<double> expected;
-  for (std::size_t r = 1; r < rows.size(); ++r) {  // Row 0 is the header.
-    ASSERT_EQ(rows[r].size(), 7u) << "fixture row " << r;
-    std::vector<double> features(6);
-    for (std::size_t c = 0; c < 6; ++c) features[c] = std::stod(rows[r][c]);
-    x.push_row(features);
-    expected.push_back(std::stod(rows[r][6]));
-  }
+  ASSERT_NO_FATAL_FAILURE(read_gbt_fixture(x, expected));
 
   // Committed values were written with %.17g, so they round-trip exactly:
   // the loaded model must reproduce them to the last bit, per row and
@@ -121,16 +131,9 @@ TEST(GoldenGbt, KernelFamilyMatchesCommittedPredictions) {
   std::istringstream in(slurp(data_path("golden_gbt.txt")));
   const auto model = ml::GradientBoostedTrees::load(in);
 
-  const auto rows = read_csv_file(data_path("golden_gbt_predictions.csv"));
-  ASSERT_GT(rows.size(), 1u);
   ml::Matrix x;
   std::vector<double> expected;
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    std::vector<double> features(6);
-    for (std::size_t c = 0; c < 6; ++c) features[c] = std::stod(rows[r][c]);
-    x.push_row(features);
-    expected.push_back(std::stod(rows[r][6]));
-  }
+  ASSERT_NO_FATAL_FAILURE(read_gbt_fixture(x, expected));
 
   const ml::FlatEnsemble& flat = model.flat();
   std::vector<double> exact(x.rows());
@@ -342,29 +345,31 @@ TEST(GoldenPredictor, PredictionsMatchCommitted) {
   std::istringstream in(slurp(data_path("golden_predictor.txt")));
   const auto predictor = core::TransferPredictor::load(in);
 
-  const auto rows =
-      read_csv_file(data_path("golden_predictor_predictions.csv"));
-  ASSERT_GT(rows.size(), 1u);
+  auto csv = CsvReader::open(data_path("golden_predictor_predictions.csv"));
+  ASSERT_TRUE(csv.next());  // The header.
   std::vector<core::PlannedTransfer> planned;
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    ASSERT_EQ(rows[r].size(), 10u) << "fixture row " << r;
+  for (std::size_t r = 1; csv.next(); ++r) {
+    const auto row = csv.row();
+    ASSERT_EQ(row.size(), 10u) << "fixture row " << r;
+    const auto integer = [&row](std::size_t c) {
+      return std::stoull(std::string(row[c]));
+    };
     core::PlannedTransfer transfer;
-    transfer.src = static_cast<endpoint::EndpointId>(std::stoul(rows[r][0]));
-    transfer.dst = static_cast<endpoint::EndpointId>(std::stoul(rows[r][1]));
-    transfer.bytes = std::stod(rows[r][2]);
-    transfer.files = std::stoull(rows[r][3]);
-    transfer.dirs = std::stoull(rows[r][4]);
-    transfer.concurrency =
-        static_cast<std::uint32_t>(std::stoul(rows[r][5]));
-    transfer.parallelism =
-        static_cast<std::uint32_t>(std::stoul(rows[r][6]));
+    transfer.src = static_cast<endpoint::EndpointId>(integer(0));
+    transfer.dst = static_cast<endpoint::EndpointId>(integer(1));
+    transfer.bytes = number(row[2]);
+    transfer.files = integer(3);
+    transfer.dirs = integer(4);
+    transfer.concurrency = static_cast<std::uint32_t>(integer(5));
+    transfer.parallelism = static_cast<std::uint32_t>(integer(6));
     planned.push_back(transfer);
 
     const auto interval = predictor.predict_rate_interval(transfer);
-    EXPECT_EQ(interval.expected_mbps, std::stod(rows[r][7])) << "row " << r;
-    EXPECT_EQ(interval.low_mbps, std::stod(rows[r][8])) << "row " << r;
-    EXPECT_EQ(interval.high_mbps, std::stod(rows[r][9])) << "row " << r;
+    EXPECT_EQ(interval.expected_mbps, number(row[7])) << "row " << r;
+    EXPECT_EQ(interval.low_mbps, number(row[8])) << "row " << r;
+    EXPECT_EQ(interval.high_mbps, number(row[9])) << "row " << r;
   }
+  ASSERT_FALSE(planned.empty());
 
   // The grouped batch path answers exactly like the per-call path.
   const auto batch = predictor.predict_rates_mbps(planned);

@@ -158,11 +158,73 @@ TEST(LogStore, CsvRoundTripPreservesRecords) {
 TEST(LogStore, CsvRejectsMalformedRow) {
   std::stringstream buffer("id,src\n1,2\n");
   EXPECT_THROW(LogStore::read_csv(buffer), std::runtime_error);
+
+  // A row whose numbers parse but do not make a transfer is refused with
+  // an error that names it, not a precondition failure or a silent load.
+  const std::string text =
+      "id,src,dst,start_s,end_s,bytes,files,dirs,C,P,faults,src_type,"
+      "dst_type\n1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n";
+  for (const char* row : {"2,0,1,10.25,0.5,12345,10,2,4,2,1,GCS,GCS\n",
+                          "2,0,1,0.5,inf,12345,10,2,4,2,1,GCS,GCS\n",
+                          "2,0,1,0.5,10.25,inf,10,2,4,2,1,GCS,GCS\n",
+                          "2,0,1,-inf,10.25,12345,10,2,4,2,1,GCS,GCS\n",
+                          "2,0,1,0.5,10.25,12345,10,2,0,2,1,GCS,GCS\n"}) {
+    SCOPED_TRACE(row);
+    std::stringstream bad(text + row);
+    try {
+      LogStore::read_csv(bad);
+      ADD_FAILURE() << "row was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("row 2"), std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "not a runtime_error: " << error.what();
+    }
+  }
+}
+
+// The header must be the exact one write_csv writes: a log whose columns
+// are swapped, or that has no header at all, would otherwise load with
+// its values in the wrong fields or lose its first transfer. The error
+// names the first column that differs.
+TEST(LogStore, CsvRejectsAnyOtherHeader) {
+  const std::string header =
+      "id,src,dst,start_s,end_s,bytes,files,dirs,C,P,faults,src_type,"
+      "dst_type\n";
+  const std::string row = "1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n";
+  struct Case {
+    std::string text;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"dst,src,id,start_s,end_s,bytes,files,dirs,C,P,faults,src_type,"
+       "dst_type\n" + row,
+       "header column 1 is 'dst', expected 'id'"},
+      {row + row, "header column 1 is '1', expected 'id'"},
+      {header.substr(0, header.size() - 10) + "\n" + row,
+       "header column 13 is '', expected 'dst_type'"},
+      {header.substr(0, header.size() - 1) + ",extra\n" + row,
+       "header column 14 is 'extra', expected ''"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::stringstream buffer(c.text);
+    try {
+      LogStore::read_csv(buffer);
+      ADD_FAILURE() << "header was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.expect), std::string::npos)
+          << error.what();
+    }
+  }
+  std::stringstream good(header + row);
+  EXPECT_EQ(LogStore::read_csv(good).size(), 1u);
 }
 
 // Every numeric field is one whole number that fits its type: no silent
 // truncation to a 32-bit endpoint, no wrap of a negative id, no prefix
-// parse of "12abc". The error names the row and the column.
+// parse of "12abc"; an endpoint type is exactly GCS or GCP. The error
+// names the row and the column.
 TEST(LogStore, CsvRejectsNumbersThatDoNotFitTheirField) {
   LogStore store;
   store.append(make_record(1, 0, 1, 0.5, 10.25, 12345.0));
@@ -182,6 +244,8 @@ TEST(LogStore, CsvRejectsNumbersThatDoNotFitTheirField) {
       {"-1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,GCS\n", "id"},
       {"1,0,1,0.5,10.25,12345,12abc,2,4,2,1,GCS,GCS\n", "files"},
       {"1,0,1,0.5,10.25,1.5xyz,10,2,4,2,1,GCS,GCS\n", "bytes"},
+      {"1,0,1,0.5,10.25,12345,10,2,4,2,1,XYZ,GCS\n", "src_type"},
+      {"1,0,1,0.5,10.25,12345,10,2,4,2,1,GCS,gcp\n", "dst_type"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.row);

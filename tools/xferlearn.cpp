@@ -128,6 +128,16 @@ class ArgList {
     return std::nullopt;
   }
 
+  /// The first --flag given more than once, if any: a repeated flag has
+  /// no one value, so main() refuses it instead of reading the first.
+  std::optional<std::string> repeated_flag() const {
+    for (auto it = args_.begin(); it != args_.end(); ++it)
+      if (it->starts_with("--") &&
+          std::find(it + 1, args_.end(), *it) != args_.end())
+        return *it;
+    return std::nullopt;
+  }
+
   bool flag(const std::string& name) const {
     for (const auto& arg : args_)
       if (arg == name) return true;
@@ -382,15 +392,13 @@ int cmd_predict_batch(const ArgList& args) {
     std::fprintf(stderr, "error: --transfers <planned.csv> is required\n");
     return 2;
   }
-  const auto rows = read_csv_file(*transfers_path);
+  auto csv = CsvReader::open(*transfers_path);
 
   // Accept an optional header row: skip the first row when its bytes column
   // does not parse as a number.
   std::vector<core::PlannedTransfer> planned;
-  planned.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    if (row.size() == 1 && row[0].empty()) continue;  // Blank line.
+  for (std::size_t r = 0; csv.next(); ++r) {
+    const auto row = csv.row();
     core::PlannedTransfer transfer;
     if (r == 0 && row.size() >= 3 && !parse_number(row[2], transfer.bytes))
       continue;  // Header.
@@ -1016,6 +1024,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const ArgList args(argc - 2, argv + 2);
+  if (const auto flag = args.repeated_flag()) {
+    std::fprintf(stderr, "error: %s given more than once\n", flag->c_str());
+    return 2;
+  }
   if (!setup_observability(args)) return 2;
   int rc;
   try {
