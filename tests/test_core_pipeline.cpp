@@ -2,6 +2,11 @@
 // the paper's §5 pipeline exercised end-to-end on a small ESnet workload.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/thread_pool.hpp"
 #include "core/edge_model.hpp"
 #include "core/global_model.hpp"
@@ -161,6 +166,75 @@ TEST(GlobalModel, CapabilityAblationSupported) {
     EXPECT_NE(name, "ROmax_src");
     EXPECT_NE(name, "RImax_dst");
   }
+}
+
+/// FNV-1a over the bit patterns of a study's outputs.
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (value >> (8 * b)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(const std::vector<double>& values) {
+    for (const double v : values) add(v);
+  }
+  void add(const std::vector<bool>& flags) {
+    for (const bool f : flags) add(std::uint64_t{f});
+  }
+  void add(const std::vector<std::string>& names) {
+    for (const auto& name : names)
+      for (const char c : name) add(std::uint64_t{static_cast<unsigned char>(c)});
+  }
+  void add(const DistributionSummary& s) {
+    for (const double v : {s.p5, s.p25, s.p50, s.p75, s.p95, s.mean}) add(v);
+    add(std::uint64_t{s.count});
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// The per-edge (Figs. 9-12) and pooled (Sec. 5.4) studies, pinned bit for
+// bit: MdAPEs, LR R^2, the Fig. 10 APE summaries, the coefficient and
+// importance maps and the eliminated mask. A change to the split, the
+// variance elimination, the scaler or either fit moves them.
+TEST(StudyPin, EdgeAndGlobalOutputsArePinned) {
+  const auto& context = shared_context();
+  const auto edges = select_heavy_edges(context, 100, 0.5, 0);
+  ASSERT_GE(edges.size(), 2u);
+
+  const auto edge = study_edge(context, edges[0], fast_config());
+  Digest edge_maps;
+  edge_maps.add(edge.feature_names);
+  edge_maps.add(edge.eliminated);
+  edge_maps.add(edge.lr_coefficients);
+  edge_maps.add(edge.xgb_importance);
+  Digest edge_errors;
+  edge_errors.add(edge.lr_ape);
+  edge_errors.add(edge.xgb_ape);
+  EXPECT_EQ(edge.samples, 183u);
+  EXPECT_EQ(edge.lr_mdape, 0x1.8193d3b70c43cp+1);
+  EXPECT_EQ(edge.xgb_mdape, 0x1.7dce9c76338d5p+1);
+  EXPECT_EQ(edge.lr_r2, 0x1.586d5b544ab6ap-1);
+  EXPECT_EQ(edge_maps.value(), 0xab721190c121422aULL);
+  EXPECT_EQ(edge_errors.value(), 0xc95f8833692cdaf6ULL);
+
+  GlobalModelConfig config;
+  config.gbt.trees = 80;
+  const auto global = study_global_model(context, edges, config);
+  Digest global_maps;
+  global_maps.add(global.feature_names);
+  global_maps.add(global.xgb_importance);
+  EXPECT_EQ(global.samples, 1325u);
+  EXPECT_EQ(global.edges, 11u);
+  EXPECT_EQ(global.lr_mdape, 0x1.01d7803c99deep+3);
+  EXPECT_EQ(global.xgb_mdape, 0x1.b975c527a09e5p+1);
+  EXPECT_EQ(global.lr_r2, 0x1.8d1bb35af9222p-1);
+  EXPECT_EQ(global_maps.value(), 0x34c1702f29353be7ULL);
 }
 
 TEST(ThresholdStudy, SeriesShapesConsistent) {

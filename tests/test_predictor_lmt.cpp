@@ -393,6 +393,23 @@ TEST(LmtStudy, MonitoredFeaturesCollapseError) {
   EXPECT_LT(report.augmented_p95, report.baseline_p95 * 1.1);
 }
 
+TEST(LmtStudy, OutputsArePinned) {
+  // The Sec. 5.5.2 study bit for bit: both MdAPEs and both p95 errors.
+  sim::LmtConfig scenario_config;
+  scenario_config.test_transfers = 400;
+  const auto scenario = sim::make_nersc_lmt(scenario_config);
+  const auto result = scenario.run();
+  LmtStudyConfig config;
+  config.gbt.trees = 100;
+  const auto report = run_lmt_study(result, scenario.monitored_endpoints[0],
+                                    scenario.monitored_endpoints[1], config);
+  EXPECT_EQ(report.test_transfers, 400u);
+  EXPECT_EQ(report.baseline_mdape, 0x1.9cb76bee68094p+2);
+  EXPECT_EQ(report.augmented_mdape, 0x1.1188619e91e78p+2);
+  EXPECT_EQ(report.baseline_p95, 0x1.39bd59350ce5ap+4);
+  EXPECT_EQ(report.augmented_p95, 0x1.cbe3be9549291p+3);
+}
+
 TEST(LmtStudy, RequiresMonitoredEndpoints) {
   sim::SimResult empty;
   LmtStudyConfig config;
