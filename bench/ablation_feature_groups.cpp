@@ -12,9 +12,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "features/dataset.hpp"
-#include "ml/gbt.hpp"
 #include "ml/metrics.hpp"
-#include "ml/scaler.hpp"
 
 namespace {
 
@@ -31,14 +29,9 @@ double edge_mdape(const core::AnalysisContext& context,
   std::vector<bool> keep(dataset.cols());
   for (std::size_t c = 0; c < dataset.cols(); ++c)
     keep[c] = keep_name(dataset.feature_names[c]);
-  const auto reduced = dataset.select_features(keep);
-  const auto split = features::split_dataset(reduced, 0.7, 42);
-  ml::StandardScaler scaler;
-  const auto x_train = scaler.fit_transform(split.train.x);
-  const auto x_test = scaler.transform(split.test.x);
-  ml::GradientBoostedTrees model;
-  model.fit(x_train, split.train.y);
-  return ml::mdape(split.test.y, model.predict(x_test));
+  const auto fit = core::fit_holdout(dataset.select_features(keep), 0.7, 42,
+                                     {}, /*with_linear=*/false);
+  return ml::mdape(fit.actual, fit.xgb_predictions);
 }
 
 bool in_group(const std::string& name, const char* group) {

@@ -17,9 +17,7 @@
 #include "common/units.hpp"
 #include "core/global_model.hpp"
 #include "features/dataset.hpp"
-#include "ml/gbt.hpp"
 #include "ml/metrics.hpp"
-#include "ml/scaler.hpp"
 #include "net/path.hpp"
 
 namespace {
@@ -126,13 +124,9 @@ int main() {
   augmented.x = std::move(x);
 
   auto evaluate = [](const features::Dataset& dataset) {
-    const auto split = features::split_dataset(dataset, 0.7, 4242);
-    ml::StandardScaler scaler;
-    const auto x_train = scaler.fit_transform(split.train.x);
-    const auto x_test = scaler.transform(split.test.x);
-    ml::GradientBoostedTrees model;
-    model.fit(x_train, split.train.y);
-    return ml::mdape(split.test.y, model.predict(x_test));
+    const auto fit =
+        core::fit_holdout(dataset, 0.7, 4242, {}, /*with_linear=*/false);
+    return ml::mdape(fit.actual, fit.xgb_predictions);
   };
   const double baseline_mdape = evaluate(baseline);
   const double augmented_mdape = evaluate(augmented);

@@ -4,10 +4,9 @@
 #include <span>
 
 #include "common/contracts.hpp"
+#include "core/pipeline.hpp"
 #include "features/contention.hpp"
-#include "features/dataset.hpp"
 #include "ml/metrics.hpp"
-#include "ml/scaler.hpp"
 
 namespace xfl::core {
 
@@ -29,21 +28,15 @@ double window_mean(const std::vector<sim::EndpointSample>& samples, double t0,
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-/// Train an XGB model on a 70/30 split and return (mdape, p95 APE).
+/// Held-out XGB error on a 70/30 split: (mdape, p95 APE).
 std::pair<double, double> evaluate(const features::Dataset& dataset,
                                    const LmtStudyConfig& config) {
-  const auto split =
-      features::split_dataset(dataset, config.train_fraction, config.seed);
-  ml::StandardScaler scaler;
-  const auto x_train = scaler.fit_transform(split.train.x);
-  const auto x_test = scaler.transform(split.test.x);
   ml::GbtConfig gbt_config = config.gbt;
   gbt_config.seed = config.seed + 1;
-  ml::GradientBoostedTrees boosted(gbt_config);
-  boosted.fit(x_train, split.train.y);
-  const auto predictions = boosted.predict(x_test);
-  return {ml::mdape(split.test.y, predictions),
-          ml::percentile_ape(split.test.y, predictions, 95.0)};
+  const auto fit = fit_holdout(dataset, config.train_fraction, config.seed,
+                               gbt_config, /*with_linear=*/false);
+  return {ml::mdape(fit.actual, fit.xgb_predictions),
+          ml::percentile_ape(fit.actual, fit.xgb_predictions, 95.0)};
 }
 
 }  // namespace

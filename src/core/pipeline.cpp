@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ml/linreg.hpp"
+#include "ml/scaler.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 
@@ -51,6 +53,41 @@ std::vector<logs::EdgeKey> select_heavy_edges(const AnalysisContext& context,
   edges.reserve(candidates.size());
   for (const auto& candidate : candidates) edges.push_back(candidate.edge);
   return edges;
+}
+
+VaryingFeatures drop_constant_features(const features::Dataset& dataset,
+                                       double mode_threshold) {
+  VaryingFeatures varying;
+  varying.keep = features::variance_mask(dataset.x, mode_threshold);
+  varying.dataset = dataset.select_features(varying.keep);
+  if (varying.dataset.cols() == 0) varying.dataset = dataset;
+  return varying;
+}
+
+HoldoutFit fit_holdout(const features::Dataset& dataset,
+                       double train_fraction, std::uint64_t split_seed,
+                       const ml::GbtConfig& gbt, bool with_linear) {
+  auto split = features::split_dataset(dataset, train_fraction, split_seed);
+  ml::StandardScaler scaler;
+  const auto x_train = scaler.fit_transform(split.train.x);
+  const auto x_test = scaler.transform(split.test.x);
+
+  HoldoutFit fit;
+  if (with_linear) {
+    ml::LinearRegression linear;
+    linear.fit(x_train, split.train.y);
+    fit.lr_predictions = linear.predict(x_test);
+    fit.lr_r2 = linear.r_squared(x_test, split.test.y);
+  }
+  ml::GradientBoostedTrees boosted(gbt);
+  boosted.fit(x_train, split.train.y);
+  // Serial batch engine: study_edges may already fan the studies out per
+  // edge, and the answers are identical at any width.
+  fit.xgb_predictions.resize(x_test.rows());
+  boosted.predict_batch(x_test, fit.xgb_predictions);
+  fit.xgb_importance = boosted.feature_importance();
+  fit.actual = std::move(split.test.y);
+  return fit;
 }
 
 }  // namespace xfl::core

@@ -1,15 +1,19 @@
 // Shared analysis context: log -> contention features -> endpoint
-// capabilities, plus the heavy-edge selection rule of §5.1 ("edges that
-// have at least 300 transfers with rate greater than 0.5 Rmax").
+// capabilities, the heavy-edge selection rule of §5.1 ("edges that have at
+// least 300 transfers with rate greater than 0.5 Rmax"), and the held-out
+// fit every §5 study runs.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "features/contention.hpp"
+#include "features/dataset.hpp"
 #include "features/endpoint_stats.hpp"
 #include "logs/log_store.hpp"
+#include "ml/gbt.hpp"
 
 namespace xfl::core {
 
@@ -33,5 +37,35 @@ std::vector<logs::EdgeKey> select_heavy_edges(const AnalysisContext& context,
                                               std::size_t min_transfers = 300,
                                               double load_threshold = 0.5,
                                               std::size_t max_edges = 30);
+
+/// A dataset without its near-constant columns.
+struct VaryingFeatures {
+  std::vector<bool> keep;     ///< features::variance_mask, true = kept.
+  features::Dataset dataset;  ///< The kept columns; all when none is kept.
+};
+
+/// Drop the columns features::variance_mask flags (the paper eliminates C
+/// and P per edge "because they do not vary greatly"). A dataset in which
+/// no column varies is kept whole.
+VaryingFeatures drop_constant_features(const features::Dataset& dataset,
+                                       double mode_threshold);
+
+/// One held-out evaluation (see fit_holdout).
+struct HoldoutFit {
+  std::vector<double> actual;           ///< Held-out targets, MB/s.
+  std::vector<double> lr_predictions;   ///< Empty without the LR baseline.
+  std::vector<double> xgb_predictions;
+  double lr_r2 = 0.0;                   ///< On the held-out rows.
+  std::vector<double> xgb_importance;   ///< Gain / max gain.
+};
+
+/// The recipe behind every §5 result: split `dataset` at `train_fraction`
+/// with `split_seed` ("we randomly select 70% of the log data to train the
+/// model and the other 30% to test"), standardise on the training rows,
+/// fit a GBT with `gbt` (and the linear baseline when `with_linear`), and
+/// predict the held-out rows. Callers compute their own error metric.
+HoldoutFit fit_holdout(const features::Dataset& dataset,
+                       double train_fraction, std::uint64_t split_seed,
+                       const ml::GbtConfig& gbt, bool with_linear = true);
 
 }  // namespace xfl::core

@@ -6,11 +6,9 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
-#include "common/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -124,15 +122,11 @@ Dataset build_global_dataset(
   return dataset;
 }
 
-std::vector<bool> variance_mask(const ml::Matrix& x, double mode_threshold,
-                                int threads) {
+std::vector<bool> variance_mask(const ml::Matrix& x, double mode_threshold) {
   XFL_EXPECTS(mode_threshold > 0.0 && mode_threshold <= 1.0);
-  XFL_EXPECTS(threads >= 0);
-  // Per-column results land in a byte buffer: vector<bool> is bit-packed,
-  // so concurrent writes to neighbouring elements would race.
-  std::vector<unsigned char> flags(x.cols(), 1);
+  std::vector<bool> keep(x.cols());
   constexpr double kEpsilon = 1.0e-12;
-  auto column_job = [&](std::size_t c) {
+  for (std::size_t c = 0; c < x.cols(); ++c) {
     auto column = x.column(c);
     // Modal share: sort and find the longest run of equal values.
     std::sort(column.begin(), column.end());
@@ -152,18 +146,9 @@ std::vector<bool> variance_mask(const ml::Matrix& x, double mode_threshold,
                              static_cast<double>(column.size());
     const double sd = stddev(column);
     const double scale = std::fabs(mean(column)) + kEpsilon;
-    flags[c] = mode_fraction < mode_threshold && sd > 0.01 * scale ? 1 : 0;
-  };
-  std::size_t workers = threads > 0 ? static_cast<std::size_t>(threads)
-                                    : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  if (workers > 1 && x.cols() > 1) {
-    ThreadPool pool(std::min(workers, x.cols()));
-    pool.parallel_for(x.cols(), column_job);
-  } else {
-    for (std::size_t c = 0; c < x.cols(); ++c) column_job(c);
+    keep[c] = mode_fraction < mode_threshold && sd > 0.01 * scale;
   }
-  return std::vector<bool>(flags.begin(), flags.end());
+  return keep;
 }
 
 void write_dataset_csv(const Dataset& dataset, std::ostream& out) {

@@ -145,12 +145,8 @@ Dataset build_global_dataset(
 /// (discrete tunables that almost never change), or when its coefficient
 /// of variation is below 1% (numerically constant). Returns one flag per
 /// column, true = keep.
-/// `threads` fans the per-column statistics out over a pool (0 = hardware
-/// concurrency, 1 = serial); columns are independent, so the mask is
-/// identical for every thread count.
 std::vector<bool> variance_mask(const ml::Matrix& x,
-                                double mode_threshold = 0.97,
-                                int threads = 1);
+                                double mode_threshold = 0.97);
 
 /// Write a dataset as CSV (header: feature names + "rate_mbps"), the
 /// format of the paper's published (anonymised) train/test data. Read
