@@ -11,8 +11,8 @@
 
 #include "common/contracts.hpp"
 #include "common/number.hpp"
-#include "common/stats.hpp"
 #include "logs/record.hpp"
+#include "ml/metrics.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -55,25 +55,23 @@ std::string edge_name(const logs::EdgeKey& edge) {
   return std::to_string(edge.src) + "->" + std::to_string(edge.dst);
 }
 
-/// Windowed MdAPE (the paper's accuracy metric) of `predictor` over a
-/// holdout slice: median of |observed - predicted| / observed * 100.
+/// MdAPE (the paper's accuracy metric) of `predictor` over a holdout
+/// slice. Journalled observed rates are finite and > 0, so every sample
+/// counts.
 double holdout_mdape_pct(const core::TransferPredictor& predictor,
                          std::span<const core::EdgeSample> holdout) {
   std::vector<core::PlannedTransfer> transfers;
   std::vector<features::ContentionFeatures> loads;
+  std::vector<double> observed;
   transfers.reserve(holdout.size());
   loads.reserve(holdout.size());
+  observed.reserve(holdout.size());
   for (const core::EdgeSample& sample : holdout) {
     transfers.push_back(sample.transfer);
     loads.push_back(sample.load);
+    observed.push_back(sample.observed_mbps);
   }
-  const auto predicted = predictor.predict_rates_mbps(transfers, loads);
-  std::vector<double> apes;
-  apes.reserve(holdout.size());
-  for (std::size_t i = 0; i < holdout.size(); ++i)
-    apes.push_back(std::abs(holdout[i].observed_mbps - predicted[i]) /
-                   holdout[i].observed_mbps * 100.0);
-  return median(apes);
+  return ml::mdape(observed, predictor.predict_rates_mbps(transfers, loads));
 }
 
 }  // namespace
