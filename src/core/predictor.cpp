@@ -273,8 +273,8 @@ RateInterval rate_band(double raw_mbps, double ratio_p10, double ratio_p90) {
 template <typename Emit>
 void TransferPredictor::serve_batch(
     std::span<const PlannedTransfer> transfers,
-    std::span<const features::ContentionFeatures> loads, ThreadPool* pool,
-    bool explain, Emit&& emit) const {
+    std::span<const features::ContentionFeatures> loads, bool explain,
+    Emit&& emit) const {
   XFL_EXPECTS(fitted_);
   XFL_EXPECTS(loads.empty() || loads.size() == transfers.size());
   // Sort the row indices by (serving model, index): each model's rows
@@ -337,9 +337,9 @@ void TransferPredictor::serve_batch(
     if (explain) {
       bias.resize(indices.size());
       contributions.resize(indices.size() * cols);
-      model.boosted->explain_batch(x, raw, bias, contributions, pool);
+      model.boosted->explain_batch(x, raw, bias, contributions);
     } else {
-      model.boosted->predict_batch(x, raw, pool);
+      model.boosted->predict_batch(x, raw);
     }
     emit(Group{model, dedicated, indices, raw, bias, contributions});
   }
@@ -353,12 +353,11 @@ double TransferPredictor::predict_rate_mbps(
 
 std::vector<double> TransferPredictor::predict_rates_mbps(
     std::span<const PlannedTransfer> transfers,
-    std::span<const features::ContentionFeatures> expected_loads,
-    ThreadPool* pool) const {
+    std::span<const features::ContentionFeatures> expected_loads) const {
   XFL_SPAN("predictor.predict_batch");
   const std::uint64_t start_us = obs::monotonic_us();
   std::vector<double> rates(transfers.size());
-  serve_batch(transfers, expected_loads, pool, /*explain=*/false,
+  serve_batch(transfers, expected_loads, /*explain=*/false,
               [&](const Group& group) {
                 for (std::size_t k = 0; k < group.indices.size(); ++k)
                   rates[group.indices[k]] = served_rate(group.raw[k]);
@@ -371,8 +370,7 @@ std::vector<double> TransferPredictor::predict_rates_mbps(
 
 std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
     std::span<const PlannedTransfer> transfers,
-    std::span<const features::ContentionFeatures> expected_loads,
-    ThreadPool* pool) const {
+    std::span<const features::ContentionFeatures> expected_loads) const {
   XFL_SPAN("predictor.explain_batch");
   const std::uint64_t start_us = obs::monotonic_us();
   std::vector<RateExplanation> out(transfers.size());
@@ -408,7 +406,7 @@ std::vector<RateExplanation> TransferPredictor::explain_rates_mbps(
         histogram.record(std::abs(group.contributions[k * cols + c]));
     }
   };
-  serve_batch(transfers, expected_loads, pool, /*explain=*/true, emit);
+  serve_batch(transfers, expected_loads, /*explain=*/true, emit);
   if (transfers.empty()) return out;
   metrics.explain_rows.add(transfers.size());
   metrics.explain_latency.record(
@@ -421,7 +419,7 @@ RateInterval TransferPredictor::predict_rate_interval(
     const features::ContentionFeatures& expected_load) const {
   XFL_SPAN("predictor.predict");
   RateInterval interval;
-  serve_batch({&transfer, 1}, {&expected_load, 1}, nullptr, /*explain=*/false,
+  serve_batch({&transfer, 1}, {&expected_load, 1}, /*explain=*/false,
               [&](const Group& group) {
                 interval = rate_band(group.raw[0], group.model.ratio_p10,
                                      group.model.ratio_p90);

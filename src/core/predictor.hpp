@@ -148,13 +148,10 @@ class TransferPredictor {
   /// through the flattened batch-inference engine — bit-identical to
   /// calling predict_rate_mbps per transfer, in any grouping.
   /// `expected_loads` is either empty (all idle) or parallel to
-  /// `transfers`. `pool` lets a caller that already owns workers (e.g. the
-  /// serve micro-batcher) fan the flat kernel across them; results are
-  /// bit-identical with or without it. Requires fit().
+  /// `transfers`. Requires fit().
   std::vector<double> predict_rates_mbps(
       std::span<const PlannedTransfer> transfers,
-      std::span<const features::ContentionFeatures> expected_loads = {},
-      ThreadPool* pool = nullptr) const;
+      std::span<const features::ContentionFeatures> expected_loads = {}) const;
 
   /// Explained batch serving path: the same per-model grouping and raw
   /// feature rows as predict_rates_mbps, routed through the flat engine's
@@ -165,8 +162,7 @@ class TransferPredictor {
   /// into `predictor.attribution.<feature>` histograms. Requires fit().
   std::vector<RateExplanation> explain_rates_mbps(
       std::span<const PlannedTransfer> transfers,
-      std::span<const features::ContentionFeatures> expected_loads = {},
-      ThreadPool* pool = nullptr) const;
+      std::span<const features::ContentionFeatures> expected_loads = {}) const;
 
   /// Point prediction plus an empirical 10th-90th percentile band.
   /// Requires fit().
@@ -265,7 +261,7 @@ class TransferPredictor {
   template <typename Emit>
   void serve_batch(std::span<const PlannedTransfer> transfers,
                    std::span<const features::ContentionFeatures> loads,
-                   ThreadPool* pool, bool explain, Emit&& emit) const;
+                   bool explain, Emit&& emit) const;
 
   Options options_;
   bool fitted_ = false;

@@ -167,7 +167,6 @@ PredictionServer::PredictionServer(ModelHost& host, Options options)
       batcher_(host,
                MicroBatcher::Options{options_.max_batch,
                                      options_.queue_capacity,
-                                     options_.predict_threads,
                                      options_.shards,
                                      [this](bool begin) {
                                        if (begin)
@@ -664,9 +663,8 @@ void PredictionServer::flush_predict_burst(
   const std::size_t admitted =
       batcher_.submit_burst(items, conn->shard, status);
   // The rejected suffix (left in `items` untouched) is answered here with
-  // the same structured error (and the same counters — rejects are
-  // overloaded/shutting_down, never serve.response.error) as a lone
-  // submit() rejection would get.
+  // a structured error, counted as overloaded/shutting_down (never
+  // serve.response.error).
   if (admitted < burst.size()) {
     const bool draining = status == MicroBatcher::Admission::kShuttingDown;
     PredictOutcome rejected;

@@ -41,7 +41,6 @@ class PredictionServer {
     std::string bind_address = "127.0.0.1";
     std::size_t max_batch = 64;
     std::size_t queue_capacity = 1024;  ///< Per batcher shard.
-    std::size_t predict_threads = 1;
     /// Batcher shards (one owned queue + worker each); 0 = auto
     /// (hardware_concurrency clamped to [1, 4]).
     std::size_t shards = 0;

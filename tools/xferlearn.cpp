@@ -17,7 +17,7 @@
 //                       served by the flattened batch-inference engine)
 //   xferlearn export-dataset --log log.csv --src ID --dst ID --out data.csv
 //   xferlearn serve    --model model.txt [--port N] [--bind ADDR]
-//                      [--max-batch N] [--queue-cap N] [--threads N]
+//                      [--max-batch N] [--queue-cap N]
 //                      [--shards N] [--frame-timeout-ms N]
 //                      [--drift-window N] [--drift-threshold PCT]
 //                      [--drift-min-samples N]
@@ -524,7 +524,6 @@ serve::PredictionServer::Options server_options(const ArgList& args) {
   options.bind_address = args.value_or("--bind", "127.0.0.1");
   options.max_batch = args.number_or("--max-batch", std::size_t{64});
   options.queue_capacity = args.number_or("--queue-cap", std::size_t{1024});
-  options.predict_threads = args.number_or("--threads", std::size_t{1});
   options.shards = args.number_or("--shards", std::size_t{0});
   options.partial_frame_timeout_ms =
       args.number_or("--frame-timeout-ms", std::uint64_t{30000});
