@@ -5,8 +5,7 @@
 //
 //   * predict_batch serial      — the serving baseline;
 //   * explain_nodewalk per row  — the kept reference implementation;
-//   * explain_batch serial      — the flat explain kernel;
-//   * explain_batch pooled      — the same through a hardware ThreadPool.
+//   * explain_batch serial      — the flat explain kernel.
 //
 // Every row is medians of kReps repetitions. Prints a JSON document to
 // stdout; the repository's BENCH_explain.json records a run of this
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 
@@ -83,10 +81,6 @@ int main() {
   const double serial_ms =
       median_ms([&] { model.explain_batch(x, pred, bias, contrib); });
 
-  ThreadPool pool;
-  const double pooled_ms =
-      median_ms([&] { model.explain_batch(x, pred, bias, contrib, &pool); });
-
   const auto rows_per_s = [](double ms) {
     return static_cast<double>(kRows) / (ms / 1000.0);
   };
@@ -107,9 +101,6 @@ int main() {
   std::printf("  \"explain_batch_serial\": "
               "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
               serial_ms, rows_per_s(serial_ms));
-  std::printf("  \"explain_batch_pooled\": "
-              "{\"median_ms\": %.3f, \"rows_per_s\": %.0f},\n",
-              pooled_ms, rows_per_s(pooled_ms));
   std::printf("  \"explain_vs_predict_serial\": %.2f,\n",
               serial_ms / predict_ms);
   std::printf("  \"flat_vs_nodewalk_serial\": %.2f\n",

@@ -70,7 +70,6 @@ Workload make_workload(std::size_t rows) {
 double time_fit_ms(const Workload& w, int iterations) {
   ml::GbtConfig config;
   config.trees = 100;
-  config.threads = 1;
   const double start = now_ms();
   for (int i = 0; i < iterations; ++i) {
     ml::GradientBoostedTrees model(config);

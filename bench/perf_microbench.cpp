@@ -129,10 +129,8 @@ BENCHMARK(BM_ContentionSweep)
     ->Args({20000, 1})
     ->Args({20000, 0});
 
-// Arg 0: training rows; arg 1: GbtConfig::threads (0 = hardware
-// concurrency, 1 = serial). The fitted model is bit-identical across
-// thread counts, so the configurations are directly comparable. 47000
-// rows is the production global model's training size.
+// Arg: training rows. A fit runs on one thread; 47000 rows is the
+// production global model's training size.
 void BM_GbtTrain(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -144,7 +142,6 @@ void BM_GbtTrain(benchmark::State& state) {
   }
   ml::GbtConfig config;
   config.trees = 100;
-  config.threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
     ml::GradientBoostedTrees model(config);
     model.fit(x, y);
@@ -152,12 +149,7 @@ void BM_GbtTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GbtTrain)
-    ->Args({500, 1})
-    ->Args({2000, 1})
-    ->Args({2000, 0})
-    ->Args({47000, 1})
-    ->Args({47000, 4});
+BENCHMARK(BM_GbtTrain)->Arg(500)->Arg(2000)->Arg(47000);
 
 // Serving-path engines on the same fitted model (default config: 200
 // trees, depth 4) and the same 2000-row batch. Arg 0 selects the engine:
@@ -272,7 +264,6 @@ void BM_GbtPredictRows(benchmark::State& state) {
                rng.normal(0.0, 0.1);
       }
       ml::GbtConfig config;
-      config.threads = 1;
       config.seed = 100 + m;
       fitted.emplace_back(config);
       fitted.back().fit(x, y);
@@ -311,7 +302,9 @@ BENCHMARK(BM_GbtPredictRows)
     ->ArgNames({"rows", "kernel"})
     ->ArgsProduct({{1, 2, 3, 4, 6, 8, 16}, {1, 2}});
 
-// Batch prediction over row blocks; arg is GbtConfig::threads.
+// Batch prediction of 20000 rows: arg 0 = serial predict_batch, 1 =
+// predict_batch over a caller-owned hardware-concurrency pool, the path
+// TransferPredictor::fit calibrates the global model through.
 void BM_GbtPredictBatch(benchmark::State& state) {
   Rng rng(4);
   ml::Matrix x(20000, 15);
@@ -320,17 +313,19 @@ void BM_GbtPredictBatch(benchmark::State& state) {
     for (std::size_t c = 0; c < 15; ++c) x.at(i, c) = rng.normal();
     y[i] = x.at(i, 2) + rng.normal(0.0, 0.1);
   }
-  ml::GbtConfig config;
-  config.threads = static_cast<int>(state.range(0));
-  ml::GradientBoostedTrees model(config);
+  ml::GradientBoostedTrees model;
   model.fit(x, y);
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(0) == 1) pool = std::make_unique<ThreadPool>();
+  std::vector<double> out(x.rows());
   for (auto _ : state) {
-    auto out = model.predict(x);
-    benchmark::DoNotOptimize(out);
+    model.predict_batch(x, out, pool.get());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }
-BENCHMARK(BM_GbtPredictBatch)->Arg(1)->Arg(0);
+BENCHMARK(BM_GbtPredictBatch)->Arg(0)->Arg(1);
 
 void BM_Mic(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -110,15 +110,9 @@ std::vector<EdgeModelReport> study_edges(const AnalysisContext& context,
                                          const EdgeModelConfig& config,
                                          ThreadPool* pool) {
   std::vector<EdgeModelReport> reports(edges.size());
-  // When fanning out across edges, force each per-edge GBT fit serial:
-  // the cores are already busy with one edge per worker, and nested pools
-  // would oversubscribe. Results are unaffected — GBT output is
-  // bit-identical across thread counts.
-  EdgeModelConfig edge_config = config;
-  if (pool != nullptr && pool->thread_count() > 1)
-    edge_config.gbt.threads = 1;
+  // One edge per worker; each edge's GBT fits on one thread.
   auto body = [&](std::size_t i) {
-    reports[i] = study_edge(context, edges[i], edge_config);
+    reports[i] = study_edge(context, edges[i], config);
   };
   if (pool != nullptr) {
     pool->parallel_for(edges.size(), body);

@@ -92,6 +92,7 @@ TransferPredictor::TransferPredictor() : TransferPredictor(Options{}) {}
 TransferPredictor::TransferPredictor(Options options)
     : options_(std::move(options)) {
   XFL_EXPECTS(options_.gbt.valid());
+  XFL_EXPECTS(options_.threads >= 0);
 }
 
 /// Fill a model's empirical residual-ratio quantiles from training data,
@@ -121,8 +122,7 @@ void TransferPredictor::fit(const logs::LogStore& log) {
   XFL_SPAN("predictor.fit");
   // One width for the whole fit: the contention sweep and the model
   // fan-out below (0 = hardware concurrency).
-  const int width = options_.gbt.threads;
-  const AnalysisContext context = analyze_log(log, width);
+  const AnalysisContext context = analyze_log(log, options_.threads);
 
   features::DatasetOptions dataset_options;
   dataset_options.include_nflt = false;
@@ -139,7 +139,7 @@ void TransferPredictor::fit(const logs::LogStore& log) {
     trainable.push_back(edge);
   }
   // The models match the serial fit at every width: each task owns its
-  // slot and its seed, and GBT output does not depend on its thread count.
+  // slot and its seed, and each GBT fits on one thread.
   std::vector<Model> models(trainable.size() + 1);
   // The global dataset outlives its task: the global model, which ends
   // last, is calibrated on the whole pool once the fan-out has joined.
@@ -159,13 +159,12 @@ void TransferPredictor::fit(const logs::LogStore& log) {
     Model& model = models[i];
     model.feature_names = dataset.feature_names;
     ml::GbtConfig config = options_.gbt;
-    config.threads = 1;  // The pool already keeps every core busy.
     config.seed = i == 0 ? options_.seed + 1 : options_.seed;
     model.boosted = std::make_unique<ml::GradientBoostedTrees>(config);
     model.boosted->fit(dataset.x, dataset.y);
     if (i != 0) calibrate_interval(model, dataset.x, dataset.y);
   };
-  ThreadPool pool(static_cast<std::size_t>(width));
+  ThreadPool pool(static_cast<std::size_t>(options_.threads));
   pool.parallel_for(models.size(), fit_model);
   calibrate_interval(models[0], global.x, global.y, &pool);
 

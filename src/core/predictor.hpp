@@ -95,13 +95,14 @@ class TransferPredictor {
     std::size_t min_edge_transfers = 100;
     /// Optional unknown-load filter applied to training data (0 = off).
     double load_threshold = 0.0;
-    /// Hyperparameters of every model fit() trains. `gbt.threads` is the
-    /// width of the whole fit (0 = hardware concurrency, the default): the
-    /// contention sweep and a pool that trains the independent models
-    /// concurrently, global fallback first, then edges most used first.
-    /// Each model's own GBT runs serially, so the fitted models and save()
-    /// bytes are identical at every width.
-    ml::GbtConfig gbt{.threads = 0};
+    /// Hyperparameters of every model fit() trains.
+    ml::GbtConfig gbt;
+    /// Width of the whole fit (0 = hardware concurrency, the default): the
+    /// contention sweep and one pool that trains the independent models
+    /// concurrently, global fallback first, then edges most used first,
+    /// and then calibrates the global model. Each GBT fits on one thread,
+    /// so the fitted models and save() bytes are identical at every width.
+    int threads = 0;
     std::uint64_t seed = 1234;
   };
 

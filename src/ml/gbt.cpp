@@ -12,14 +12,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/number.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "ml/gbt_flat.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -63,12 +61,6 @@ double GradientBoostedTrees::Tree::predict(
                 : node.right;
   }
   return nodes[static_cast<std::size_t>(index)].value;
-}
-
-std::size_t GradientBoostedTrees::resolved_threads() const {
-  if (config_.threads > 0) return static_cast<std::size_t>(config_.threads);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 namespace {
@@ -117,14 +109,13 @@ void radix_sort(std::vector<std::uint64_t>& keys,
 }  // namespace
 
 void GradientBoostedTrees::build_bins(const Matrix& x,
-                                      std::vector<std::uint16_t>& codes,
-                                      ThreadPool* pool) {
+                                      std::vector<std::uint16_t>& codes) {
   const std::size_t n = x.rows();
   const std::size_t width = x.cols();
   bin_edges_.assign(width, {});
   codes.assign(n * width, 0);
   const auto max_bins = static_cast<std::size_t>(config_.max_bins);
-  auto bin_column = [&](std::size_t c) {
+  for (std::size_t c = 0; c < width; ++c) {
     // One sort of the rows by value serves both jobs: the distinct values
     // define the edges, and a single merge walk assigns every row's code —
     // no per-value binary search. Equal values keep ascending row order, so
@@ -141,7 +132,7 @@ void GradientBoostedTrees::build_bins(const Matrix& x,
         distinct.push_back(x.at(order[i], c));
 
     auto& edges = bin_edges_[c];
-    if (distinct.size() <= 1) return;  // Constant feature: no split points.
+    if (distinct.size() <= 1) continue;  // Constant feature: no split points.
     if (distinct.size() <= max_bins) {
       // One split candidate between each pair of adjacent distinct values.
       edges.reserve(distinct.size() - 1);
@@ -168,11 +159,6 @@ void GradientBoostedTrees::build_bins(const Matrix& x,
       while (e < edges.size() && value > edges[e]) ++e;
       codes[order[i] * width + c] = static_cast<std::uint16_t>(e);
     }
-  };
-  if (pool != nullptr && width > 1) {
-    pool->parallel_for(width, bin_column);
-  } else {
-    for (std::size_t c = 0; c < width; ++c) bin_column(c);
   }
 }
 
@@ -197,15 +183,11 @@ struct SplitScan {
   std::size_t left_count = 0;
 };
 
-/// Minimum (node rows x active columns) before a per-node histogram
-/// build is worth fanning out to the pool.
-constexpr std::size_t kMinParallelHistWork = 8192;
-
 /// Row-wise histogram build: one pass over rows[begin, end) that reads each
-/// row's gradient (and weight) once and adds it to the bin of every active
-/// column in [k_begin, k_end). Rows go four to a pass, so each column's
-/// feature index and slice are loaded once for four cell updates, and the
-/// four rows are added to that column in partition order. A (column, bin)
+/// row's gradient (and weight) once and adds it to the bin of every one of
+/// the `active` columns. Rows go four to a pass, so each column's feature
+/// index and slice are loaded once for four cell updates, and the four
+/// rows are added to that column in partition order. A (column, bin)
 /// cell therefore still sums its rows in partition order; only the
 /// interleaving across columns differs from a column-by-column build, so
 /// the sums are bit-identical to it. A weighted row adds its multiplicity
@@ -217,8 +199,8 @@ void accumulate_rows(const std::uint16_t* codes, std::size_t stride,
                      std::size_t end, const double* grads,
                      const std::uint32_t* weights,
                      const std::uint32_t* active_col,
-                     const std::size_t* offset, std::size_t k_begin,
-                     std::size_t k_end, HistCell* hist) {
+                     const std::size_t* offset, std::size_t active,
+                     HistCell* hist) {
   auto row_cell = [&](std::size_t r) {
     return HistCell{grads[r], Weighted ? static_cast<double>(weights[r]) : 1.0};
   };
@@ -232,7 +214,7 @@ void accumulate_rows(const std::uint16_t* codes, std::size_t stride,
     const std::uint16_t* c1 = codes + r1 * stride;
     const std::uint16_t* c2 = codes + r2 * stride;
     const std::uint16_t* c3 = codes + r3 * stride;
-    for (std::size_t k = k_begin; k < k_end; ++k) {
+    for (std::size_t k = 0; k < active; ++k) {
       const std::size_t col = active_col[k];
       HistCell* slice = hist + offset[k];
       slice[c0[col]] += g0;
@@ -245,7 +227,7 @@ void accumulate_rows(const std::uint16_t* codes, std::size_t stride,
     const std::size_t r = rows[p];
     const HistCell g = row_cell(r);
     const std::uint16_t* c = codes + r * stride;
-    for (std::size_t k = k_begin; k < k_end; ++k)
+    for (std::size_t k = 0; k < active; ++k)
       hist[offset[k] + c[active_col[k]]] += g;
   }
 }
@@ -256,7 +238,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     std::span<const std::uint32_t> weights, std::vector<std::uint32_t>& sampled,
     std::vector<std::uint32_t>& unsampled, const std::vector<std::size_t>& cols,
     const std::vector<double>& inv_hess, FitScratch& fit_scratch,
-    ThreadPool* pool, std::vector<std::int32_t>& leaf_of) {
+    std::vector<std::int32_t>& leaf_of) {
   Tree tree;
   // A depth-d tree has at most 2^(d+1) - 1 nodes.
   tree.nodes.reserve((std::size_t{2} << config_.max_depth) - 1);
@@ -316,34 +298,19 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
   };
 
   // Builds the histogram of every active column over one node's sampled
-  // rows, row-wise. A large node splits the active columns into one
-  // contiguous range per worker and each worker runs the same row loop
-  // over its range: every column's slice is written by one worker, in
-  // partition order, so the result does not depend on the thread count.
+  // rows, row-wise, in partition order.
   auto build_hist = [&](const Pending& task, std::vector<HistCell>& hist) {
     acquire_hist(hist);
-    auto column_range = [&](std::size_t k_begin, std::size_t k_end) {
-      if (weights.empty()) {
-        accumulate_rows<false>(codes.data(), stride, sampled.data(),
-                               task.sampled_begin, task.sampled_end,
-                               grad.data(), nullptr, active_col.data(),
-                               offset.data(), k_begin, k_end, hist.data());
-      } else {
-        accumulate_rows<true>(codes.data(), stride, sampled.data(),
-                              task.sampled_begin, task.sampled_end,
-                              grad.data(), weights.data(), active_col.data(),
-                              offset.data(), k_begin, k_end, hist.data());
-      }
-    };
-    const std::size_t rows_in_node = task.sampled_end - task.sampled_begin;
-    if (pool != nullptr && active > 1 &&
-        rows_in_node * active >= kMinParallelHistWork) {
-      const std::size_t parts = std::min(pool->thread_count(), active);
-      pool->parallel_for(parts, [&](std::size_t part) {
-        column_range(part * active / parts, (part + 1) * active / parts);
-      });
+    if (weights.empty()) {
+      accumulate_rows<false>(codes.data(), stride, sampled.data(),
+                             task.sampled_begin, task.sampled_end, grad.data(),
+                             nullptr, active_col.data(), offset.data(), active,
+                             hist.data());
     } else {
-      column_range(0, active);
+      accumulate_rows<true>(codes.data(), stride, sampled.data(),
+                            task.sampled_begin, task.sampled_end, grad.data(),
+                            weights.data(), active_col.data(), offset.data(),
+                            active, hist.data());
     }
   };
 
@@ -528,9 +495,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
 
     // Histogram subtraction: build the smaller child's histogram directly
     // and derive the sibling as parent - child, reusing the parent's
-    // buffer. Which child is "smaller" depends only on the split, never on
-    // threading, so results stay bit-identical across thread counts.
-    // Children that the pop-time leaf check is guaranteed to finalise
+    // buffer. Children that the pop-time leaf check is guaranteed to finalise
     // (at max depth, too few rows, or too little hessian mass) will never
     // be scanned, so their histograms are never materialised — this halves
     // the histogram work of the deepest level.
@@ -580,21 +545,11 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
   trees_.clear();
   importance_gain_.assign(feature_count_, 0.0);
 
-  const std::size_t workers = resolved_threads();
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = nullptr;
-  if (workers > 1) {
-    owned_pool = std::make_unique<ThreadPool>(workers);
-    pool = owned_pool.get();
-  }
-
-  // Columns are independent, so edge derivation + code assignment fans out
-  // per column.
   std::vector<std::uint16_t> codes;
   {
     XFL_SPAN("gbt.fit.bin");
     const std::uint64_t bin_start_us = obs::monotonic_us();
-    build_bins(x, codes, pool);
+    build_bins(x, codes);
     metrics.bin_us.record(
         static_cast<double>(obs::monotonic_us() - bin_start_us));
   }
@@ -694,7 +649,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
     }
 
     Tree tree = grow_tree(codes, grad, weights, sampled, unsampled, cols,
-                          inv_hess, scratch, pool, leaf_of);
+                          inv_hess, scratch, leaf_of);
     // Update predictions over *all* rows with shrinkage: every row was
     // routed to a leaf during growth, so this is an O(n) scatter rather
     // than n tree traversals. The gradient refresh for the next tree rides
@@ -728,7 +683,6 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
                  << obs::kv("rows", n) << obs::kv("cols", feature_count_)
                  << obs::kv("trees", config_.trees)
                  << obs::kv("bins", total_bins)
-                 << obs::kv("threads", workers)
                  << obs::kv("elapsed_us", obs::monotonic_us() - fit_start_us);
 }
 
@@ -825,15 +779,13 @@ double GradientBoostedTrees::explain_nodewalk(
   return value;
 }
 
-void GradientBoostedTrees::explain_batch(const Matrix& x,
-                                         std::span<double> predictions,
-                                         std::span<double> bias,
-                                         std::span<double> contributions,
-                                         ThreadPool* pool) const {
+void GradientBoostedTrees::explain_batch(
+    const Matrix& x, std::span<double> predictions, std::span<double> bias,
+    std::span<double> contributions) const {
   XFL_EXPECTS(fitted_);
   if (x.rows() == 0) return;
   XFL_EXPECTS(x.cols() == feature_count_);
-  flat_->explain_batch(x, predictions, bias, contributions, pool);
+  flat_->explain_batch(x, predictions, bias, contributions);
 }
 
 void GradientBoostedTrees::predict_batch(const Matrix& x,
@@ -848,16 +800,7 @@ void GradientBoostedTrees::predict_batch(const Matrix& x,
 
 std::vector<double> GradientBoostedTrees::predict(const Matrix& x) const {
   std::vector<double> out(x.rows());
-  if (x.rows() == 0) return out;
-  const std::size_t workers = resolved_threads();
-  // Small batches stay serial to skip pool setup; results are identical
-  // either way.
-  if (workers > 1 && x.rows() >= 512) {
-    ThreadPool pool(workers);
-    predict_batch(x, out, &pool);
-  } else {
-    predict_batch(x, out);
-  }
+  predict_batch(x, out);
   return out;
 }
 

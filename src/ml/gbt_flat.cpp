@@ -874,17 +874,27 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
   }
 }
 
-void FlatEnsemble::explain_rows(const Matrix& x, std::size_t begin,
-                                std::size_t end, double* predictions,
-                                double* bias, double* contributions) const {
+void FlatEnsemble::explain_batch(const Matrix& x,
+                                 std::span<double> predictions,
+                                 std::span<double> bias,
+                                 std::span<double> contributions) const {
+  XFL_EXPECTS(predictions.size() == x.rows());
+  XFL_EXPECTS(bias.size() == x.rows());
+  XFL_EXPECTS(contributions.size() == x.rows() * x.cols());
+  // Ensembles built with Builder::set_attribution(false) cannot explain.
+  XFL_EXPECTS(attr_.size() == feature_.size());
+  if (x.rows() == 0) return;
+  XFL_SPAN("gbt.explain.batch");
+  auto& metrics = explain_metrics();
+  const std::uint64_t start_us = obs::monotonic_us();
   const std::int32_t* feat = feature_.data();
   const double* val = value_.data();
   const std::int32_t* left = left_.data();
   const double* attr = attr_.data();
   const std::size_t cols = x.cols();
-  for (std::size_t r = begin; r < end; ++r) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
     const double* row = x.row(r).data();
-    double* contrib = contributions + r * cols;
+    double* contrib = contributions.data() + r * cols;
     std::fill(contrib, contrib + cols, 0.0);
     // The accumulation below is the scalar predict kernel's exact per-row
     // operation sequence (walk each tree with !(x <= t), then acc +=
@@ -907,37 +917,6 @@ void FlatEnsemble::explain_rows(const Matrix& x, std::size_t begin,
     }
     predictions[r] = acc;
     bias[r] = finalize_attribution(acc, contrib, cols);
-  }
-}
-
-void FlatEnsemble::explain_batch(const Matrix& x,
-                                 std::span<double> predictions,
-                                 std::span<double> bias,
-                                 std::span<double> contributions,
-                                 ThreadPool* pool) const {
-  XFL_EXPECTS(predictions.size() == x.rows());
-  XFL_EXPECTS(bias.size() == x.rows());
-  XFL_EXPECTS(contributions.size() == x.rows() * x.cols());
-  // Ensembles built with Builder::set_attribution(false) cannot explain.
-  XFL_EXPECTS(attr_.size() == feature_.size());
-  if (x.rows() == 0) return;
-  XFL_SPAN("gbt.explain.batch");
-  auto& metrics = explain_metrics();
-  const std::uint64_t start_us = obs::monotonic_us();
-  // Same pool gate and block floor as predict_batch; each row owns its
-  // prediction/bias slot and its contribution stripe, so block boundaries
-  // never change results.
-  if (pool != nullptr && pool->thread_count() > 1 && x.rows() >= 256) {
-    pool->parallel_for_blocks(
-        x.rows(),
-        [&](std::size_t begin, std::size_t end) {
-          explain_rows(x, begin, end, predictions.data(), bias.data(),
-                       contributions.data());
-        },
-        128);
-  } else {
-    explain_rows(x, 0, x.rows(), predictions.data(), bias.data(),
-                 contributions.data());
   }
   metrics.rows.add(x.rows());
   metrics.batches.add(1);

@@ -32,7 +32,7 @@
 // Explanation kernel (PR 10): build() additionally precomputes a Saabas
 // path-attribution table — for every child slot, the scaled shift in the
 // leaf-count-weighted subtree expectation that taking that branch causes:
-// attr[child] = scale * (E[child] - E[parent]). explain_rows() walks the
+// attr[child] = scale * (E[child] - E[parent]). explain_batch() walks the
 // same SoA arrays with the same predicate, credits attr[child] to the
 // split feature at every step, and recomputes the prediction with the
 // scalar kernel's exact operation sequence — so explain predictions are
@@ -217,26 +217,18 @@ class FlatEnsemble {
                      ThreadPool* pool = nullptr,
                      Kernel kernel = Kernel::kAuto) const;
 
-  /// Saabas path attributions for rows [begin, end): per row, zero the
-  /// row's x.cols() contribution slots, credit attr[child] to the split
-  /// feature along every tree's decision path, recompute the prediction
-  /// with the scalar kernel's exact operation sequence, and finalize the
-  /// bias (see finalize_attribution). Outputs are indexed by absolute
-  /// row (contributions is row-major rows x cols), so concurrent callers
-  /// over disjoint ranges never touch the same slot.
-  void explain_rows(const Matrix& x, std::size_t begin, std::size_t end,
-                    double* predictions, double* bias,
-                    double* contributions) const;
-
   /// Explain every row of x (predictions/bias sized x.rows(),
-  /// contributions row-major x.rows() * x.cols()), blocking rows across
-  /// `pool` when provided — same gating and block floor as predict_batch.
-  /// Contract: for every row, contributions summed in ascending feature
-  /// order plus bias (added last) == predictions[row] bit-exactly, and
-  /// predictions are bit-identical to predict_batch under every kernel.
+  /// contributions row-major x.rows() * x.cols()), serially. Saabas path
+  /// attributions: per row, zero the row's contribution slots, credit
+  /// attr[child] to the split feature along every tree's decision path,
+  /// recompute the prediction with the scalar kernel's exact operation
+  /// sequence, and finalize the bias (see finalize_attribution). Contract:
+  /// for every row, contributions summed in ascending feature order plus
+  /// bias (added last) == predictions[row] bit-exactly, and predictions
+  /// are bit-identical to predict_batch under every kernel.
   void explain_batch(const Matrix& x, std::span<double> predictions,
-                     std::span<double> bias, std::span<double> contributions,
-                     ThreadPool* pool = nullptr) const;
+                     std::span<double> bias,
+                     std::span<double> contributions) const;
 
  private:
   FlatEnsemble() = default;

@@ -1,13 +1,13 @@
 // Equivalence suite for the Saabas explanation kernel: on randomized
 // fitted ensembles across depths, the flattened explain path must agree
 // bit-for-bit with the reference per-row node walk — predictions,
-// per-feature contributions, and bias — serial and pooled, and the
-// explain predictions must be bit-identical to predict_batch under every
-// kernel the host can run. On top of path equivalence sits the
-// reconstruction contract of ml::finalize_attribution: contributions
-// summed in ascending feature order plus the bias added last equal the
-// prediction EXACTLY (EXPECT_EQ on doubles, never near), including NaN
-// feature routing and the catastrophic-cancellation fallback.
+// per-feature contributions, and bias — and the explain predictions must
+// be bit-identical to predict_batch under every kernel the host can run.
+// On top of path equivalence sits the reconstruction contract of
+// ml::finalize_attribution: contributions summed in ascending feature
+// order plus the bias added last equal the prediction EXACTLY (EXPECT_EQ
+// on doubles, never near), including NaN feature routing and the
+// catastrophic-cancellation fallback.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 
@@ -76,28 +75,12 @@ void expect_explanations_identical(const GradientBoostedTrees& model,
   model.predict_batch(x, predicted);
   EXPECT_EQ(ref_pred, predicted);
 
-  // Flat explain, serial.
+  // Flat explain.
   std::vector<double> pred(rows), bias(rows), contrib(rows * cols);
   model.explain_batch(x, pred, bias, contrib);
   EXPECT_EQ(pred, ref_pred);
   EXPECT_EQ(bias, ref_bias);
   EXPECT_EQ(contrib, ref_contrib);
-
-  // Flat explain, 2-thread pool (block boundaries on any host) and
-  // hardware pool.
-  ThreadPool two(2);
-  std::vector<double> pred2(rows), bias2(rows), contrib2(rows * cols);
-  model.explain_batch(x, pred2, bias2, contrib2, &two);
-  EXPECT_EQ(pred2, ref_pred);
-  EXPECT_EQ(bias2, ref_bias);
-  EXPECT_EQ(contrib2, ref_contrib);
-
-  ThreadPool hardware;
-  std::vector<double> predh(rows), biash(rows), contribh(rows * cols);
-  model.explain_batch(x, predh, biash, contribh, &hardware);
-  EXPECT_EQ(predh, ref_pred);
-  EXPECT_EQ(biash, ref_bias);
-  EXPECT_EQ(contribh, ref_contrib);
 
   // The reconstruction contract, exact on every row.
   for (std::size_t r = 0; r < rows; ++r)
@@ -117,7 +100,7 @@ void expect_explanations_identical(const GradientBoostedTrees& model,
 
 /// Randomized sweep over depth 1..6, same recipe as the inference
 /// equivalence suite: fixed seeds, arbitrary models, row counts around
-/// the pool/block thresholds (777 >= 256 exercises the pooled split).
+/// the kernel's block boundaries.
 class ExplainEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExplainEquivalence, FlatMatchesNodeWalkBitwise) {

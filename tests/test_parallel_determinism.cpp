@@ -1,61 +1,27 @@
 // Cross-thread-count determinism contracts (tier 2).
 //
-// The parallel GBT trainer, the parallel contention sweep and the
-// predictor's concurrent model fits all promise bit-identical results
-// regardless of how many workers they use: threading splits work by
-// column / endpoint / model over privately-owned outputs, never by
-// interleaving accumulation. These tests pin that contract by comparing
-// serial, two-worker, and hardware-concurrency runs.
+// The parallel contention sweep and the predictor's concurrent model fits
+// promise bit-identical results regardless of how many workers they use:
+// threading splits work by endpoint / model over privately-owned outputs,
+// never by interleaving accumulation. These tests pin that contract by
+// comparing serial, two-worker, and hardware-concurrency runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/predictor.hpp"
 #include "features/contention.hpp"
 #include "logs/log_store.hpp"
-#include "ml/gbt.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 
 namespace xfl {
 namespace {
-
-ml::Matrix make_features(std::size_t rows, std::size_t cols,
-                         std::vector<double>& y, std::uint64_t seed) {
-  Rng rng(seed);
-  ml::Matrix x(rows, cols);
-  y.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t c = 0; c < cols; ++c) x.at(i, c) = rng.normal();
-    y[i] = x.at(i, 0) * x.at(i, 0) + 2.0 * x.at(i, 2) + rng.normal(0.0, 0.1);
-  }
-  return x;
-}
-
-std::string fit_and_save(int threads) {
-  std::vector<double> y;
-  const auto x = make_features(300, 8, y, 11);
-  ml::GbtConfig config;
-  config.trees = 25;
-  config.threads = threads;
-  ml::GradientBoostedTrees model(config);
-  model.fit(x, y);
-  std::ostringstream out;
-  model.save(out);
-  return out.str();
-}
-
-TEST(ParallelDeterminism, GbtModelIsByteIdenticalAcrossThreadCounts) {
-  const std::string serial = fit_and_save(1);
-  EXPECT_EQ(serial, fit_and_save(2));
-  EXPECT_EQ(serial, fit_and_save(0));  // 0 = hardware concurrency.
-}
 
 logs::LogStore synthetic_log(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -100,26 +66,6 @@ TEST(ParallelDeterminism, ContentionSweepMatchesSerialExactly) {
   }
 }
 
-TEST(ParallelDeterminism, GbtBatchPredictMatchesSerialExactly) {
-  std::vector<double> y;
-  const auto x = make_features(400, 6, y, 23);
-  ml::GbtConfig config;
-  config.trees = 20;
-  config.threads = 1;
-  ml::GradientBoostedTrees model(config);
-  model.fit(x, y);
-
-  const auto serial = model.predict(x);
-  ml::GbtConfig parallel_config = config;
-  parallel_config.threads = 0;
-  ml::GradientBoostedTrees parallel_model(parallel_config);
-  parallel_model.fit(x, y);
-  const auto parallel = parallel_model.predict(x);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], parallel[i]) << "row " << i;
-}
-
 /// The fit-side instrument totals: predictor.fit.* and gbt.fit.* counters
 /// plus the sample counts of the gbt.fit.* timing histograms.
 std::map<std::string, std::uint64_t> fit_tallies() {
@@ -147,7 +93,7 @@ TEST(ParallelDeterminism, PredictorFitIsByteIdenticalAcrossWidths) {
     options.min_edge_transfers = 40;
     options.gbt.trees = 15;
     options.gbt.max_depth = 3;
-    options.gbt.threads = width;
+    options.threads = width;
     core::TransferPredictor predictor(options);
     const auto before = fit_tallies();
     predictor.fit(log);
