@@ -25,8 +25,17 @@ double wall_time_s() {
   return std::chrono::duration<double>(now).count();
 }
 
-void json_escape(const std::string& in, std::string& out) {
-  for (const char c : in) {
+/// File basename only: full build paths are noise in every record.
+const char* basename_of(const char* path) {
+  const char* slash = std::strrchr(path, '/');
+  return slash != nullptr ? slash + 1 : path;
+}
+
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view text) {
+  out.push_back('"');
+  for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -43,15 +52,8 @@ void json_escape(const std::string& in, std::string& out) {
         }
     }
   }
+  out.push_back('"');
 }
-
-/// File basename only: full build paths are noise in every record.
-const char* basename_of(const char* path) {
-  const char* slash = std::strrchr(path, '/');
-  return slash != nullptr ? slash + 1 : path;
-}
-
-}  // namespace
 
 const char* to_string(LogLevel level) {
   switch (level) {
@@ -121,20 +123,16 @@ LogMessage::~LogMessage() {
     record += basename_of(file_);
     std::snprintf(buf, sizeof buf, ":%d", line_);
     record += buf;
-    record += "\",\"msg\":\"";
-    json_escape(msg, record);
-    record += '"';
+    record += "\",\"msg\":";
+    append_json_string(record, msg);
     for (const auto& field : fields_) {
-      record += ",\"";
-      json_escape(field.key, record);
-      record += "\":";
-      if (field.raw) {
+      record += ',';
+      append_json_string(record, field.key);
+      record += ':';
+      if (field.raw)
         record += field.value;
-      } else {
-        record += '"';
-        json_escape(field.value, record);
-        record += '"';
-      }
+      else
+        append_json_string(record, field.value);
     }
     record += "}\n";
   } else {

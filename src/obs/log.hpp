@@ -35,6 +35,12 @@ enum class LogLevel : int {
 
 const char* to_string(LogLevel level);
 
+/// Append `text` to `out` as a JSON string, surrounding quotes included:
+/// `"`, `\` and control characters are escaped (\n, \r, \t, else \u00XX),
+/// every other byte is copied. The one JSON string writer: log records and
+/// the serve wire protocol both use it.
+void append_json_string(std::string& out, std::string_view text);
+
 /// Parse "trace"/"debug"/"info"/"warn"/"error"/"off"; false on junk.
 bool parse_log_level(std::string_view text, LogLevel& out);
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/number.hpp"
@@ -220,28 +219,6 @@ class Parser {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 void append_json_number(std::string& out, double v) {

@@ -11,6 +11,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/log.hpp"
+
 namespace xfl::serve {
 
 /// One parsed JSON value. A tagged struct rather than a variant keeps
@@ -42,8 +44,9 @@ struct JsonValue {
 /// malformed input.
 JsonValue parse_json(std::string_view text);
 
-/// Append `text` to `out` as a JSON string, surrounding quotes included.
-void append_json_string(std::string& out, std::string_view text);
+/// Append `text` to `out` as a JSON string, surrounding quotes included
+/// (the logger's escaper; see obs/log.hpp).
+using obs::append_json_string;
 
 /// Append `v` to `out` with the number codec (common/number.hpp), so the
 /// parser reads back the same bits; non-finite values render as null per

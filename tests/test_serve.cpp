@@ -31,6 +31,7 @@
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "core/predictor.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
@@ -292,6 +293,31 @@ TEST(ServeProtocol, JsonReplyBytesArePinned) {
             R"("message":"prediction queue full","trace_id":"t44",)"
             R"("server_ms":2.5})"
             "\n");
+}
+
+// The logger and the wire protocol share one JSON string writer
+// (obs::append_json_string), so a JSON log line parses back through the
+// wire parser to the bytes that went in.
+TEST(ServeProtocol, JsonLogLineParsesBackToTheSameBytes) {
+  const std::string hostile = "say \"hi\" \\ back\nslash\x01" "end";
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  obs::configure_logging({obs::LogLevel::kInfo, /*json=*/true, sink});
+  XFL_LOG(info) << hostile << obs::kv("value", hostile);
+  obs::configure_logging({});
+  std::string line;
+  std::rewind(sink);
+  for (int c = std::fgetc(sink); c != EOF && c != '\n'; c = std::fgetc(sink))
+    line.push_back(static_cast<char>(c));
+  std::fclose(sink);
+
+  const JsonValue record = parse_json(line);
+  const JsonValue* msg = record.find("msg");
+  const JsonValue* value = record.find("value");
+  ASSERT_NE(msg, nullptr) << line;
+  ASSERT_NE(value, nullptr) << line;
+  EXPECT_EQ(msg->string, hostile);
+  EXPECT_EQ(value->string, hostile);
 }
 
 TEST(ServeProtocol, TraceIdStringsRoundTrip) {
