@@ -79,7 +79,7 @@ class MicroBatcher {
     /// the last (including early exits). Lets the server cork socket
     /// writes for the whole batch and flush each connection once instead
     /// of paying one send(2) per reply. May be empty.
-    std::function<void(bool)> batch_hook;
+    std::function<void(bool)> batch_hook{};
   };
 
   enum class Admission { kAccepted, kOverloaded, kShuttingDown };
