@@ -29,7 +29,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -458,6 +460,54 @@ TEST(RetrainWorker, WorseCandidateIsRejectedAndOldVersionKeepsServing) {
   EXPECT_EQ(status.rejected, 1u);
   EXPECT_EQ(status.last_decision, "rejected");
   EXPECT_EQ(status.last_incumbent_mdape_pct, 0.0);
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Pins the accepted candidate's bytes for one cycle over a journal longer
+// than the load window: 256 noise records are followed by 8192 shifted
+// ones, so the digest moves if the window (newest 8192), the recency
+// weights (8 halving every 256 records of age) or the holdout split
+// change.
+TEST(RetrainWorker, CycleOverLongJournalMatchesPinnedDigest) {
+  const std::string dir = fresh_dir("worker_digest");
+  TrainingJournal::Options journal_options{dir};
+  journal_options.fsync_every = 0;
+  TrainingJournal journal(journal_options);
+  serve::ModelHost host(shared_model());
+  const auto initial = host.snapshot();
+
+  const auto mix = edge_mix(0, 1);
+  std::vector<double> predicted(mix.size());
+  for (std::size_t k = 0; k < mix.size(); ++k)
+    predicted[k] = initial.predictor->predict_rate_mbps(mix[k]);
+  Rng rng(23);
+  for (std::uint64_t i = 0; i < 256 + 8192; ++i) {
+    const std::size_t k = i % mix.size();
+    JournalRecord record;
+    record.trace_id = i + 1;
+    record.timestamp_ms = 1700000000000ull + i;
+    record.model_version = 1;
+    record.transfer = mix[k];
+    record.predicted_mbps = predicted[k];
+    record.observed_mbps = i < 256 ? rng.uniform(50.0, 5000.0)
+                                   : predicted[k] * rng.uniform(0.3, 0.6);
+    journal.append(record);
+  }
+
+  RetrainWorker worker(host, journal, fast_retrain_options());
+  ASSERT_EQ(worker.run_cycle(RetrainTrigger::kManual), 1u);
+  std::ostringstream saved;
+  host.snapshot().predictor->save(saved);
+  const std::uint64_t digest = fnv1a(saved.str());
+  EXPECT_EQ(digest, 0x794c452d81296882ULL) << "0x" << std::hex << digest;
 }
 
 TEST(RetrainWorker, SkipsEdgesWithTooLittleData) {
