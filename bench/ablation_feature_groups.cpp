@@ -29,8 +29,8 @@ double edge_mdape(const core::AnalysisContext& context,
   std::vector<bool> keep(dataset.cols());
   for (std::size_t c = 0; c < dataset.cols(); ++c)
     keep[c] = keep_name(dataset.feature_names[c]);
-  const auto fit = core::fit_holdout(dataset.select_features(keep), 0.7, 42,
-                                     {}, /*with_linear=*/false);
+  const auto fit = core::fit_holdout(dataset.select_features(keep), 42, {},
+                                     /*with_linear=*/false);
   return ml::mdape(fit.actual, fit.xgb_predictions);
 }
 

@@ -125,7 +125,7 @@ int main() {
 
   auto evaluate = [](const features::Dataset& dataset) {
     const auto fit =
-        core::fit_holdout(dataset, 0.7, 4242, {}, /*with_linear=*/false);
+        core::fit_holdout(dataset, 4242, {}, /*with_linear=*/false);
     return ml::mdape(fit.actual, fit.xgb_predictions);
   };
   const double baseline_mdape = evaluate(baseline);

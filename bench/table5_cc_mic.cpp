@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "features/dataset.hpp"
-#include "ml/correlation.hpp"
 #include "ml/mic.hpp"
 
 int main() {
@@ -43,7 +43,7 @@ int main() {
     std::vector<std::string> mic_row = {"MIC"};
     for (std::size_t c = 0; c < dataset.cols(); ++c) {
       const auto column = dataset.x.column(c);
-      const double cc = ml::pearson_correlation(column, dataset.y);
+      const double cc = pearson(column, dataset.y);
       const double information = ml::mic(column, dataset.y);
       const bool constant = [&column] {
         for (const double v : column)

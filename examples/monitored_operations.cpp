@@ -13,7 +13,7 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/predictor.hpp"
-#include "features/snapshot.hpp"
+#include "features/contention.hpp"
 #include "sim/scenario.hpp"
 
 int main() {

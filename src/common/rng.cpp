@@ -98,21 +98,6 @@ double Rng::weibull(double k, double lambda) {
   return lambda * std::pow(-std::log(1.0 - uniform()), 1.0 / k);
 }
 
-std::int64_t Rng::zipf(std::int64_t n, double s) {
-  XFL_EXPECTS(n >= 1 && s >= 0.0);
-  // Inverse-CDF on the (cached-free) harmonic weights via rejection-less
-  // linear scan is O(n); for the catalogue sizes used here (n <= ~2000)
-  // this is fine and exactly reproducible.
-  double total = 0.0;
-  for (std::int64_t rank = 1; rank <= n; ++rank) total += std::pow(rank, -s);
-  double target = uniform() * total;
-  for (std::int64_t rank = 1; rank <= n; ++rank) {
-    target -= std::pow(rank, -s);
-    if (target <= 0.0) return rank;
-  }
-  return n;
-}
-
 bool Rng::bernoulli(double p) {
   XFL_EXPECTS(p >= 0.0 && p <= 1.0);
   return uniform() < p;

@@ -77,11 +77,6 @@ class Rng {
   /// Weibull draw with shape k > 0 and scale lambda > 0.
   double weibull(double k, double lambda);
 
-  /// Zipf-distributed rank in [1, n] with exponent s >= 0. Used for edge
-  /// popularity: a few edges carry most transfers, mirroring the log study
-  /// (36,599 of 46K edges had a single transfer; 182 had >= 1000).
-  std::int64_t zipf(std::int64_t n, double s);
-
   /// Bernoulli draw with success probability p in [0, 1].
   bool bernoulli(double p);
 

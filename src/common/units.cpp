@@ -6,30 +6,22 @@
 
 namespace xfl {
 
-namespace {
-std::string format_scaled(double value, const char* unit_suffix) {
+std::string format_bytes(double bytes) {
   static constexpr std::array<const char*, 6> prefixes = {"", "K", "M", "G", "T", "P"};
-  double magnitude = std::fabs(value);
+  double magnitude = std::fabs(bytes);
   std::size_t idx = 0;
   while (magnitude >= 1000.0 && idx + 1 < prefixes.size()) {
     magnitude /= 1000.0;
-    value /= 1000.0;
+    bytes /= 1000.0;
     ++idx;
   }
   char buf[64];
   if (idx == 0) {
-    std::snprintf(buf, sizeof buf, "%.0f %s%s", value, prefixes[idx], unit_suffix);
+    std::snprintf(buf, sizeof buf, "%.0f %sB", bytes, prefixes[idx]);
   } else {
-    std::snprintf(buf, sizeof buf, "%.2f %s%s", value, prefixes[idx], unit_suffix);
+    std::snprintf(buf, sizeof buf, "%.2f %sB", bytes, prefixes[idx]);
   }
   return buf;
-}
-}  // namespace
-
-std::string format_bytes(double bytes) { return format_scaled(bytes, "B"); }
-
-std::string format_rate(double bytes_per_second) {
-  return format_scaled(bytes_per_second, "B/s");
 }
 
 }  // namespace xfl

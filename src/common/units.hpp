@@ -30,7 +30,4 @@ constexpr double to_mbps(double bytes_per_second) { return bytes_per_second / kM
 /// Human-readable byte count, e.g. "2.05 TB" or "513 B".
 std::string format_bytes(double bytes);
 
-/// Human-readable rate, e.g. "118.3 MB/s".
-std::string format_rate(double bytes_per_second);
-
 }  // namespace xfl

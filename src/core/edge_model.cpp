@@ -23,8 +23,7 @@ void run_explanation(const AnalysisContext& context, const logs::EdgeKey& edge,
       features::build_edge_dataset(context.log, context.contention, edge, options);
 
   report.feature_names = dataset.feature_names;
-  const auto [keep, reduced] =
-      drop_constant_features(dataset, config.mode_threshold);
+  const auto [keep, reduced] = drop_constant_features(dataset);
   report.eliminated.resize(keep.size());
   for (std::size_t c = 0; c < keep.size(); ++c)
     report.eliminated[c] = !keep[c];
@@ -82,10 +81,8 @@ void run_prediction(const AnalysisContext& context, const logs::EdgeKey& edge,
       config.seed ^ (static_cast<std::uint64_t>(edge.src) << 32) ^ edge.dst;
   ml::GbtConfig gbt_config = config.gbt;
   gbt_config.seed = config.seed + 1;
-  const auto reduced =
-      drop_constant_features(dataset, config.mode_threshold).dataset;
-  const auto fit = fit_holdout(reduced, config.train_fraction, split_seed,
-                               gbt_config);
+  const auto reduced = drop_constant_features(dataset).dataset;
+  const auto fit = fit_holdout(reduced, split_seed, gbt_config);
   report.lr_mdape = ml::mdape(fit.actual, fit.lr_predictions);
   report.lr_ape = ml::ape_summary(fit.actual, fit.lr_predictions);
   report.lr_r2 = fit.lr_r2;

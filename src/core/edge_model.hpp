@@ -21,8 +21,6 @@ namespace xfl::core {
 /// Study configuration.
 struct EdgeModelConfig {
   double load_threshold = 0.5;      ///< T of §4.3.2.
-  double train_fraction = 0.7;      ///< 70/30 split.
-  double mode_threshold = 0.97;     ///< Low-variance elimination sensitivity.
   ml::GbtConfig gbt;                ///< Nonlinear model hyperparameters.
   std::uint64_t seed = 42;          ///< Split seed (edge index is mixed in).
 };

@@ -28,14 +28,12 @@ GlobalModelReport study_global_model(const AnalysisContext& context,
   report.edges = edges.size();
   XFL_EXPECTS(dataset.rows() >= 50);
 
-  const auto reduced =
-      drop_constant_features(dataset, config.mode_threshold).dataset;
+  const auto reduced = drop_constant_features(dataset).dataset;
   report.feature_names = reduced.feature_names;
 
   ml::GbtConfig gbt_config = config.gbt;
   gbt_config.seed = config.seed + 1;
-  auto fit = fit_holdout(reduced, config.train_fraction, config.seed,
-                         gbt_config);
+  auto fit = fit_holdout(reduced, config.seed, gbt_config);
   report.lr_mdape = ml::mdape(fit.actual, fit.lr_predictions);
   report.lr_r2 = fit.lr_r2;
   report.xgb_mdape = ml::mdape(fit.actual, fit.xgb_predictions);

@@ -15,8 +15,6 @@ namespace xfl::core {
 
 struct GlobalModelConfig {
   double load_threshold = 0.5;
-  double train_fraction = 0.7;
-  double mode_threshold = 0.97;
   ml::GbtConfig gbt;
   std::uint64_t seed = 97;
   /// Drop the ROmax/RImax capability features (ablation: how much do the

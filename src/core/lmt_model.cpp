@@ -28,13 +28,18 @@ double window_mean(const std::vector<sim::EndpointSample>& samples, double t0,
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
+/// True for the controlled test transfers of make_nersc_lmt.
+bool is_test_transfer(std::uint64_t id) {
+  return id >= sim::kLmtTestFirstId && id < sim::kLmtLoadFirstId;
+}
+
 /// Held-out XGB error on a 70/30 split: (mdape, p95 APE).
 std::pair<double, double> evaluate(const features::Dataset& dataset,
                                    const LmtStudyConfig& config) {
   ml::GbtConfig gbt_config = config.gbt;
   gbt_config.seed = config.seed + 1;
-  const auto fit = fit_holdout(dataset, config.train_fraction, config.seed,
-                               gbt_config, /*with_linear=*/false);
+  const auto fit =
+      fit_holdout(dataset, config.seed, gbt_config, /*with_linear=*/false);
   return {ml::mdape(fit.actual, fit.xgb_predictions),
           ml::percentile_ape(fit.actual, fit.xgb_predictions, 95.0)};
 }
@@ -57,24 +62,18 @@ LmtStudyReport run_lmt_study(const sim::SimResult& result,
   options.include_nflt = false;
   options.load_threshold = 0.0;  // Controlled experiment: keep everything.
 
-  // Build a filtered index of test transfers.
-  std::vector<std::size_t> test_rows;
-  for (std::size_t i = 0; i < result.log.size(); ++i) {
-    const auto id = result.log[i].id;
-    if (id >= config.test_first_id && id <= config.test_last_id)
-      test_rows.push_back(i);
-  }
-  XFL_EXPECTS(test_rows.size() >= 50);
+  std::size_t test_transfers = 0;
+  for (std::size_t i = 0; i < result.log.size(); ++i)
+    if (is_test_transfer(result.log[i].id)) ++test_transfers;
+  XFL_EXPECTS(test_transfers >= 50);
 
   // Baseline dataset: the 15 predictive features for test transfers only.
   const auto full = features::build_edge_dataset(
       result.log, contention, logs::EdgeKey{src, dst}, options);
   std::vector<std::size_t> keep_rows;
-  for (std::size_t r = 0; r < full.rows(); ++r) {
-    const auto id = result.log[full.record_indices[r]].id;
-    if (id >= config.test_first_id && id <= config.test_last_id)
+  for (std::size_t r = 0; r < full.rows(); ++r)
+    if (is_test_transfer(result.log[full.record_indices[r]].id))
       keep_rows.push_back(r);
-  }
   features::Dataset baseline;
   baseline.feature_names = full.feature_names;
   baseline.x = full.x.select_rows(keep_rows);

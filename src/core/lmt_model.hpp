@@ -18,12 +18,8 @@
 namespace xfl::core {
 
 struct LmtStudyConfig {
-  double train_fraction = 0.7;
   ml::GbtConfig gbt;
   std::uint64_t seed = 555;
-  /// Id range identifying the controlled test transfers within the log.
-  std::uint64_t test_first_id = sim::kLmtTestFirstId;
-  std::uint64_t test_last_id = sim::kLmtLoadFirstId - 1;
 };
 
 struct LmtStudyReport {
@@ -34,9 +30,11 @@ struct LmtStudyReport {
   double augmented_mdape = 0.0;
 };
 
-/// Run the study on the result of a monitored scenario (make_nersc_lmt).
-/// `src`/`dst` name the monitored endpoints whose samples provide the LMT
-/// features. Requires samples for both endpoints and >= 50 test transfers.
+/// Run the study on the result of a monitored scenario (make_nersc_lmt),
+/// whose controlled test transfers carry ids in [sim::kLmtTestFirstId,
+/// sim::kLmtLoadFirstId). `src`/`dst` name the monitored endpoints whose
+/// samples provide the LMT features. Requires samples for both endpoints
+/// and >= 50 test transfers.
 LmtStudyReport run_lmt_study(const sim::SimResult& result,
                              endpoint::EndpointId src,
                              endpoint::EndpointId dst,

@@ -9,6 +9,11 @@
 
 namespace xfl::core {
 
+namespace {
+/// The paper's training share of every held-out split.
+constexpr double kTrainFraction = 0.7;
+}  // namespace
+
 AnalysisContext analyze_log(logs::LogStore log, int contention_threads) {
   XFL_SPAN("core.analyze_log");
   AnalysisContext context;
@@ -55,19 +60,18 @@ std::vector<logs::EdgeKey> select_heavy_edges(const AnalysisContext& context,
   return edges;
 }
 
-VaryingFeatures drop_constant_features(const features::Dataset& dataset,
-                                       double mode_threshold) {
+VaryingFeatures drop_constant_features(const features::Dataset& dataset) {
   VaryingFeatures varying;
-  varying.keep = features::variance_mask(dataset.x, mode_threshold);
+  varying.keep = features::variance_mask(dataset.x);
   varying.dataset = dataset.select_features(varying.keep);
   if (varying.dataset.cols() == 0) varying.dataset = dataset;
   return varying;
 }
 
 HoldoutFit fit_holdout(const features::Dataset& dataset,
-                       double train_fraction, std::uint64_t split_seed,
-                       const ml::GbtConfig& gbt, bool with_linear) {
-  auto split = features::split_dataset(dataset, train_fraction, split_seed);
+                       std::uint64_t split_seed, const ml::GbtConfig& gbt,
+                       bool with_linear) {
+  auto split = features::split_dataset(dataset, kTrainFraction, split_seed);
   ml::StandardScaler scaler;
   const auto x_train = scaler.fit_transform(split.train.x);
   const auto x_test = scaler.transform(split.test.x);

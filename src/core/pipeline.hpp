@@ -47,8 +47,7 @@ struct VaryingFeatures {
 /// Drop the columns features::variance_mask flags (the paper eliminates C
 /// and P per edge "because they do not vary greatly"). A dataset in which
 /// no column varies is kept whole.
-VaryingFeatures drop_constant_features(const features::Dataset& dataset,
-                                       double mode_threshold);
+VaryingFeatures drop_constant_features(const features::Dataset& dataset);
 
 /// One held-out evaluation (see fit_holdout).
 struct HoldoutFit {
@@ -59,13 +58,13 @@ struct HoldoutFit {
   std::vector<double> xgb_importance;   ///< Gain / max gain.
 };
 
-/// The recipe behind every §5 result: split `dataset` at `train_fraction`
-/// with `split_seed` ("we randomly select 70% of the log data to train the
+/// The recipe behind every §5 result: split `dataset` 70/30 with
+/// `split_seed` ("we randomly select 70% of the log data to train the
 /// model and the other 30% to test"), standardise on the training rows,
 /// fit a GBT with `gbt` (and the linear baseline when `with_linear`), and
 /// predict the held-out rows. Callers compute their own error metric.
 HoldoutFit fit_holdout(const features::Dataset& dataset,
-                       double train_fraction, std::uint64_t split_seed,
-                       const ml::GbtConfig& gbt, bool with_linear = true);
+                       std::uint64_t split_seed, const ml::GbtConfig& gbt,
+                       bool with_linear = true);
 
 }  // namespace xfl::core

@@ -1,25 +1,25 @@
 #include "core/threshold_study.hpp"
 
-#include <algorithm>
-
-#include "common/contracts.hpp"
+#include <array>
 
 namespace xfl::core {
+
+namespace {
+/// The paper's load thresholds T, ascending.
+constexpr std::array<double, 4> kThresholds = {0.5, 0.6, 0.7, 0.8};
+}  // namespace
 
 std::vector<ThresholdSeries> run_threshold_study(
     const AnalysisContext& context, const ThresholdStudyConfig& config,
     ThreadPool* pool) {
-  XFL_EXPECTS(!config.thresholds.empty());
-  const double max_threshold =
-      *std::max_element(config.thresholds.begin(), config.thresholds.end());
   const auto edges = select_heavy_edges(context, config.min_transfers_at_max,
-                                        max_threshold, config.max_edges);
+                                        kThresholds.back(), config.max_edges);
 
   std::vector<ThresholdSeries> series(edges.size());
   auto body = [&](std::size_t i) {
     ThresholdSeries& entry = series[i];
     entry.edge = edges[i];
-    for (const double threshold : config.thresholds) {
+    for (const double threshold : kThresholds) {
       EdgeModelConfig edge_config = config.edge_config;
       edge_config.load_threshold = threshold;
       const auto report = study_edge(context, edges[i], edge_config);

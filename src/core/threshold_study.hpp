@@ -15,7 +15,6 @@
 namespace xfl::core {
 
 struct ThresholdStudyConfig {
-  std::vector<double> thresholds = {0.5, 0.6, 0.7, 0.8};
   /// Edges must keep at least this many transfers at the *highest*
   /// threshold (paper: 8 edges with > 300 transfers at 0.8 Rmax).
   std::size_t min_transfers_at_max = 300;
@@ -23,7 +22,7 @@ struct ThresholdStudyConfig {
   EdgeModelConfig edge_config;
 };
 
-/// One edge's error at each threshold.
+/// One edge's error at each threshold, in ascending threshold order.
 struct ThresholdSeries {
   logs::EdgeKey edge;
   std::vector<std::size_t> samples;   ///< Per threshold.

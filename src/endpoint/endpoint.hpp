@@ -59,7 +59,10 @@ class EndpointCatalog {
 /// GridFTP processes at the endpoint. Throughput rises with more processes
 /// until scheduling/context-switch overhead erodes it — the rise-then-fall
 /// shape the paper fits with a Weibull curve (Fig. 4). Returns a factor in
-/// (0, 1] that scales `cpu_Bps`.
+/// (0, 1] that scales `cpu_Bps`. `knee` is the process count at which
+/// efficiency is halved: production DTNs tolerate large process counts, so
+/// the simulator's default of 128 produces Fig. 4's fall-off without
+/// letting transient concurrency collapse the endpoint entirely.
 /// Precondition: active_processes >= 0.
 double cpu_efficiency(double active_processes, double knee = 128.0);
 

@@ -21,7 +21,6 @@ std::uint32_t total_streams(const GridFtpParams& params, std::uint64_t files) {
 double cpu_work_factor(const GridFtpParams& params) {
   double factor = 1.0;
   if (params.integrity_check) factor += 0.4;
-  if (params.encrypt) factor += 0.8;
   return factor;
 }
 
@@ -48,7 +47,7 @@ double fault_intensity_per_s(const FaultPolicy& policy, double utilisation) {
   const double u = std::min(utilisation, 1.0);
   // Faults become much more likely near saturation; cubic keeps the idle
   // regime nearly fault-free.
-  return policy.base_rate_per_s + policy.load_rate_per_s * u * u * u;
+  return policy.base_rate_per_s + kLoadFaultRatePerS * u * u * u;
 }
 
 }  // namespace xfl::endpoint

@@ -18,7 +18,6 @@ struct GridFtpParams {
   std::uint32_t concurrency = 4;   ///< C: process pairs.
   std::uint32_t parallelism = 4;   ///< P: TCP streams per pair.
   bool integrity_check = true;     ///< Per-file checksum (Globus default on).
-  bool encrypt = false;            ///< Data channel encryption (default off).
 
   bool valid() const { return concurrency >= 1 && parallelism >= 1; }
 };
@@ -33,8 +32,7 @@ std::uint32_t effective_concurrency(const GridFtpParams& params, std::uint64_t f
 std::uint32_t total_streams(const GridFtpParams& params, std::uint64_t files);
 
 /// CPU work multiplier: every transferred byte costs one unit of CPU work;
-/// integrity checking reads and hashes the data again (~0.4 extra), and
-/// encryption costs more (~0.8 extra).
+/// integrity checking reads and hashes the data again (~0.4 extra).
 double cpu_work_factor(const GridFtpParams& params);
 
 /// Fixed startup cost of a transfer before bytes flow: control-channel
@@ -48,19 +46,20 @@ double per_file_overhead_s(const GridFtpParams& params,
                            const storage::DiskSpec& disk, double rtt_s);
 
 /// Fault/retry behaviour of the Globus service: how long a fault stalls a
-/// transfer and what fraction of an in-flight file is retransmitted.
+/// transfer and how often faults strike an idle system.
 struct FaultPolicy {
   double retry_delay_s = 15.0;      ///< Backoff before the faulted pair resumes.
-  double refetch_fraction = 0.5;    ///< Mean fraction of one file re-sent.
   /// Base fault rate per transfer-second when the endpoints are idle.
   double base_rate_per_s = 2.0e-5;
-  /// Additional fault rate per transfer-second at full endpoint load:
-  /// faults correlate with load (§5.3 discusses the load–fault link).
-  double load_rate_per_s = 2.0e-3;
 };
 
+/// Additional fault rate per transfer-second at full endpoint load: faults
+/// correlate with load (§5.3 discusses the load–fault link).
+inline constexpr double kLoadFaultRatePerS = 2.0e-3;
+
 /// Instantaneous fault intensity for a transfer given the utilisation (in
-/// [0, 1]) of its most loaded endpoint resource.
+/// [0, 1]) of its most loaded endpoint resource; at full load it reaches
+/// base_rate_per_s + kLoadFaultRatePerS.
 /// Preconditions: utilisation in [0, 1.0001] (small numeric slack).
 double fault_intensity_per_s(const FaultPolicy& policy, double utilisation);
 

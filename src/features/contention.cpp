@@ -33,19 +33,17 @@ double overlap_s(const logs::TransferRecord& a, const logs::TransferRecord& b) {
                            std::max(a.start_s, b.start_s));
 }
 
-/// Accumulate the contribution of competitor `other` to `self`'s features
-/// at endpoint `at`, weighted by the overlap fraction of self's duration.
-void accumulate(const logs::TransferRecord& self,
-                const logs::TransferRecord& other, endpoint::EndpointId at,
-                ContentionFeatures& features) {
-  const double weight = overlap_s(self, other) / self.duration_s();
-  if (weight <= 0.0) return;
+/// Eq. 2's direction rules: add competitor `other`'s load at endpoint
+/// `at`, scaled by `weight`, to the features of a transfer on `edge`.
+void add_competitor(const logs::EdgeKey& edge,
+                    const logs::TransferRecord& other, endpoint::EndpointId at,
+                    double weight, ContentionFeatures& features) {
   const double rate = other.rate_Bps();
   const double instances = other.effective_processes();
   const double streams = other.effective_streams();
 
-  const bool self_src_here = self.src == at;
-  const bool self_dst_here = self.dst == at;
+  const bool self_src_here = edge.src == at;
+  const bool self_dst_here = edge.dst == at;
   const bool other_out_here = other.src == at;
   const bool other_in_here = other.dst == at;
 
@@ -74,6 +72,20 @@ void accumulate(const logs::TransferRecord& self,
       features.s_din += weight * streams;
     }
   }
+}
+
+/// Accumulate the contribution of competitor `other` to `self`'s features
+/// at endpoint `at`, weighted by the overlap fraction of self's duration.
+void accumulate(const logs::TransferRecord& self,
+                const logs::TransferRecord& other, endpoint::EndpointId at,
+                ContentionFeatures& features) {
+  const double weight = overlap_s(self, other) / self.duration_s();
+  if (weight <= 0.0) return;
+  add_competitor(self.edge(), other, at, weight, features);
+}
+
+bool in_flight(const logs::TransferRecord& record, double now_s) {
+  return record.start_s <= now_s && now_s < record.end_s;
 }
 
 /// Field-wise accumulation, used when merging per-endpoint buffers.
@@ -181,6 +193,27 @@ std::vector<ContentionFeatures> compute_contention(const logs::LogStore& log,
                  << obs::kv("endpoints", endpoints.size())
                  << obs::kv("elapsed_us", elapsed_us);
   return features;
+}
+
+ContentionFeatures snapshot_load(const logs::LogStore& log,
+                                 const logs::EdgeKey& edge, double now_s) {
+  ContentionFeatures features;
+  const auto add_in_flight = [&](endpoint::EndpointId at) {
+    for (const auto i : log.endpoint_transfers(at))
+      if (in_flight(log[i], now_s))
+        add_competitor(edge, log[i], at, 1.0, features);
+  };
+  add_in_flight(edge.src);
+  if (edge.dst != edge.src) add_in_flight(edge.dst);
+  return features;
+}
+
+std::size_t active_transfers_at(const logs::LogStore& log,
+                                endpoint::EndpointId id, double now_s) {
+  std::size_t active = 0;
+  for (const auto i : log.endpoint_transfers(id))
+    if (in_flight(log[i], now_s)) ++active;
+  return active;
 }
 
 double relative_external_load(const logs::TransferRecord& record,

@@ -52,6 +52,23 @@ struct ContentionFeatures {
 std::vector<ContentionFeatures> compute_contention(const logs::LogStore& log,
                                                    int threads = 1);
 
+/// Prediction-time load: the paper's features are computed after the fact
+/// (a transfer's competitors are known once it completes), but a scheduler
+/// asking "how fast would a transfer starting NOW run?" needs the load it
+/// should expect. snapshot_load derives the same K/G/S quantities for a
+/// transfer on `edge` submitted at `now_s` from the transfers in `log` in
+/// flight at that instant (start <= now < end), assuming they keep running
+/// at their historical average rate. Each competitor contributes with
+/// overlap weight 1 (the candidate is assumed to start inside the
+/// competitor's lifetime), under the same direction rules as
+/// compute_contention.
+ContentionFeatures snapshot_load(const logs::LogStore& log,
+                                 const logs::EdgeKey& edge, double now_s);
+
+/// Number of transfers in flight at `now_s` touching endpoint `id`.
+std::size_t active_transfers_at(const logs::LogStore& log,
+                                endpoint::EndpointId id, double now_s);
+
 /// Relative external load of one transfer (§3.2): the larger of
 /// Ksout/(R+Ksout) and Kdin/(R+Kdin). Always in [0, 1).
 double relative_external_load(const logs::TransferRecord& record,

@@ -122,10 +122,11 @@ Dataset build_global_dataset(
   return dataset;
 }
 
-std::vector<bool> variance_mask(const ml::Matrix& x, double mode_threshold) {
-  XFL_EXPECTS(mode_threshold > 0.0 && mode_threshold <= 1.0);
-  std::vector<bool> keep(x.cols());
+std::vector<bool> variance_mask(const ml::Matrix& x) {
+  // Modal share at or above which a column counts as constant.
+  constexpr double kModeThreshold = 0.97;
   constexpr double kEpsilon = 1.0e-12;
+  std::vector<bool> keep(x.cols());
   for (std::size_t c = 0; c < x.cols(); ++c) {
     auto column = x.column(c);
     // Modal share: sort and find the longest run of equal values.
@@ -146,7 +147,7 @@ std::vector<bool> variance_mask(const ml::Matrix& x, double mode_threshold) {
                              static_cast<double>(column.size());
     const double sd = stddev(column);
     const double scale = std::fabs(mean(column)) + kEpsilon;
-    keep[c] = mode_fraction < mode_threshold && sd > 0.01 * scale;
+    keep[c] = mode_fraction < kModeThreshold && sd > 0.01 * scale;
   }
   return keep;
 }

@@ -141,12 +141,11 @@ Dataset build_global_dataset(
 
 /// Identify near-constant columns (the paper eliminates C and P per edge
 /// "because they do not vary greatly"). A column is eliminated when the
-/// most common value accounts for at least `mode_threshold` of the samples
-/// (discrete tunables that almost never change), or when its coefficient
-/// of variation is below 1% (numerically constant). Returns one flag per
+/// most common value accounts for at least 97% of the samples (discrete
+/// tunables that almost never change), or when its coefficient of
+/// variation is below 1% (numerically constant). Returns one flag per
 /// column, true = keep.
-std::vector<bool> variance_mask(const ml::Matrix& x,
-                                double mode_threshold = 0.97);
+std::vector<bool> variance_mask(const ml::Matrix& x);
 
 /// Write a dataset as CSV (header: feature names + "rate_mbps"), the
 /// format of the paper's published (anonymised) train/test data. Read

@@ -69,24 +69,6 @@ double LogStore::edge_max_rate(const EdgeKey& edge) const {
   return best;
 }
 
-double LogStore::max_rate_as_source(endpoint::EndpointId id) const {
-  auto it = by_endpoint_.find(id);
-  if (it == by_endpoint_.end()) return 0.0;
-  double best = 0.0;
-  for (std::size_t i : it->second)
-    if (records_[i].src == id) best = std::max(best, records_[i].rate_Bps());
-  return best;
-}
-
-double LogStore::max_rate_as_destination(endpoint::EndpointId id) const {
-  auto it = by_endpoint_.find(id);
-  if (it == by_endpoint_.end()) return 0.0;
-  double best = 0.0;
-  for (std::size_t i : it->second)
-    if (records_[i].dst == id) best = std::max(best, records_[i].rate_Bps());
-  return best;
-}
-
 LogStore LogStore::filter(
     const std::function<bool(const TransferRecord&)>& keep) const {
   LogStore out;

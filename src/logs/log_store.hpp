@@ -46,11 +46,6 @@ class LogStore {
   /// Requires the edge to have at least one transfer.
   double edge_max_rate(const EdgeKey& edge) const;
 
-  /// Maximum rate observed with `id` as source (the DRmax estimate of
-  /// §3.2) or destination (DWmax). Returns 0 if the endpoint is unused.
-  double max_rate_as_source(endpoint::EndpointId id) const;
-  double max_rate_as_destination(endpoint::EndpointId id) const;
-
   /// New store with only the records matching `keep`.
   LogStore filter(const std::function<bool(const TransferRecord&)>& keep) const;
 

@@ -165,14 +165,17 @@ void GradientBoostedTrees::build_bins(const Matrix& x,
 using detail::HistCell;
 
 namespace {
+/// L2 regularisation on leaf values (XGBoost's default lambda).
+constexpr double kLambda = 1.0;
+
 /// Leaf weight under the XGBoost squared-loss objective: -G / (H + lambda).
-double leaf_value(double grad_sum, double hess_sum, double lambda) {
-  return -grad_sum / (hess_sum + lambda);
+double leaf_value(double grad_sum, double hess_sum) {
+  return -grad_sum / (hess_sum + kLambda);
 }
 
 /// Best split of one candidate column, from its histogram scan. Splits are
 /// compared on the score sum GL^2/(HL+l) + GR^2/(HR+l); the gain
-/// 0.5 * (score_sum - parent_score) - gamma is a monotone function of it,
+/// 0.5 * (score_sum - parent_score) is a monotone function of it,
 /// so the ordering matches and the subtraction happens once, for the
 /// winner, instead of per bin.
 struct SplitScan {
@@ -359,8 +362,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
   }
 
   tree.nodes.push_back({});
-  tree.nodes[0].value =
-      leaf_value(root_grad, static_cast<double>(root_count), config_.lambda);
+  tree.nodes[0].value = leaf_value(root_grad, static_cast<double>(root_count));
   pending.push_back({0, 0, 0, sampled.size(), 0, unsampled.size(), root_grad,
                      root_count, {}});
 
@@ -396,14 +398,13 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     // "child non-empty and heavy enough" folds into one integer comparison
     // against ceil(max(1, min_child_weight)); and because the right-hand
     // count only ever shrinks, the first starved right side ends the
-    // column. A split qualifies when gain > gamma, i.e. score_sum >
-    // 2 * gamma + parent_score.
+    // column. A split qualifies when its gain is positive, i.e. score_sum >
+    // parent_score (XGBoost's default gamma of 0).
     const std::size_t min_child = static_cast<std::size_t>(
         std::ceil(std::max(1.0, config_.min_child_weight)));
-    const double min_score_sum = 2.0 * config_.gamma + parent_score;
     for (std::size_t k = 0; k < active; ++k) {
       SplitScan scan;
-      scan.score_sum = min_score_sum;
+      scan.score_sum = parent_score;
       const std::size_t bins = offset[k + 1] - offset[k];
       const HistCell* cell = task.hist.data() + offset[k];
       double left_grad = 0.0;
@@ -428,7 +429,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
       }
       scans[k] = scan;
     }
-    double best_score_sum = min_score_sum;
+    double best_score_sum = parent_score;
     std::size_t best_k = 0;
     bool found = false;
     for (std::size_t k = 0; k < active; ++k) {
@@ -463,10 +464,10 @@ GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
     tree.nodes.push_back({});
     const auto right_index = static_cast<std::int32_t>(tree.nodes.size());
     tree.nodes.push_back({});
-    tree.nodes[static_cast<std::size_t>(left_index)].value = leaf_value(
-        left_grad, static_cast<double>(left_count), config_.lambda);
-    tree.nodes[static_cast<std::size_t>(right_index)].value = leaf_value(
-        right_grad, static_cast<double>(right_count), config_.lambda);
+    tree.nodes[static_cast<std::size_t>(left_index)].value =
+        leaf_value(left_grad, static_cast<double>(left_count));
+    tree.nodes[static_cast<std::size_t>(right_index)].value =
+        leaf_value(right_grad, static_cast<double>(right_count));
     Node& parent = tree.nodes[static_cast<std::size_t>(task.node)];
     parent.feature = static_cast<std::int32_t>(best_col);
     parent.threshold = bin_edges_[best_col][best_bin];
@@ -604,7 +605,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
   // split scans run division-free — integer multiplicities preserve this.
   std::vector<double> inv_hess(total_weight + 1);
   for (std::size_t h = 0; h <= total_weight; ++h)
-    inv_hess[h] = 1.0 / (static_cast<double>(h) + config_.lambda);
+    inv_hess[h] = 1.0 / (static_cast<double>(h) + kLambda);
 
   std::vector<std::uint32_t> sampled, unsampled;
   std::vector<std::size_t> cols;

@@ -3,9 +3,9 @@
 //
 // Implementation notes:
 //   * Second-order (gradient/hessian) boosting of the squared-error
-//     objective with L2 leaf regularisation `lambda`, split penalty
-//     `gamma`, and `min_child_weight` — the exact XGBoost split gain
-//       0.5 * [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma.
+//     objective with XGBoost's default regularisation (L2 leaf penalty
+//     lambda = 1, no split penalty) and `min_child_weight` — the exact
+//     XGBoost split gain 0.5 * [GL^2/(HL+1) + GR^2/(HR+1) - G^2/(H+1)].
 //   * Histogram (quantile-binned) split finding — the "approximate tree
 //     learning algorithm" the paper credits for XGBoost's efficiency.
 //   * Row-wise histogram builds over one row-major matrix of bin codes:
@@ -61,8 +61,6 @@ struct GbtConfig {
   double learning_rate = 0.08;
   int max_depth = 4;
   double min_child_weight = 5.0;  ///< Minimum hessian sum per leaf.
-  double lambda = 1.0;            ///< L2 regularisation on leaf values.
-  double gamma = 0.0;             ///< Minimum gain to split.
   double subsample = 0.8;         ///< Row fraction per tree.
   double colsample = 0.9;         ///< Column fraction per tree.
   int max_bins = 64;              ///< Histogram bins per feature.
@@ -73,9 +71,9 @@ struct GbtConfig {
 
   bool valid() const {
     return trees >= 1 && learning_rate > 0.0 && max_depth >= 1 &&
-           min_child_weight >= 0.0 && lambda >= 0.0 && gamma >= 0.0 &&
-           subsample > 0.0 && subsample <= 1.0 && colsample > 0.0 &&
-           colsample <= 1.0 && max_bins >= 2 && max_bins <= kMaxBins;
+           min_child_weight >= 0.0 && subsample > 0.0 && subsample <= 1.0 &&
+           colsample > 0.0 && colsample <= 1.0 && max_bins >= 2 &&
+           max_bins <= kMaxBins;
   }
 };
 

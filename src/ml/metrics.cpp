@@ -25,12 +25,6 @@ double mdape(std::span<const double> y, std::span<const double> yhat) {
   return median(errors);
 }
 
-double mape(std::span<const double> y, std::span<const double> yhat) {
-  const auto errors = absolute_percentage_errors(y, yhat);
-  XFL_EXPECTS(!errors.empty());
-  return mean(errors);
-}
-
 double percentile_ape(std::span<const double> y, std::span<const double> yhat,
                       double p) {
   const auto errors = absolute_percentage_errors(y, yhat);

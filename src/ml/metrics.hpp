@@ -26,10 +26,6 @@ std::vector<double> absolute_percentage_errors(std::span<const double> y,
 /// otherwise — e.g. empty input, or every target zero / non-finite).
 double mdape(std::span<const double> y, std::span<const double> yhat);
 
-/// Mean absolute percentage error, in percent. Same usable-sample
-/// requirement as mdape().
-double mape(std::span<const double> y, std::span<const double> yhat);
-
 /// p-th percentile of the absolute percentage error, in percent. Same
 /// usable-sample requirement as mdape().
 double percentile_ape(std::span<const double> y, std::span<const double> yhat,

@@ -11,6 +11,9 @@ namespace xfl::ml {
 
 namespace {
 
+/// Superclump factor: at most kSuperclumpFactor * k clump candidates.
+constexpr double kSuperclumpFactor = 5.0;
+
 double log2_safe(double p) { return p > 0.0 ? std::log2(p) : 0.0; }
 
 /// Equal-frequency assignment of sorted values into up to q bins. Ties are
@@ -50,7 +53,7 @@ std::vector<int> equipartition(const std::vector<double>& sorted_values,
 /// count l in [2, k] (index l-2 in the result).
 std::vector<double> optimize_axis(const std::vector<double>& x_sorted,
                                   const std::vector<int>& y_bins,
-                                  std::size_t q, std::size_t k, double c) {
+                                  std::size_t q, std::size_t k) {
   const std::size_t n = x_sorted.size();
   XFL_EXPECTS(y_bins.size() == n && q >= 2 && k >= 2);
 
@@ -62,10 +65,10 @@ std::vector<double> optimize_axis(const std::vector<double>& x_sorted,
     clump_end.push_back(j + 1);
     i = j + 1;
   }
-  // --- Superclumps: cap the candidate boundary count at c*k by merging.
-  const auto max_clumps =
-      std::max<std::size_t>(static_cast<std::size_t>(c * static_cast<double>(k)),
-                            k + 1);
+  // --- Superclumps: cap the candidate boundary count at factor*k by merging.
+  const auto max_clumps = std::max<std::size_t>(
+      static_cast<std::size_t>(kSuperclumpFactor * static_cast<double>(k)),
+      k + 1);
   if (clump_end.size() > max_clumps) {
     std::vector<std::size_t> merged;
     const double per_super = static_cast<double>(n) /
@@ -146,7 +149,7 @@ std::vector<double> optimize_axis(const std::vector<double>& x_sorted,
 /// axis optimised. Inputs already sorted by x.
 double best_over_grids(const std::vector<double>& x_sorted,
                        const std::vector<double>& y_of_x_sorted,
-                       double budget, double c) {
+                       double budget) {
   // Order points by y to equipartition, then map assignments back.
   const std::size_t n = x_sorted.size();
   std::vector<std::size_t> by_y(n);
@@ -170,7 +173,7 @@ double best_over_grids(const std::vector<double>& x_sorted,
     for (std::size_t i = 0; i < n; ++i)
       y_bins[by_y[i]] = y_assignment_sorted[i];
 
-    const auto curve = optimize_axis(x_sorted, y_bins, bins_used, k, c);
+    const auto curve = optimize_axis(x_sorted, y_bins, bins_used, k);
     for (std::size_t l = 2; l - 2 < curve.size(); ++l) {
       const double denominator =
           std::log2(static_cast<double>(std::min(l, bins_used)));
@@ -186,7 +189,7 @@ double best_over_grids(const std::vector<double>& x_sorted,
 double mic(std::span<const double> x, std::span<const double> y,
            const MicOptions& options) {
   XFL_EXPECTS(x.size() == y.size());
-  XFL_EXPECTS(options.alpha > 0.0 && options.alpha < 1.0 && options.c >= 1.0);
+  XFL_EXPECTS(options.alpha > 0.0 && options.alpha < 1.0);
   std::size_t n = x.size();
   if (n < 4) return 0.0;
 
@@ -229,7 +232,7 @@ double mic(std::span<const double> x, std::span<const double> y,
     x_sorted[i] = xs[order[i]];
     y_in_x_order[i] = ys[order[i]];
   }
-  double best = best_over_grids(x_sorted, y_in_x_order, budget, options.c);
+  double best = best_over_grids(x_sorted, y_in_x_order, budget);
 
   // Orientation 2: swap the roles of the axes.
   std::sort(order.begin(), order.end(),
@@ -240,7 +243,7 @@ double mic(std::span<const double> x, std::span<const double> y,
     x_in_y_order[i] = xs[order[i]];
   }
   best = std::max(best,
-                  best_over_grids(y_sorted, x_in_y_order, budget, options.c));
+                  best_over_grids(y_sorted, x_in_y_order, budget));
   return best;
 }
 

@@ -20,7 +20,6 @@ namespace xfl::ml {
 /// MIC estimator parameters.
 struct MicOptions {
   double alpha = 0.6;  ///< Grid budget exponent: B = n^alpha.
-  double c = 5.0;      ///< Superclump factor: at most c*k clump candidates.
   /// Computation is O(B^3)-ish; larger samples are deterministically
   /// down-sampled to this size first (0 = never down-sample).
   std::size_t max_samples = 1000;

@@ -21,7 +21,6 @@ struct TcpConfig {
   /// (fasterdata-style 64 MB buffers); anything small would window-limit
   /// every intercontinental stream regardless of loss.
   double max_window_bytes = 6.4e7;
-  double syn_overhead_s = 0.5;      ///< Connection setup + slow-start cost.
 };
 
 /// Loss-bound throughput of one stream (Mathis): MSS / (RTT * sqrt(2p/3)).

@@ -21,6 +21,14 @@
 namespace xfl::retrain {
 namespace {
 
+/// Newest journal records considered per cycle (bounds refit cost).
+constexpr std::size_t kMaxRecords = 8192;
+/// Recency weighting: the newest training record weighs kMaxWeight,
+/// decaying by half every kWeightHalfLife records of age (quantised to
+/// integers >= 1, preserving the GBT's integer-hessian invariant).
+constexpr std::uint32_t kMaxWeight = 8;
+constexpr double kWeightHalfLife = 256.0;
+
 struct RetrainMetrics {
   obs::Counter& cycles = obs::counter("retrain.cycles");
   obs::Counter& refits = obs::counter("retrain.refits");
@@ -83,8 +91,6 @@ RetrainWorker::RetrainWorker(serve::ModelHost& host, TrainingJournal& journal,
   XFL_EXPECTS(options_.holdout_fraction > 0.0 &&
               options_.holdout_fraction < 1.0);
   XFL_EXPECTS(options_.min_holdout >= 1);
-  XFL_EXPECTS(options_.max_weight >= 1);
-  XFL_EXPECTS(options_.weight_half_life > 0.0);
   XFL_EXPECTS(options_.gbt.valid());
 }
 
@@ -213,8 +219,8 @@ std::size_t RetrainWorker::run_cycle(RetrainTrigger trigger) {
     TrainingJournal::LoadResult loaded;
     {
       XFL_SPAN("retrain.load");
-      loaded = TrainingJournal::load(journal_.options().directory,
-                                     options_.max_records);
+      loaded =
+          TrainingJournal::load(journal_.options().directory, kMaxRecords);
     }
 
     // Group by edge, dropping records a refit could not train on.
@@ -261,14 +267,13 @@ std::size_t RetrainWorker::run_cycle(RetrainTrigger trigger) {
                                                       holdout_n);
 
       // Quantised recency decay: newest training record weighs
-      // max_weight, halving every weight_half_life records of age —
+      // kMaxWeight, halving every kWeightHalfLife records of age —
       // integer multiplicities keep the GBT's histogram math exact.
       std::vector<std::uint32_t> weights(train_n);
       for (std::size_t i = 0; i < train_n; ++i) {
         const double age = static_cast<double>(train_n - 1 - i);
-        const double decayed =
-            static_cast<double>(options_.max_weight) *
-            std::pow(0.5, age / options_.weight_half_life);
+        const double decayed = static_cast<double>(kMaxWeight) *
+                               std::pow(0.5, age / kWeightHalfLife);
         weights[i] = static_cast<std::uint32_t>(
             std::max<long long>(1, std::llround(decayed)));
       }

@@ -45,8 +45,6 @@ struct RetrainOptions {
   /// re-arms itself and retries this many ms later, until a cycle makes
   /// a real gate decision (accept or reject). 0 disables the retry.
   std::uint64_t alarm_retry_ms = 5000;
-  /// Newest journal records considered per cycle (bounds refit cost).
-  std::size_t max_records = 8192;
   /// Minimum journal records on an edge before it is refit at all.
   std::size_t min_edge_records = 64;
   /// Newest fraction of an edge's records held out for the validation
@@ -56,11 +54,6 @@ struct RetrainOptions {
   /// The candidate must beat the incumbent's holdout MdAPE by at least
   /// this many percentage points or the swap is rejected.
   double min_improvement_pct = 1.0;
-  /// Recency weighting: the newest training record weighs `max_weight`,
-  /// decaying by half every `weight_half_life` records of age (quantised
-  /// to integers >= 1, preserving the GBT's integer-hessian invariant).
-  std::uint32_t max_weight = 8;
-  double weight_half_life = 256.0;
   /// Training config for candidate edge models.
   ml::GbtConfig gbt;
 };

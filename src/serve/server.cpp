@@ -70,6 +70,10 @@ StageQuantiles stage_quantiles(const char* name) {
 /// ago; treat it like a dead socket instead of buffering without bound.
 constexpr std::size_t kMaxOutBufferBytes = 8u << 20;
 
+/// Upper bound on flushing unread responses to slow clients during stop();
+/// afterwards the remaining connections are closed anyway.
+constexpr std::uint64_t kDrainFlushTimeoutUs = 5'000'000;
+
 // Build provenance surfaced in the startup log so a log reader can tell
 // which toolchain and flags produced the binary answering on this port.
 #if defined(__clang__)
@@ -281,7 +285,7 @@ void PredictionServer::stop() {
   join_admin_threads();
 
   // 3. Flush: the poll loop pushes out every buffered response (bounded
-  //    by drain_flush_timeout_ms), closes all connections, and exits.
+  //    by kDrainFlushTimeoutUs), closes all connections, and exits.
   flush_and_exit_.store(true);
   wake();
   if (poll_thread_.joinable()) poll_thread_.join();
@@ -360,7 +364,7 @@ void PredictionServer::poll_loop() {
 
     if (flush_and_exit_.load(std::memory_order_relaxed)) {
       if (flush_deadline_us == 0)
-        flush_deadline_us = now_us + options_.drain_flush_timeout_ms * 1000;
+        flush_deadline_us = now_us + kDrainFlushTimeoutUs;
       bool pending = false;
       for (const auto& conn : conns_) {
         if (!conn) continue;

@@ -13,9 +13,8 @@
 // Lifecycle: start() binds/listens (port 0 = kernel-assigned, reported
 // by port()); stop() is a graceful drain — stop accepting, answer
 // everything already admitted to the batcher, reject late arrivals with
-// "shutting_down", flush every pending write buffer (bounded by
-// drain_flush_timeout_ms), then close connections. The destructor stops
-// too.
+// "shutting_down", flush every pending write buffer (for at most 5 s),
+// then close connections. The destructor stops too.
 #pragma once
 
 #include <atomic>
@@ -49,9 +48,6 @@ class PredictionServer {
     /// closed. 0 disables. Completely idle connections (no buffered
     /// partial frame) are never timed out — idling is free by design.
     std::uint64_t partial_frame_timeout_ms = 30000;
-    /// Upper bound on flushing unread responses to slow clients during
-    /// stop(); afterwards the remaining connections are closed anyway.
-    std::uint64_t drain_flush_timeout_ms = 5000;
     /// Drift-monitor tuning (journal size, window, alarm threshold).
     ServeMonitor::Options monitor;
   };

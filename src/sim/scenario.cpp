@@ -89,6 +89,9 @@ Scenario make_esnet_testbed(const EsnetConfig& config) {
 
 namespace {
 
+/// Share of traffic on the 30 heavy edges vs the long tail.
+constexpr double kHeavyShare = 0.82;
+
 /// Endpoint roles in the production scenario.
 struct ProductionSite {
   const char* name;
@@ -249,7 +252,7 @@ Scenario make_production(const ProductionConfig& config) {
     EdgeProfile profile;
     profile.src = endpoint_of(spec.src);
     profile.dst = endpoint_of(spec.dst);
-    profile.weight = config.heavy_share *
+    profile.weight = kHeavyShare *
                      std::pow(static_cast<double>(r + 1), -0.3) /
                      heavy_weight_sum;
     // Median ~12 GB x the edge's size_scale, heavy-tailed. The tempering
@@ -310,7 +313,7 @@ Scenario make_production(const ProductionConfig& config) {
     tail_weight_sum += profiles[p].weight;
   if (tail_weight_sum > 0.0)
     for (std::size_t p = first_tail; p < profiles.size(); ++p)
-      profiles[p].weight *= (1.0 - config.heavy_share) / tail_weight_sum;
+      profiles[p].weight *= (1.0 - kHeavyShare) / tail_weight_sum;
 
   // --- Background (non-Globus) load -----------------------------------------
   if (config.enable_background) {
@@ -391,6 +394,11 @@ Scenario make_production(const ProductionConfig& config) {
 // NERSC LMT (§5.5.2)
 // ---------------------------------------------------------------------------
 
+namespace {
+/// Paper: 10 concurrent Globus load transfers.
+constexpr std::size_t kLmtLoadTransfers = 10;
+}  // namespace
+
 Scenario make_nersc_lmt(const LmtConfig& config) {
   Scenario scenario;
   scenario.sim_config.seed = config.seed;
@@ -461,10 +469,8 @@ Scenario make_nersc_lmt(const LmtConfig& config) {
   // so the competitor count stays near the target throughout.
   const double span_end =
       scenario.workload.back().submit_s + 600.0;
-  const auto slots =
-      static_cast<std::size_t>(std::lround(config.target_load_transfers));
   std::uint64_t load_id = kLmtLoadFirstId;
-  for (std::size_t slot = 0; slot < slots; ++slot) {
+  for (std::size_t slot = 0; slot < kLmtLoadTransfers; ++slot) {
     const double slot_duration = 600.0;
     double load_submit = rng.uniform(0.0, slot_duration);  // Stagger starts.
     // Each slot is pinned to one OST of each filesystem for the whole

@@ -72,8 +72,6 @@ struct ProductionConfig {
   double duration_s = 18.0 * 86400.0;
   double session_arrivals_per_s = 0.019;  ///< ~30k sessions / ~59k transfers.
   double session_mean_transfers = 2.0;
-  /// Share of traffic on the 30 heavy edges vs the long tail.
-  double heavy_share = 0.82;
   bool enable_background = true;
   /// Extra low-usage edges beyond the heavy 30 (for Table 3/4 statistics
   /// and ROmax/RImax estimation).
@@ -88,7 +86,6 @@ struct LmtConfig {
   std::uint64_t seed = 20170701;
   std::size_t test_transfers = 666;   ///< Paper: 666 controlled transfers.
   double test_interarrival_s = 240.0;
-  double target_load_transfers = 10.0;  ///< Paper: 10 concurrent load transfers.
   double sample_interval_s = 5.0;       ///< LMT samples every 5 s.
 };
 

@@ -16,6 +16,8 @@ namespace xfl::sim {
 namespace {
 constexpr double kMinCapBps = 1.0;       // No live flow may be starved to 0.
 constexpr double kMinDurationS = 1.0e-3; // Log floor for instant transfers.
+// Mean fraction of one file re-sent after a fault.
+constexpr double kRefetchFraction = 0.5;
 
 /// Run-level observability: totals are added once per run(), never inside
 /// the event loop; the loop itself pays only the periodic progress check.
@@ -190,7 +192,7 @@ void Simulator::refresh_cpu(endpoint::EndpointId id) {
   const ResourceId cpu = endpoint_resources_[id].cpu;
   const double capacity =
       endpoints_[id].cpu_Bps *
-      endpoint::cpu_efficiency(instances_[id], config_.cpu_knee);
+      endpoint::cpu_efficiency(instances_[id]);
   if (std::bit_cast<std::uint64_t>(capacity) ==
       std::bit_cast<std::uint64_t>(pool_.capacity(cpu)))
     return;
@@ -369,7 +371,8 @@ void Simulator::complete_transfer(std::size_t index, double now) {
 void Simulator::schedule_fault_candidate(std::size_t index, double now) {
   if (!config_.enable_faults) return;
   const auto& policy = config_.fault_policy;
-  const double lambda_max = policy.base_rate_per_s + policy.load_rate_per_s;
+  const double lambda_max =
+      policy.base_rate_per_s + endpoint::kLoadFaultRatePerS;
   if (lambda_max <= 0.0) return;
   const double dt = rng_.exponential(lambda_max);
   push_event(now + dt, EventType::kFaultCandidate, index,
@@ -481,7 +484,7 @@ void Simulator::handle_event(const Event& event, double now) {
         break;
       const auto& policy = config_.fault_policy;
       const double lambda_max =
-          policy.base_rate_per_s + policy.load_rate_per_s;
+          policy.base_rate_per_s + endpoint::kLoadFaultRatePerS;
       const double lambda =
           endpoint::fault_intensity_per_s(policy, transfer.utilisation);
       if (rng_.uniform() < lambda / lambda_max) {
@@ -489,7 +492,7 @@ void Simulator::handle_event(const Event& event, double now) {
         ++transfer.faults;
         const double done = transfer.req.bytes - transfer.remaining_bytes;
         const double refetch =
-            std::min(done, policy.refetch_fraction * transfer.mean_file_bytes *
+            std::min(done, kRefetchFraction * transfer.mean_file_bytes *
                                rng_.uniform());
         transfer.remaining_bytes += refetch;
         stop_flow(event.index);

@@ -41,11 +41,6 @@ struct SimConfig {
   net::TcpConfig tcp;
   endpoint::FaultPolicy fault_policy;
   bool enable_faults = true;
-  /// GridFTP process count at which endpoint CPU efficiency is halved.
-  /// Production DTNs tolerate large process counts; the quadratic decay
-  /// beyond the knee produces Fig. 4's throughput fall-off without letting
-  /// transient concurrency collapse the endpoint entirely.
-  double cpu_knee = 128.0;
   /// Passes of the cap/efficiency fixed-point iteration (DESIGN.md §5.2).
   int allocation_passes = 2;
   /// RNG seed for faults and background processes.

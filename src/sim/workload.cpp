@@ -10,6 +10,13 @@ namespace xfl::sim {
 
 namespace {
 
+// Cap on files per transfer (see make_request: keeps the joint
+// size/file-size tail physically sensible).
+constexpr std::uint64_t kMaxFilesPerTransfer = 50000;
+// Probability that a transfer is a tiny single-file "test ping"
+// (1 B .. 1 MB). Production logs contain them.
+constexpr double kTinyTransferProb = 0.01;
+
 const EdgeProfile& pick_edge(const std::vector<EdgeProfile>& edges,
                              double total_weight, Rng& rng) {
   double target = rng.uniform() * total_weight;
@@ -20,8 +27,7 @@ const EdgeProfile& pick_edge(const std::vector<EdgeProfile>& edges,
   return edges.back();
 }
 
-TransferRequest make_request(const EdgeProfile& edge,
-                             const WorkloadConfig& config, double submit_s,
+TransferRequest make_request(const EdgeProfile& edge, double submit_s,
                              std::uint64_t id, Rng& rng) {
   TransferRequest req;
   req.id = id;
@@ -29,9 +35,9 @@ TransferRequest make_request(const EdgeProfile& edge,
   req.dst = edge.dst;
   req.submit_s = submit_s;
 
-  if (rng.bernoulli(config.tiny_transfer_prob)) {
+  if (rng.bernoulli(kTinyTransferProb)) {
     // Connectivity test: a single file of 1 B .. 1 MB.
-    req.bytes = std::max(config.min_bytes,
+    req.bytes = std::max(kMinTransferBytes,
                          std::pow(10.0, rng.uniform(0.0, 6.0)));
     req.files = 1;
     req.dirs = 1;
@@ -40,16 +46,16 @@ TransferRequest make_request(const EdgeProfile& edge,
     return req;
   }
   req.bytes = std::clamp(rng.lognormal(edge.log_mean_bytes, edge.log_sigma_bytes),
-                         config.min_bytes, config.max_bytes);
+                         kMinTransferBytes, kMaxTransferBytes);
   // Mean file size: independent lognormal, but kept consistent with the
-  // transfer size. The floor caps the file count at max_files_per_transfer
+  // transfer size. The floor caps the file count at kMaxFilesPerTransfer
   // (and at 100 KB files) - without it, the joint tail of the two
   // distributions produces million-file transfers whose per-file overhead
   // makes them effectively unfinishable, which no real user submits at
   // scale (the log study averages ~1.5k files per transfer).
   const double floor_file =
       std::max(std::min(1.0e5, req.bytes),
-               req.bytes / static_cast<double>(config.max_files_per_transfer));
+               req.bytes / static_cast<double>(kMaxFilesPerTransfer));
   const double mean_file =
       std::clamp(rng.lognormal(edge.log_mean_file, edge.log_sigma_file),
                  floor_file, req.bytes);
@@ -153,7 +159,7 @@ std::vector<TransferRequest> generate_workload(
         1 + rng.poisson(std::max(0.0, config.session_mean_transfers - 1.0)));
     double submit = session_start;
     for (std::uint64_t t = 0; t < session_size; ++t) {
-      requests.push_back(make_request(edge, config, submit, next_id++, rng));
+      requests.push_back(make_request(edge, submit, next_id++, rng));
       submit += rng.exponential(1.0 / config.session_gap_s);
     }
   }

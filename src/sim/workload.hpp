@@ -1,7 +1,7 @@
 // Synthetic Globus-like workload generation.
 //
 // The generator reproduces the statistical texture of the log study:
-//   * a few heavily used edges carry most transfers (Zipf edge popularity);
+//   * a few heavily used edges carry most transfers (per-edge weights);
 //   * transfer sizes and file sizes are log-normal, spanning bytes to
 //     hundreds of terabytes (Fig. 6 spans 1 B .. ~1 PB);
 //   * arrivals are bursty: users submit sessions of several transfers;
@@ -42,16 +42,12 @@ struct WorkloadConfig {
   double session_mean_transfers = 3.0; ///< Mean transfers per session.
   double session_gap_s = 90.0;         ///< Mean gap between session members.
   std::uint64_t first_id = 1;          ///< Id of the first generated transfer.
-  double min_bytes = 1.0;
-  double max_bytes = 2.0e14;           ///< 200 TB ceiling.
-  /// Cap on files per transfer (see make_request: keeps the joint
-  /// size/file-size tail physically sensible).
-  std::uint64_t max_files_per_transfer = 50000;
-  /// Probability that a transfer is a tiny single-file "test ping"
-  /// (1 B .. 1 MB). Production logs contain them (Fig. 6's size axis
-  /// starts at one byte).
-  double tiny_transfer_prob = 0.01;
 };
+
+/// Bounds on a generated transfer's size: one byte (Fig. 6's size axis
+/// starts there) up to a 200 TB ceiling.
+inline constexpr double kMinTransferBytes = 1.0;
+inline constexpr double kMaxTransferBytes = 2.0e14;
 
 /// Generate a time-ordered transfer request stream over the given edges.
 /// Requires at least one profile with positive weight. Deterministic in rng.

@@ -87,14 +87,11 @@ TEST(GridFtp, ConcurrencyContractChecks) {
 
 TEST(GridFtp, CpuWorkFactorOrdering) {
   GridFtpParams plain{.concurrency = 1, .parallelism = 1,
-                      .integrity_check = false, .encrypt = false};
+                      .integrity_check = false};
   GridFtpParams checked = plain;
   checked.integrity_check = true;
-  GridFtpParams encrypted = checked;
-  encrypted.encrypt = true;
   EXPECT_DOUBLE_EQ(cpu_work_factor(plain), 1.0);
   EXPECT_GT(cpu_work_factor(checked), cpu_work_factor(plain));
-  EXPECT_GT(cpu_work_factor(encrypted), cpu_work_factor(checked));
 }
 
 TEST(GridFtp, StartupCostGrowsWithRttAndConcurrency) {
@@ -119,7 +116,7 @@ TEST(GridFtp, FaultIntensityGrowsWithLoad) {
   const double idle = fault_intensity_per_s(policy, 0.0);
   const double busy = fault_intensity_per_s(policy, 1.0);
   EXPECT_DOUBLE_EQ(idle, policy.base_rate_per_s);
-  EXPECT_DOUBLE_EQ(busy, policy.base_rate_per_s + policy.load_rate_per_s);
+  EXPECT_DOUBLE_EQ(busy, policy.base_rate_per_s + kLoadFaultRatePerS);
   EXPECT_LT(fault_intensity_per_s(policy, 0.5), busy);
 }
 

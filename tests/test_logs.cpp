@@ -116,15 +116,6 @@ TEST(LogStore, EdgeMaxRate) {
   EXPECT_THROW(store.edge_max_rate({5, 6}), xfl::ContractViolation);
 }
 
-TEST(LogStore, MaxRateBySide) {
-  LogStore store;
-  store.append(make_record(1, 0, 1, 0.0, 10.0, 100.0));  // 0 out at 10 B/s
-  store.append(make_record(2, 1, 0, 0.0, 10.0, 900.0));  // 0 in at 90 B/s
-  EXPECT_DOUBLE_EQ(store.max_rate_as_source(0), 10.0);
-  EXPECT_DOUBLE_EQ(store.max_rate_as_destination(0), 90.0);
-  EXPECT_DOUBLE_EQ(store.max_rate_as_source(7), 0.0);
-}
-
 TEST(LogStore, FilterKeepsMatching) {
   LogStore store;
   store.append(make_record(1, 0, 1, 0.0, 10.0, 100.0));

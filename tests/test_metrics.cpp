@@ -31,12 +31,6 @@ TEST(Metrics, MdapeIsMedian) {
   EXPECT_DOUBLE_EQ(mdape(y, yhat), 10.0);
 }
 
-TEST(Metrics, MapeIsMean) {
-  const std::vector<double> y = {100.0, 100.0};
-  const std::vector<double> yhat = {110.0, 130.0};
-  EXPECT_DOUBLE_EQ(mape(y, yhat), 20.0);
-}
-
 TEST(Metrics, PercentileApe) {
   std::vector<double> y(100, 100.0);
   std::vector<double> yhat(100);
@@ -90,7 +84,6 @@ TEST(Metrics, EmptyInputYieldsEmptyApeVector) {
 TEST(Metrics, EmptyInputRejectedByAggregates) {
   const std::vector<double> none;
   EXPECT_THROW(mdape(none, none), xfl::ContractViolation);
-  EXPECT_THROW(mape(none, none), xfl::ContractViolation);
   EXPECT_THROW(percentile_ape(none, none, 95.0), xfl::ContractViolation);
   EXPECT_THROW(ape_summary(none, none), xfl::ContractViolation);
   EXPECT_THROW(rmse(none, none), xfl::ContractViolation);
@@ -100,7 +93,6 @@ TEST(Metrics, SingleElementIsItsOwnMedianAndPercentile) {
   const std::vector<double> y = {100.0};
   const std::vector<double> yhat = {120.0};
   EXPECT_DOUBLE_EQ(mdape(y, yhat), 20.0);
-  EXPECT_DOUBLE_EQ(mape(y, yhat), 20.0);
   EXPECT_DOUBLE_EQ(percentile_ape(y, yhat, 95.0), 20.0);
   EXPECT_DOUBLE_EQ(rmse(y, yhat), 20.0);
 }

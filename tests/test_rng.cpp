@@ -152,20 +152,6 @@ TEST(Rng, WeibullShapeOneIsExponential) {
   EXPECT_NEAR(mean(draws), 3.0, 0.1);  // Weibull(k=1, l) has mean l.
 }
 
-TEST(Rng, ZipfPrefersLowRanks) {
-  Rng rng(31);
-  std::vector<int> counts(11, 0);
-  for (int i = 0; i < 50000; ++i) {
-    const auto rank = rng.zipf(10, 1.0);
-    ASSERT_GE(rank, 1);
-    ASSERT_LE(rank, 10);
-    ++counts[static_cast<std::size_t>(rank)];
-  }
-  EXPECT_GT(counts[1], counts[2]);
-  EXPECT_GT(counts[2], counts[5]);
-  EXPECT_GT(counts[5], 0);
-}
-
 TEST(Rng, BernoulliFrequencyMatches) {
   Rng rng(37);
   int hits = 0;

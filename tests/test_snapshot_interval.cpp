@@ -6,7 +6,7 @@
 
 #include "common/units.hpp"
 #include "core/predictor.hpp"
-#include "features/snapshot.hpp"
+#include "features/contention.hpp"
 #include "sim/scenario.hpp"
 
 namespace xfl {
@@ -72,6 +72,31 @@ TEST(Snapshot, ActiveTransferCount) {
   EXPECT_EQ(features::active_transfers_at(log, 0, 125.0), 2u);
   EXPECT_EQ(features::active_transfers_at(log, 0, 200.0), 0u);
   EXPECT_EQ(features::active_transfers_at(log, 7, 75.0), 0u);
+}
+
+TEST(Snapshot, MatchesSweepForCompetitorsSpanningTheTransfer) {
+  // Competitors that span the whole of transfer 9 enter its sweep features
+  // with overlap weight 1, so a snapshot taken before 9 starts must agree
+  // field for field. Transfer 1 starts and ends at endpoint 0: it counts
+  // once towards g_src, in either direction's K and S.
+  logs::LogStore log;
+  log.append(make_record(1, 0, 0, 0.0, 100.0, 6000.0, 3, 2));
+  log.append(make_record(2, 2, 0, 0.0, 100.0, 5000.0));
+  log.append(make_record(3, 1, 3, 0.0, 100.0, 2000.0, 2, 4));
+  log.append(make_record(9, 0, 1, 10.0, 20.0, 1000.0));
+  const auto sweep = features::compute_contention(log)[3];
+  const auto snap = features::snapshot_load(log, {0, 1}, 5.0);
+  EXPECT_DOUBLE_EQ(snap.g_src, 7.0);
+  EXPECT_EQ(snap.k_sout, sweep.k_sout);
+  EXPECT_EQ(snap.k_sin, sweep.k_sin);
+  EXPECT_EQ(snap.k_dout, sweep.k_dout);
+  EXPECT_EQ(snap.k_din, sweep.k_din);
+  EXPECT_EQ(snap.g_src, sweep.g_src);
+  EXPECT_EQ(snap.g_dst, sweep.g_dst);
+  EXPECT_EQ(snap.s_sout, sweep.s_sout);
+  EXPECT_EQ(snap.s_sin, sweep.s_sin);
+  EXPECT_EQ(snap.s_dout, sweep.s_dout);
+  EXPECT_EQ(snap.s_din, sweep.s_din);
 }
 
 class IntervalFixture : public ::testing::Test {

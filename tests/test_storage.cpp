@@ -3,7 +3,6 @@
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "storage/disk.hpp"
-#include "storage/lustre.hpp"
 
 namespace xfl::storage {
 namespace {
@@ -72,71 +71,6 @@ TEST(Disk, EfficiencyContractChecks) {
                xfl::ContractViolation);
   EXPECT_THROW(file_overhead_efficiency_Bps(1.0, 1e9, -0.1),
                xfl::ContractViolation);
-}
-
-TEST(Lustre, SpecLayoutRoundRobin) {
-  const auto spec = nersc_like_lustre(8, 4);
-  EXPECT_TRUE(spec.valid());
-  EXPECT_EQ(spec.oss_of(0), 0u);
-  EXPECT_EQ(spec.oss_of(3), 3u);
-  EXPECT_EQ(spec.oss_of(4), 0u);
-  EXPECT_EQ(spec.oss_of(7), 3u);
-}
-
-TEST(Lustre, OssOfOutOfRangeThrows) {
-  const auto spec = nersc_like_lustre(4, 2);
-  EXPECT_THROW(spec.oss_of(4), xfl::ContractViolation);
-}
-
-LmtSample make_sample(double t, double read, double write, double cpu) {
-  LmtSample s;
-  s.time_s = t;
-  s.ost_read_Bps = {read, read / 2.0};
-  s.ost_write_Bps = {write, write / 2.0};
-  s.oss_cpu_load = {cpu};
-  return s;
-}
-
-TEST(LmtLog, AppendAndQuery) {
-  LmtLog log(2, 1);
-  log.append(make_sample(0.0, 100.0, 50.0, 0.5));
-  log.append(make_sample(5.0, 200.0, 150.0, 0.7));
-  log.append(make_sample(10.0, 300.0, 250.0, 0.9));
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_DOUBLE_EQ(log.mean_ost_read(0, 0.0, 10.0), 200.0);
-  EXPECT_DOUBLE_EQ(log.mean_ost_read(1, 0.0, 10.0), 100.0);
-  EXPECT_DOUBLE_EQ(log.mean_ost_write(0, 4.0, 11.0), 200.0);
-  EXPECT_DOUBLE_EQ(log.mean_oss_cpu(0, 0.0, 4.9), 0.5);
-}
-
-TEST(LmtLog, EmptyWindowMeansZero) {
-  LmtLog log(1, 1);
-  LmtSample s;
-  s.time_s = 100.0;
-  s.ost_read_Bps = {1.0};
-  s.ost_write_Bps = {1.0};
-  s.oss_cpu_load = {1.0};
-  log.append(s);
-  EXPECT_DOUBLE_EQ(log.mean_ost_read(0, 0.0, 50.0), 0.0);
-}
-
-TEST(LmtLog, RejectsOutOfOrderAndBadShape) {
-  LmtLog log(2, 1);
-  log.append(make_sample(10.0, 1.0, 1.0, 0.1));
-  EXPECT_THROW(log.append(make_sample(5.0, 1.0, 1.0, 0.1)),
-               xfl::ContractViolation);
-  LmtSample bad;
-  bad.time_s = 20.0;
-  bad.ost_read_Bps = {1.0};  // Wrong width (needs 2).
-  bad.ost_write_Bps = {1.0, 1.0};
-  bad.oss_cpu_load = {0.1};
-  EXPECT_THROW(log.append(bad), xfl::ContractViolation);
-}
-
-TEST(LmtLog, QueryIndexBounds) {
-  LmtLog log(1, 1);
-  EXPECT_THROW(log.mean_ost_read(1, 0.0, 1.0), xfl::ContractViolation);
-  EXPECT_THROW(log.mean_oss_cpu(2, 0.0, 1.0), xfl::ContractViolation);
 }
 
 }  // namespace

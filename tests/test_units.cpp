@@ -25,10 +25,5 @@ TEST(Units, FormatBytesScales) {
   EXPECT_EQ(format_bytes(1.5e6), "1.50 MB");
 }
 
-TEST(Units, FormatRateScales) {
-  EXPECT_EQ(format_rate(1.183e8), "118.30 MB/s");
-  EXPECT_EQ(format_rate(11.0), "11 B/s");
-}
-
 }  // namespace
 }  // namespace xfl

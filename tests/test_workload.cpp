@@ -41,8 +41,8 @@ TEST(Workload, AllRequestsValid) {
   config.arrivals_per_s = 0.01;
   for (const auto& req : generate_workload(two_edges(), config, rng)) {
     EXPECT_TRUE(req.valid());
-    EXPECT_GE(req.bytes, config.min_bytes);
-    EXPECT_LE(req.bytes, config.max_bytes);
+    EXPECT_GE(req.bytes, kMinTransferBytes);
+    EXPECT_LE(req.bytes, kMaxTransferBytes);
     EXPECT_GE(req.files, 1u);
     EXPECT_GE(req.dirs, 1u);
   }
