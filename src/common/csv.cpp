@@ -1,5 +1,6 @@
 #include "common/csv.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -18,6 +19,12 @@ CsvReader CsvReader::open(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("CsvReader: cannot open " + path);
   return CsvReader(in);
+}
+
+std::size_t CsvReader::rows_bound() const {
+  const auto rest = std::string_view(text_).substr(pos_);
+  const auto line_feeds = std::count(rest.begin(), rest.end(), '\n');
+  return static_cast<std::size_t>(line_feeds) + 1;
 }
 
 // Fields are unescaped in place: the write cursor `out` never passes the

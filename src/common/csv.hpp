@@ -40,6 +40,10 @@ class CsvReader {
   /// the reader.
   std::span<const std::string_view> row() const { return fields_; }
 
+  /// At most this many rows remain: one per line feed left, plus a last
+  /// unterminated line. Readers reserve by it.
+  std::size_t rows_bound() const;
+
  private:
   std::string text_;
   std::size_t pos_ = 0;

@@ -675,8 +675,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
     metrics.tree_us.record(
         static_cast<double>(obs::monotonic_us() - tree_start_us));
   }
-  compile_flat();
-  fitted_ = true;
+  install_flat(compile_flat());
   metrics.fits.add(1);
   metrics.rows.add(n);
   metrics.trees.add(static_cast<std::uint64_t>(config_.trees));
@@ -687,7 +686,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
                  << obs::kv("elapsed_us", obs::monotonic_us() - fit_start_us);
 }
 
-void GradientBoostedTrees::compile_flat() {
+FlatEnsemble GradientBoostedTrees::compile_flat() const {
   FlatEnsemble::Builder builder(base_score_, config_.learning_rate);
   for (const auto& tree : trees_) {
     builder.begin_tree();
@@ -696,7 +695,12 @@ void GradientBoostedTrees::compile_flat() {
                        node.feature >= 0 ? node.threshold : node.value,
                        node.left, node.right);
   }
-  flat_ = std::make_shared<const FlatEnsemble>(std::move(builder).build());
+  return std::move(builder).build();
+}
+
+void GradientBoostedTrees::install_flat(FlatEnsemble flat) {
+  flat_ = std::make_shared<const FlatEnsemble>(std::move(flat));
+  fitted_ = true;
 }
 
 const FlatEnsemble& GradientBoostedTrees::flat() const {
@@ -843,6 +847,12 @@ GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
 }
 
 GradientBoostedTrees GradientBoostedTrees::load(TokenReader& in) {
+  GradientBoostedTrees model = parse(in);
+  model.install_flat(model.compile_flat());
+  return model;
+}
+
+GradientBoostedTrees GradientBoostedTrees::parse(TokenReader& in) {
   auto fail = [](const std::string& what) -> void {
     throw std::runtime_error("GradientBoostedTrees::load: " + what);
   };
@@ -879,13 +889,16 @@ GradientBoostedTrees GradientBoostedTrees::load(TokenReader& in) {
   if (tree_count > kMaxTrees || !in.fits(tree_count, 1 + kNodeTokens))
     fail("implausible tree count");
   model.trees_.resize(tree_count);
+  // Whether each node of the current tree is already some node's child;
+  // one buffer for every tree of the model.
+  std::vector<std::uint8_t> child_seen;
   for (auto& tree : model.trees_) {
     std::size_t node_count = 0;
     if (!in.read(node_count) || node_count == 0 || node_count > kMaxNodes ||
         !in.fits(node_count, kNodeTokens))
       fail("implausible node count");
     tree.nodes.resize(node_count);
-    std::vector<bool> child_seen(node_count, false);
+    child_seen.assign(node_count, 0);
     for (std::size_t i = 0; i < node_count; ++i) {
       Node& node = tree.nodes[i];
       if (!in.read(node.feature, node.threshold, node.value, node.left,
@@ -909,12 +922,10 @@ GradientBoostedTrees GradientBoostedTrees::load(TokenReader& in) {
           child_seen[static_cast<std::size_t>(node.left)] ||
           child_seen[static_cast<std::size_t>(node.right)])
         fail("node referenced by multiple parents");
-      child_seen[static_cast<std::size_t>(node.left)] = true;
-      child_seen[static_cast<std::size_t>(node.right)] = true;
+      child_seen[static_cast<std::size_t>(node.left)] = 1;
+      child_seen[static_cast<std::size_t>(node.right)] = 1;
     }
   }
-  model.compile_flat();
-  model.fitted_ = true;
   return model;
 }
 

@@ -91,33 +91,35 @@ ExplainMetrics& explain_metrics() {
 FlatEnsemble::Builder::Builder(double base_score, double scale)
     : base_score_(base_score), scale_(scale) {}
 
-void FlatEnsemble::Builder::begin_tree() { trees_.emplace_back(); }
+void FlatEnsemble::Builder::begin_tree() { starts_.push_back(nodes_.size()); }
 
 void FlatEnsemble::Builder::add_node(std::int32_t feature,
                                      double threshold_or_value,
                                      std::int32_t left, std::int32_t right) {
-  XFL_EXPECTS(!trees_.empty());
-  trees_.back().push_back({feature, threshold_or_value, left, right});
+  XFL_EXPECTS(!starts_.empty());
+  nodes_.push_back({feature, threshold_or_value, left, right});
 }
 
 FlatEnsemble FlatEnsemble::Builder::build() && {
   FlatEnsemble flat;
   flat.base_score_ = base_score_;
   flat.scale_ = scale_;
-  std::size_t total = 0;
-  for (const auto& tree : trees_) total += tree.size();
+  const std::size_t total = nodes_.size();
   flat.feature_.reserve(total);
   flat.value_.reserve(total);
   flat.left_.reserve(total);
-  flat.roots_.reserve(trees_.size());
-  flat.depth_.reserve(trees_.size());
+  flat.roots_.reserve(starts_.size());
+  flat.depth_.reserve(starts_.size());
 
   // Per-tree breadth-first renumbering. The k-th visited node takes slot
   // base + k, and an internal node's children are enqueued together, so
   // siblings always land in consecutive slots: right child == left + 1.
   std::vector<std::int32_t> order;     // Old in-tree index per new slot.
   std::vector<std::int32_t> depth_of;  // Depth per new slot.
-  for (const auto& tree : trees_) {
+  for (std::size_t t = 0; t < starts_.size(); ++t) {
+    const std::span<const RawNode> tree(
+        nodes_.data() + starts_[t],
+        (t + 1 < starts_.size() ? starts_[t + 1] : total) - starts_[t]);
     XFL_EXPECTS(!tree.empty());
     const auto base = static_cast<std::int32_t>(flat.feature_.size());
     flat.roots_.push_back(base);
@@ -297,10 +299,11 @@ void FlatEnsemble::build_quantized() {
   }
 
   // Padded complete-tree size check before allocating anything.
-  std::int64_t padded = 0;
+  std::int64_t padded = 0, padded_leaves = 0;
   for (const std::int32_t d : depth_) {
     if (d > kMaxQuantTreeDepth) return reject("tree too deep to pad");
     padded += (std::int64_t{1} << (d + 1)) - 1;
+    padded_leaves += std::int64_t{1} << d;
   }
   if (padded > kMaxQuantPaddedSlots)
     return reject("padded form exceeds size cap");
@@ -358,6 +361,8 @@ void FlatEnsemble::build_quantized() {
 
   qsplit_off_.reserve(roots_.size());
   qleaf_off_.reserve(roots_.size());
+  qmask_idx_.reserve(static_cast<std::size_t>(padded - padded_leaves));
+  qleaf_.reserve(static_cast<std::size_t>(padded_leaves));
   for (std::size_t t = 0; t < roots_.size(); ++t) {
     const std::int32_t d = depth_[t];
     const std::int32_t internal = (1 << d) - 1;

@@ -183,7 +183,9 @@ class FlatEnsemble {
     double base_score_;
     double scale_;
     bool attribution_ = true;
-    std::vector<std::vector<RawNode>> trees_;
+    /// Every tree's nodes back to back; tree t starts at starts_[t].
+    std::vector<RawNode> nodes_;
+    std::vector<std::size_t> starts_;
   };
 
   double base_score() const { return base_score_; }

@@ -8,7 +8,7 @@
 //
 // Format: line-oriented text, one record per line:
 //
-//   xflj1 <23 space-separated fields> <fnv1a-64 checksum, hex>
+//   xflj1 <22 space-separated fields> <fnv1a-64 checksum, hex>
 //
 // The checksum covers everything before it, so a torn tail write (crash
 // mid-append), a flipped byte, or interleaved garbage is detected per

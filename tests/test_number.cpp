@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cinttypes>
+#include <clocale>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -173,6 +175,24 @@ TEST(NumberCodec, TokenReaderSplitsOnWhitespaceAndCountsBytesLeft) {
   EXPECT_TRUE(tail.fits(1, 3));
   EXPECT_FALSE(tail.fits(2, 3));
   EXPECT_TRUE(tail.fits(0, 5));
+}
+
+// The reader splits where std::isspace does in the "C" locale, which
+// every program starts in and none of ours leaves, for every byte value.
+TEST(NumberCodec, TokenReaderSplitsWhereCLocaleIsspaceDoes) {
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int byte = 0; byte < 256; ++byte) {
+    SCOPED_TRACE(byte);
+    const std::string text{'a', static_cast<char>(byte), 'z'};
+    TokenReader in(text);
+    if (std::isspace(byte) != 0) {
+      EXPECT_EQ(in.token(), "a");
+      EXPECT_EQ(in.token(), "z");
+    } else {
+      EXPECT_EQ(in.token(), text);
+    }
+    EXPECT_EQ(in.token(), "");
+  }
 }
 
 TEST(NumberCodec, JsonRendersNonFiniteAsNull) {
