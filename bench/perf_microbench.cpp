@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the performance-critical substrate:
 // the max-min flow solver (hot path of every simulation event), the
 // contention sweep (feature engineering over the full log), gradient
-// boosting training, and MIC estimation.
+// boosting training, MIC estimation, and the serve layer's request-frame
+// parser.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,6 +16,7 @@
 #include "ml/gbt.hpp"
 #include "ml/gbt_flat.hpp"
 #include "ml/mic.hpp"
+#include "serve/protocol.hpp"
 #include "sim/resources.hpp"
 
 namespace {
@@ -338,6 +341,52 @@ void BM_Mic(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(ml::mic(x, y));
 }
 BENCHMARK(BM_Mic)->Arg(250)->Arg(1000);
+
+// One JSON request line through serve::parse_frame, as the server's poll
+// thread parses it: arg 0 = predict with a load object (the ~300-byte
+// line of serve_mixed), 1 = explain with top_k, 2 = feedback. Lines come
+// from the protocol's own request builders, newline stripped.
+void BM_ParseFrame(benchmark::State& state) {
+  core::PlannedTransfer planned;
+  planned.src = 3;
+  planned.dst = 7;
+  planned.bytes = 1.234567e11;
+  planned.files = 250;
+  planned.dirs = 12;
+  planned.concurrency = 8;
+  planned.parallelism = 4;
+  // Eq. 2 loads are overlap-weighted sums, so they print with all 17
+  // significant digits, as a logged load does.
+  features::ContentionFeatures load;
+  load.k_sout = 3.3e8 / 7.0;
+  load.k_sin = 1.25e7 / 7.0;
+  load.k_dout = 6.1e7 / 7.0;
+  load.k_din = 4.4e8 / 7.0;
+  load.g_src = 6.0 / 7.0;
+  load.g_dst = 3.0 / 7.0;
+  load.s_sout = 24.0 / 7.0;
+  load.s_sin = 4.0 / 7.0;
+  load.s_dout = 8.0 / 7.0;
+  load.s_din = 16.0 / 7.0;
+  std::string line;
+  switch (state.range(0)) {
+    case 0: line = serve::predict_request_line("12345", planned, load); break;
+    case 1:
+      line = serve::explain_request_line("12346", planned, load, 0, 5);
+      break;
+    default:
+      line = serve::feedback_request_line("12347", "t987654", 212.5);
+      break;
+  }
+  line.pop_back();
+  for (auto _ : state) {
+    serve::Frame frame = serve::parse_frame(line);
+    benchmark::DoNotOptimize(frame);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseFrame)->ArgName("form")->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -69,14 +69,6 @@ double LogStore::edge_max_rate(const EdgeKey& edge) const {
   return best;
 }
 
-LogStore LogStore::filter(
-    const std::function<bool(const TransferRecord&)>& keep) const {
-  LogStore out;
-  for (const auto& record : records_)
-    if (keep(record)) out.append(record);
-  return out;
-}
-
 namespace {
 constexpr const char* kCsvHeader[] = {
     "id",          "src",   "dst",   "start_s", "end_s",

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -45,9 +44,6 @@ class LogStore {
   /// Maximum observed rate on one edge (the per-edge Rmax(E) of §4.3.2).
   /// Requires the edge to have at least one transfer.
   double edge_max_rate(const EdgeKey& edge) const;
-
-  /// New store with only the records matching `keep`.
-  LogStore filter(const std::function<bool(const TransferRecord&)>& keep) const;
 
   /// CSV round-trip. The header names the Globus-schema columns; endpoint
   /// ids are written as integers (anonymised form, matching the paper's

@@ -19,14 +19,16 @@ void set_tracing_enabled(bool enabled) noexcept {
   detail::tracing_switch().store(enabled, std::memory_order_relaxed);
 }
 
-std::uint64_t monotonic_us() noexcept {
+std::uint64_t monotonic_ns() noexcept {
   using clock = std::chrono::steady_clock;
   static const clock::time_point origin = clock::now();
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                            origin)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                           origin)
           .count());
 }
+
+std::uint64_t monotonic_us() noexcept { return monotonic_ns() / 1000; }
 
 namespace {
 

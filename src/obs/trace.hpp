@@ -37,6 +37,10 @@ void set_tracing_enabled(bool enabled) noexcept;
 /// Shared with the metrics wiring so span and histogram timings agree.
 std::uint64_t monotonic_us() noexcept;
 
+/// Nanoseconds on the same clock (monotonic_us() == monotonic_ns() / 1000),
+/// for stages that take well under a microsecond.
+std::uint64_t monotonic_ns() noexcept;
+
 struct TraceEvent {
   const char* name = nullptr;
   std::uint64_t ts_us = 0;   ///< Span start.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <type_traits>
 
@@ -21,138 +22,294 @@ struct FrameError : std::runtime_error {
 
 [[noreturn]] void reject(const std::string& what) { throw FrameError(what); }
 
-std::string extract_id(const JsonValue& root) {
-  const JsonValue* id = root.find("id");
-  if (id == nullptr) return {};
-  if (id->is_string()) return id->string;
-  if (id->is_number()) {
+using Type = JsonValue::Type;
+
+// Every key a request frame may carry, in byte order. Validation reports
+// the first offending key in this order, as a walk over a sorted DOM
+// would, so a frame's error does not depend on how its keys are laid out.
+enum Key {
+  kBytes, kCmd, kConcurrency, kDeadlineMs, kDirs, kDst, kExplain, kFeedback,
+  kFiles, kId, kLoad, kObservedMbps, kParallelism, kPath, kRegistry, kSrc,
+  kTopK, kKeyCount
+};
+constexpr std::string_view kKeyNames[kKeyCount] = {
+    "bytes",    "cmd",      "concurrency", "deadline_ms",   "dirs",
+    "dst",      "explain",  "feedback",    "files",         "id",
+    "load",     "observed_mbps",           "parallelism",   "path",
+    "registry", "src",      "top_k"};
+
+// The load object's keys, in byte order, and the fields they fill.
+using Features = features::ContentionFeatures;
+constexpr std::string_view kLoadNames[] = {
+    "g_dst", "g_src", "k_din", "k_dout", "k_sin",
+    "k_sout", "s_din", "s_dout", "s_sin", "s_sout"};
+constexpr double Features::*kLoadFields[] = {
+    &Features::g_dst, &Features::g_src, &Features::k_din, &Features::k_dout,
+    &Features::k_sin, &Features::k_sout, &Features::s_din, &Features::s_dout,
+    &Features::s_sin, &Features::s_sout};
+constexpr std::size_t kLoadCount = std::size(kLoadNames);
+
+/// Index of `key` in a name table, or -1.
+template <std::size_t N>
+int key_index(std::string_view key, const std::string_view (&names)[N]) {
+  for (std::size_t i = 0; i < N; ++i)
+    if (names[i] == key) return static_cast<int>(i);
+  return -1;
+}
+
+std::string unknown_field(std::string_view key) {
+  return "unknown field '" + std::string(key) + "'";
+}
+
+/// The last value one key took.
+struct Slot {
+  bool present = false;
+  JsonScalar value;
+};
+
+/// The smallest key, in byte order, outside a schema.
+struct UnknownKey {
+  bool seen = false;
+  std::string key;
+
+  /// Note `name`; true when it is the smallest seen so far (ties too).
+  bool note(std::string_view name) {
+    if (seen && name > std::string_view(key)) return false;
+    key.assign(name);
+    seen = true;
+    return true;
+  }
+};
+
+/// One pass over a request frame, in place: it keeps the last value of
+/// every schema key (a duplicate overwrites its slot), the members of the
+/// last load object, and the smallest unknown key at each level. Values
+/// outside the schema are syntax-checked and skipped. No DOM is built:
+/// the scan allocates only for strings with escapes and for unknown keys
+/// longer than the short-string buffer.
+struct FrameScan {
+  Slot slots[kKeyCount];
+  /// Decoded text of the string values that carry escapes, for the keys
+  /// whose text is kept; any other string value only needs its type.
+  std::string id_text, cmd_text, path_text, feedback_text;
+  Slot load[kLoadCount];
+  UnknownKey unknown;
+  UnknownKey load_unknown;
+  bool load_unknown_number = false;  ///< load_unknown's last value.
+  std::string discard;
+
+  const Slot& operator[](Key key) const { return slots[key]; }
+
+  /// Where schema key `k`'s string value is decoded if it has escapes.
+  std::string& text_buffer(int k) {
+    switch (k) {
+      case kId: return id_text;
+      case kCmd: return cmd_text;
+      case kPath: return path_text;
+      case kFeedback: return feedback_text;
+      default: return discard;
+    }
+  }
+
+  void scan(std::string_view line) {
+    JsonLexer lexer(line);
+    if (lexer.open(0) != '{') {
+      lexer.value(0, discard);
+      lexer.finish();
+      reject("frame must be a JSON object");
+    }
+    lexer.object([&](std::string_view key) {
+      const int k = key_index(key, kKeyNames);
+      if (k < 0) {
+        unknown.note(key);
+        lexer.value(1, discard);
+        return;
+      }
+      Slot& slot = slots[k];
+      slot.present = true;
+      if (k == kLoad) {
+        // The last load object wins as a whole.
+        for (Slot& field : load) field.present = false;
+        load_unknown.seen = false;
+        if (lexer.open(1) == '{') {
+          slot.value = JsonScalar();
+          slot.value.type = Type::kObject;
+          lexer.object([&](std::string_view name) { scan_load(lexer, name); });
+          return;
+        }
+      }
+      slot.value = lexer.value(1, text_buffer(k));
+    });
+    lexer.finish();
+  }
+
+  void scan_load(JsonLexer& lexer, std::string_view name) {
+    const int i = key_index(name, kLoadNames);
+    if (i < 0) {
+      const bool smallest = load_unknown.note(name);
+      const Type type = lexer.value(2, discard).type;
+      if (smallest) load_unknown_number = type == Type::kNumber;
+      return;
+    }
+    load[i].present = true;
+    load[i].value = lexer.value(2, discard);
+  }
+};
+
+/// Reject the frame's first key in byte order that `problem` objects to.
+/// `problem` returns nullptr for a key it takes, "" for a key outside its
+/// schema, or the message; unknown keys always offend.
+template <class Problem>
+void check_keys(const FrameScan& scan, Problem problem) {
+  for (int k = 0; k < kKeyCount; ++k) {
+    if (!scan.slots[k].present) continue;
+    const char* what = problem(static_cast<Key>(k));
+    if (what == nullptr) continue;
+    if (scan.unknown.seen && std::string_view(scan.unknown.key) < kKeyNames[k])
+      break;
+    reject(*what != '\0' ? std::string(what) : unknown_field(kKeyNames[k]));
+  }
+  if (scan.unknown.seen) reject(unknown_field(scan.unknown.key));
+}
+
+std::string frame_id(const Slot& id) {
+  if (!id.present) return {};
+  if (id.value.type == Type::kString) return std::string(id.value.string);
+  if (id.value.type == Type::kNumber) {
     std::string text;
-    append_json_number(text, id->number);
+    append_json_number(text, id.value.number);
     return text;
   }
   reject("'id' must be a string or number");
 }
 
-double require_number(const JsonValue& object, const std::string& key) {
-  const JsonValue* v = object.find(key);
-  if (v == nullptr) reject("missing required field '" + key + "'");
-  if (!v->is_number()) reject("field '" + key + "' must be a number");
-  return v->number;
+[[noreturn]] void reject_field(Key key, const char* what) {
+  reject("field '" + std::string(kKeyNames[key]) + "' " + what);
+}
+
+double number_field(const FrameScan& scan, Key key) {
+  if (!scan[key].present)
+    reject("missing required field '" + std::string(kKeyNames[key]) + "'");
+  if (scan[key].value.type != Type::kNumber)
+    reject_field(key, "must be a number");
+  return scan[key].value.number;
 }
 
 /// Optional non-negative integral field with a default and an upper cap.
-std::uint64_t integral_or(const JsonValue& object, const std::string& key,
-                          std::uint64_t fallback, std::uint64_t min_value,
-                          std::uint64_t max_value) {
-  const JsonValue* v = object.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) reject("field '" + key + "' must be a number");
-  const double d = v->number;
+std::uint64_t integer_field(const FrameScan& scan, Key key,
+                            std::uint64_t fallback, std::uint64_t max_value) {
+  if (!scan[key].present) return fallback;
+  if (scan[key].value.type != Type::kNumber)
+    reject_field(key, "must be a number");
+  const double d = scan[key].value.number;
   if (!(d >= 0.0) || d != std::floor(d) || d > 9.007199254740992e15)
-    reject("field '" + key + "' must be a non-negative integer");
+    reject_field(key, "must be a non-negative integer");
   const auto n = static_cast<std::uint64_t>(d);
-  if (n < min_value || n > max_value)
-    reject("field '" + key + "' out of range");
+  if (n > max_value) reject_field(key, "out of range");
   return n;
 }
 
-features::ContentionFeatures parse_load(const JsonValue& load) {
-  if (!load.is_object()) reject("'load' must be an object");
-  features::ContentionFeatures features;
-  for (const auto& [key, value] : load.object) {
-    if (!value.is_number()) reject("load field '" + key + "' must be a number");
-    double* slot = nullptr;
-    if (key == "k_sout") slot = &features.k_sout;
-    else if (key == "k_sin") slot = &features.k_sin;
-    else if (key == "k_dout") slot = &features.k_dout;
-    else if (key == "k_din") slot = &features.k_din;
-    else if (key == "g_src") slot = &features.g_src;
-    else if (key == "g_dst") slot = &features.g_dst;
-    else if (key == "s_sout") slot = &features.s_sout;
-    else if (key == "s_sin") slot = &features.s_sin;
-    else if (key == "s_dout") slot = &features.s_dout;
-    else if (key == "s_din") slot = &features.s_din;
-    else reject("unknown load field '" + key + "'");
-    if (!std::isfinite(value.number)) reject("load field '" + key + "' must be finite");
-    *slot = value.number;
+Features load_features(const FrameScan& scan) {
+  if (scan[kLoad].value.type != Type::kObject)
+    reject("'load' must be an object");
+  const UnknownKey& unknown = scan.load_unknown;
+  Features features;
+  for (std::size_t i = 0; i < kLoadCount; ++i) {
+    const Slot& field = scan.load[i];
+    if (!field.present) continue;
+    const std::string_view name = kLoadNames[i];
+    if (unknown.seen && std::string_view(unknown.key) < name) break;
+    if (field.value.type != Type::kNumber)
+      reject("load field '" + std::string(name) + "' must be a number");
+    if (!std::isfinite(field.value.number))
+      reject("load field '" + std::string(name) + "' must be finite");
+    features.*kLoadFields[i] = field.value.number;
   }
+  if (unknown.seen)
+    reject(scan.load_unknown_number
+               ? "unknown load field '" + unknown.key + "'"
+               : "load field '" + unknown.key + "' must be a number");
   return features;
 }
 
-Frame parse_admin(const JsonValue& root, std::string id) {
-  const JsonValue* cmd = root.find("cmd");
-  if (!cmd->is_string()) reject("'cmd' must be a string");
+Frame admin_frame(const FrameScan& scan, std::string id) {
+  const JsonScalar& cmd = scan[kCmd].value;
+  if (cmd.type != Type::kString) reject("'cmd' must be a string");
+  check_keys(scan, [&](Key key) -> const char* {
+    const Type type = scan[key].value.type;
+    switch (key) {
+      case kCmd:
+      case kId:
+        return nullptr;
+      case kPath:
+        return type == Type::kString ? nullptr : "'path' must be a string";
+      case kRegistry:
+        return type == Type::kBool ? nullptr : "'registry' must be a boolean";
+      default:
+        return "";
+    }
+  });
   Frame frame;
   frame.kind = Frame::Kind::kAdmin;
   frame.reply.id = std::move(id);
-  frame.admin.cmd = cmd->string;
-  bool saw_registry = false;
-  for (const auto& [key, value] : root.object) {
-    if (key == "cmd" || key == "id") continue;
-    if (key == "path") {
-      if (!value.is_string()) reject("'path' must be a string");
-      frame.admin.path = value.string;
-      continue;
-    }
-    if (key == "registry") {
-      if (!value.is_bool()) reject("'registry' must be a boolean");
-      frame.admin.registry = value.boolean;
-      saw_registry = true;
-      continue;
-    }
-    reject("unknown field '" + key + "'");
-  }
+  frame.admin.cmd = cmd.string;
+  frame.admin.path = scan[kPath].value.string;
+  frame.admin.registry = scan[kRegistry].value.boolean;
   if (frame.admin.cmd != "ping" && frame.admin.cmd != "stats" &&
       frame.admin.cmd != "reload" && frame.admin.cmd != "retrain-status")
     reject("unknown cmd '" + frame.admin.cmd + "'");
   if (!frame.admin.path.empty() && frame.admin.cmd != "reload")
     reject("'path' is only valid with cmd 'reload'");
-  if (saw_registry && frame.admin.cmd != "stats")
+  if (scan[kRegistry].present && frame.admin.cmd != "stats")
     reject("'registry' is only valid with cmd 'stats'");
   return frame;
 }
 
-Frame parse_feedback(const JsonValue& root, std::string id) {
+Frame feedback_frame(const FrameScan& scan, std::string id) {
+  check_keys(scan, [](Key key) {
+    return key == kId || key == kFeedback || key == kObservedMbps ? nullptr
+                                                                  : "";
+  });
   Frame frame;
   frame.kind = Frame::Kind::kFeedback;
   frame.reply.id = std::move(id);
-  for (const auto& [key, value] : root.object) {
-    (void)value;
-    if (key != "id" && key != "feedback" && key != "observed_mbps")
-      reject("unknown field '" + key + "'");
-  }
-  const JsonValue* trace = root.find("feedback");
-  if (!trace->is_string()) reject("'feedback' must be a trace-id string");
-  if (!parse_trace_id(trace->string, frame.feedback.trace_id))
+  const JsonScalar& trace = scan[kFeedback].value;
+  if (trace.type != Type::kString)
+    reject("'feedback' must be a trace-id string");
+  if (!parse_trace_id(trace.string, frame.feedback.trace_id))
     reject("'feedback' must look like \"t<number>\"");
-  frame.feedback.observed_mbps = require_number(root, "observed_mbps");
+  frame.feedback.observed_mbps = number_field(scan, kObservedMbps);
   if (!std::isfinite(frame.feedback.observed_mbps) ||
       !(frame.feedback.observed_mbps > 0.0))
     reject("'observed_mbps' must be finite and positive");
   return frame;
 }
 
-Frame parse_predict(const JsonValue& root, std::string id) {
+Frame predict_frame(const FrameScan& scan, std::string id) {
+  check_keys(scan, [](Key key) -> const char* {
+    switch (key) {
+      case kCmd:
+      case kFeedback:
+      case kObservedMbps:
+      case kPath:
+      case kRegistry:
+        return "";
+      default:
+        return nullptr;
+    }
+  });
   Frame frame;
   frame.kind = Frame::Kind::kPredict;
   frame.reply.id = std::move(id);
 
-  for (const auto& [key, value] : root.object) {
-    (void)value;
-    if (key != "id" && key != "src" && key != "dst" && key != "bytes" &&
-        key != "files" && key != "dirs" && key != "concurrency" &&
-        key != "parallelism" && key != "deadline_ms" && key != "load" &&
-        key != "explain" && key != "top_k")
-      reject("unknown field '" + key + "'");
-  }
-
-  if (const JsonValue* explain = root.find("explain")) {
-    if (!explain->is_bool()) reject("'explain' must be a boolean");
-    frame.predict.explain = explain->boolean;
+  if (scan[kExplain].present) {
+    if (scan[kExplain].value.type != Type::kBool)
+      reject("'explain' must be a boolean");
+    frame.predict.explain = scan[kExplain].value.boolean;
   }
   frame.reply.top_k =
-      static_cast<std::uint16_t>(integral_or(root, "top_k", 0, 0, 0xffff));
-  if (root.find("top_k") != nullptr && !frame.predict.explain)
+      static_cast<std::uint16_t>(integer_field(scan, kTopK, 0, 0xffff));
+  if (scan[kTopK].present && !frame.predict.explain)
     reject("'top_k' is only valid with 'explain'");
 
   // The 32-bit fields are capped before they narrow; the transfer's own
@@ -160,25 +317,24 @@ Frame parse_predict(const JsonValue& root, std::string id) {
   constexpr std::uint64_t kU32 = 0xffffffffu;
   constexpr std::uint64_t kU64 = ~std::uint64_t{0};
   auto& transfer = frame.predict.transfer;
-  transfer.src = static_cast<endpoint::EndpointId>(
-      integral_or(root, "src", 0, 0, kU32));
-  if (root.find("src") == nullptr) reject("missing required field 'src'");
-  transfer.dst = static_cast<endpoint::EndpointId>(
-      integral_or(root, "dst", 0, 0, kU32));
-  if (root.find("dst") == nullptr) reject("missing required field 'dst'");
-  transfer.bytes = require_number(root, "bytes");
-  transfer.files = integral_or(root, "files", 1, 0, kU64);
-  transfer.dirs = integral_or(root, "dirs", 1, 0, kU64);
-  transfer.concurrency = static_cast<std::uint32_t>(
-      integral_or(root, "concurrency", 4, 0, kU32));
-  transfer.parallelism = static_cast<std::uint32_t>(
-      integral_or(root, "parallelism", 4, 0, kU32));
+  transfer.src =
+      static_cast<endpoint::EndpointId>(integer_field(scan, kSrc, 0, kU32));
+  if (!scan[kSrc].present) reject("missing required field 'src'");
+  transfer.dst =
+      static_cast<endpoint::EndpointId>(integer_field(scan, kDst, 0, kU32));
+  if (!scan[kDst].present) reject("missing required field 'dst'");
+  transfer.bytes = number_field(scan, kBytes);
+  transfer.files = integer_field(scan, kFiles, 1, kU64);
+  transfer.dirs = integer_field(scan, kDirs, 1, kU64);
+  transfer.concurrency =
+      static_cast<std::uint32_t>(integer_field(scan, kConcurrency, 4, kU32));
+  transfer.parallelism =
+      static_cast<std::uint32_t>(integer_field(scan, kParallelism, 4, kU32));
   if (const char* field = transfer.invalid_field())
     reject("field '" + std::string(field) + "' out of range");
   frame.predict.deadline_ms =
-      integral_or(root, "deadline_ms", 0, 0, 86400u * 1000u);
-  if (const JsonValue* load = root.find("load"))
-    frame.predict.load = parse_load(*load);
+      integer_field(scan, kDeadlineMs, 0, 86400u * 1000u);
+  if (scan[kLoad].present) frame.predict.load = load_features(scan);
   return frame;
 }
 
@@ -212,32 +368,22 @@ void append_field(std::string& out, const char* key, const T& value,
 
 }  // namespace
 
-Frame parse_frame(const std::string& line) {
+Frame parse_frame(std::string_view line) {
   Frame bad;
   bad.kind = Frame::Kind::kBad;
   if (line.size() > kMaxFrameBytes) {
     bad.error = "frame exceeds " + std::to_string(kMaxFrameBytes) + " bytes";
     return bad;
   }
-  JsonValue root;
   try {
-    root = parse_json(line);
+    FrameScan scan;
+    scan.scan(line);
+    // Kept for the error response if validation fails below.
+    bad.reply.id = frame_id(scan[kId]);
+    if (scan[kCmd].present) return admin_frame(scan, bad.reply.id);
+    if (scan[kFeedback].present) return feedback_frame(scan, bad.reply.id);
+    return predict_frame(scan, bad.reply.id);
   } catch (const std::exception& error) {
-    bad.error = error.what();
-    return bad;
-  }
-  if (!root.is_object()) {
-    bad.error = "frame must be a JSON object";
-    return bad;
-  }
-  try {
-    std::string id = extract_id(root);
-    bad.reply.id = id;  // Kept for the error response if parsing fails below.
-    if (root.find("cmd") != nullptr) return parse_admin(root, std::move(id));
-    if (root.find("feedback") != nullptr)
-      return parse_feedback(root, std::move(id));
-    return parse_predict(root, std::move(id));
-  } catch (const FrameError& error) {
     bad.error = error.what();
     return bad;
   }
@@ -249,9 +395,8 @@ std::string trace_id_string(std::uint64_t trace_id) {
   return out;
 }
 
-bool parse_trace_id(const std::string& text, std::uint64_t& trace_id) {
-  return text.starts_with('t') &&
-         parse_number(std::string_view(text).substr(1), trace_id);
+bool parse_trace_id(std::string_view text, std::uint64_t& trace_id) {
+  return text.starts_with('t') && parse_number(text.substr(1), trace_id);
 }
 
 namespace {

@@ -47,7 +47,16 @@
 // Parsing is strict: unknown keys, wrong types, and out-of-range values
 // are rejected as kBad frames, which the server answers with a
 // "bad_request" error instead of dying — both ends live in this repo, so
-// strictness catches client bugs at the boundary.
+// strictness catches client bugs at the boundary. The parsing contract:
+//   - one pass over the frame's bytes, in place, with no DOM; the JSON
+//     grammar is parse_json's (json.hpp), values outside the schema
+//     included, so malformed JSON anywhere in a frame is kBad;
+//   - a key given twice keeps its last value ("load" keeps its last
+//     object whole);
+//   - a frame with several faults reports the first of them in a fixed
+//     order: JSON syntax, "id", then the frame kind's own checks, among
+//     which the keys are taken in byte order;
+//   - parse_frame never throws: every failure is a kBad frame.
 #pragma once
 
 #include <cstdint>
@@ -128,13 +137,14 @@ struct Frame {
   std::string error;
 };
 
-/// Parse one request line. Never throws: malformed input yields kBad.
-Frame parse_frame(const std::string& line);
+/// Parse one request line (no trailing newline). Never throws: malformed
+/// input yields kBad. The frame owns its strings; `line` may go away.
+Frame parse_frame(std::string_view line);
 
 /// Trace ids travel as "t<decimal>" strings ("t17") so they are visually
 /// distinct from request ids. parse_trace_id accepts exactly that form.
 std::string trace_id_string(std::uint64_t trace_id);
-bool parse_trace_id(const std::string& text, std::uint64_t& trace_id);
+bool parse_trace_id(std::string_view text, std::uint64_t& trace_id);
 
 /// Serialise a predict request (client side). `load` is emitted only when
 /// any field is non-zero; ids are always emitted as JSON strings.

@@ -116,16 +116,6 @@ TEST(LogStore, EdgeMaxRate) {
   EXPECT_THROW(store.edge_max_rate({5, 6}), xfl::ContractViolation);
 }
 
-TEST(LogStore, FilterKeepsMatching) {
-  LogStore store;
-  store.append(make_record(1, 0, 1, 0.0, 10.0, 100.0));
-  store.append(make_record(2, 0, 1, 0.0, 10.0, 9000.0));
-  const auto filtered =
-      store.filter([](const TransferRecord& r) { return r.bytes > 1000.0; });
-  ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered[0].id, 2u);
-}
-
 TEST(LogStore, CsvRoundTripPreservesRecords) {
   LogStore store;
   auto r1 = make_record(1, 0, 1, 0.5, 10.25, 12345.0);
