@@ -165,8 +165,9 @@ void TransferPredictor::fit(const logs::LogStore& log) {
     model.feature_names = dataset.feature_names;
     ml::GbtConfig config = options_.gbt;
     config.seed = i == 0 ? options_.seed + 1 : options_.seed;
-    model.boosted = std::make_unique<ml::GradientBoostedTrees>(config);
-    model.boosted->fit(dataset.x, dataset.y);
+    auto boosted = std::make_shared<ml::GradientBoostedTrees>(config);
+    boosted->fit(dataset.x, dataset.y);
+    model.boosted = std::move(boosted);
     if (i != 0) calibrate_interval(model, dataset.x, dataset.y);
   };
   ThreadPool pool(static_cast<std::size_t>(options_.threads));
@@ -190,17 +191,6 @@ void TransferPredictor::fit(const logs::LogStore& log) {
                 << obs::kv("edge_models", edge_models_.size())
                 << obs::kv("global_rows", global.rows())
                 << obs::kv("kernel", serving_kernel());
-}
-
-TransferPredictor TransferPredictor::clone() const {
-  XFL_EXPECTS(fitted_);
-  // The models hold move-only members (unique_ptr ensembles), so the
-  // tested persistence round trip is the copy path; load() recompiles the
-  // flat inference engines, so the clone serves immediately.
-  std::string text;
-  save(text, [](std::string&) {});
-  TokenReader reader(text);
-  return load(reader);
 }
 
 void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
@@ -227,8 +217,9 @@ void TransferPredictor::refit_edge(const logs::EdgeKey& edge,
     y.push_back(sample.observed_mbps);
   }
 
-  model.boosted = std::make_unique<ml::GradientBoostedTrees>(gbt);
-  model.boosted->fit(x, y, weights);
+  auto boosted = std::make_shared<ml::GradientBoostedTrees>(gbt);
+  boosted->fit(x, y, weights);
+  model.boosted = std::move(boosted);
   calibrate_interval(model, x, y);
   edge_models_[edge] = std::move(model);
 
@@ -475,7 +466,7 @@ void TransferPredictor::save_model(std::string& out, const char* label,
 }
 
 TransferPredictor::Model TransferPredictor::parse_model(
-    TokenReader& in, const std::string& label) {
+    TokenReader& in, const std::string& label, Uncompiled& uncompiled) {
   auto fail = [&label](const std::string& what) -> void {
     throw std::runtime_error("TransferPredictor::load (" + label +
                              "): " + what);
@@ -491,42 +482,36 @@ TransferPredictor::Model TransferPredictor::parse_model(
   for (auto& name : model.feature_names) name = in.token();
   if (!in.read(model.ratio_p10, model.ratio_p90))
     fail("truncated residual band");
-  model.boosted = std::make_unique<ml::GradientBoostedTrees>(
+  auto boosted = std::make_shared<ml::GradientBoostedTrees>(
       ml::GradientBoostedTrees::parse(in));
-  if (model.boosted->feature_count() != name_count)
+  if (boosted->feature_count() != name_count)
     fail("feature count does not match the model's trees");
+  model.boosted = boosted;
+  uncompiled.push_back(std::move(boosted));
   return model;
 }
 
 void TransferPredictor::save(std::ostream& out) const {
-  // Written a model at a time, so the buffer holds one model's text.
-  std::string text;
-  save(text, [&out](std::string& chunk) {
-    out << chunk;
-    chunk.clear();
-  });
-}
-
-template <class Flush>
-void TransferPredictor::save(std::string& out, Flush&& flush) const {
   XFL_EXPECTS(fitted_);
-  out += kPredictorMagic;
-  out += '\n';
-  append_line(out, options_.min_edge_transfers, options_.load_threshold);
+  // Written a model at a time, so the buffer holds one model's text.
+  std::string text = kPredictorMagic;
+  text += '\n';
+  append_line(text, options_.min_edge_transfers, options_.load_threshold);
 
-  append_line(out, capabilities_.size());
+  append_line(text, capabilities_.size());
   for (const auto& [endpoint, capability] : capabilities_)
-    append_line(out, endpoint, capability.dr_max_Bps, capability.dw_max_Bps,
+    append_line(text, endpoint, capability.dr_max_Bps, capability.dw_max_Bps,
                 capability.ro_max_Bps, capability.ri_max_Bps);
 
-  append_line(out, edge_models_.size());
+  append_line(text, edge_models_.size());
   for (const auto& [edge, model] : edge_models_) {
-    append_line(out, edge.src, edge.dst);
-    save_model(out, "edge-model", model);
-    flush(out);
+    append_line(text, edge.src, edge.dst);
+    save_model(text, "edge-model", model);
+    out << text;
+    text.clear();
   }
-  save_model(out, "global-model", global_model_);
-  flush(out);
+  save_model(text, "global-model", global_model_);
+  out << text;
 }
 
 TransferPredictor TransferPredictor::load(std::istream& in) {
@@ -541,21 +526,20 @@ TransferPredictor TransferPredictor::load(TokenReader& in) {
   auto& metrics = predictor_metrics();
   const std::uint64_t start_us = obs::monotonic_us();
   TransferPredictor predictor;
+  Uncompiled uncompiled;
   {
     XFL_SPAN("predictor.load.parse");
-    predictor.parse(in);
+    uncompiled = predictor.parse(in);
   }
   const std::uint64_t parsed_us = obs::monotonic_us();
   metrics.load_parse.record(static_cast<double>(parsed_us - start_us));
   {
     XFL_SPAN("predictor.load.compile");
     // On the calling thread, in file order: a load also runs beside the
-    // serve shards (hot reload, retrain clone), and compile scratch on
-    // pool workers would stay resident in their malloc arenas (DESIGN §7).
-    for (auto& [edge, model] : predictor.edge_models_)
-      model.boosted->install_flat(model.boosted->compile_flat());
-    predictor.global_model_.boosted->install_flat(
-        predictor.global_model_.boosted->compile_flat());
+    // serve shards (hot reload), and compile scratch on pool workers would
+    // stay resident in their malloc arenas (DESIGN §7).
+    for (const auto& boosted : uncompiled)
+      boosted->install_flat(boosted->compile_flat());
   }
   metrics.load_compile.record(
       static_cast<double>(obs::monotonic_us() - parsed_us));
@@ -563,7 +547,7 @@ TransferPredictor TransferPredictor::load(TokenReader& in) {
   return predictor;
 }
 
-void TransferPredictor::parse(TokenReader& in) {
+TransferPredictor::Uncompiled TransferPredictor::parse(TokenReader& in) {
   auto fail = [](const std::string& what) -> void {
     throw std::runtime_error("TransferPredictor::load: " + what);
   };
@@ -587,12 +571,14 @@ void TransferPredictor::parse(TokenReader& in) {
   std::size_t edge_count = 0;
   if (!in.read(edge_count) || edge_count > kMaxPredictorEntries)
     fail("implausible edge-model count");
+  Uncompiled uncompiled;
   for (std::size_t i = 0; i < edge_count; ++i) {
     logs::EdgeKey edge;
     if (!in.read(edge.src, edge.dst)) fail("truncated edge key");
-    edge_models_.emplace(edge, parse_model(in, "edge-model"));
+    edge_models_.emplace(edge, parse_model(in, "edge-model", uncompiled));
   }
-  global_model_ = parse_model(in, "global-model");
+  global_model_ = parse_model(in, "global-model", uncompiled);
+  return uncompiled;
 }
 
 namespace {

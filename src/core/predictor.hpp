@@ -86,7 +86,11 @@ struct RateExplanation {
   std::vector<double> contributions;
 };
 
-/// Historical-log-trained transfer rate predictor.
+/// Historical-log-trained transfer rate predictor. A copy shares every
+/// fitted model with its source: models are immutable once built, so a
+/// copy costs the two maps of model pointers and the capabilities. The
+/// retrain worker builds each candidate on a copy of the serving
+/// predictor and refits one edge of it.
 class TransferPredictor {
  public:
   struct Options {
@@ -113,21 +117,15 @@ class TransferPredictor {
   /// throws leaves the predictor as it was.
   void fit(const logs::LogStore& log);
 
-  /// Deep copy of a fitted predictor via a save()/load() round trip (the
-  /// members are move-only, so persistence is the copy path). Used by the
-  /// retrain worker to build a candidate off the hot path without
-  /// touching the serving instance. Training-only options that do not
-  /// persist (gbt config, seed) reset to defaults in the copy — callers
-  /// that refit the clone pass their own GbtConfig. Requires fit().
-  TransferPredictor clone() const;
-
   /// Refit (or create) the dedicated model for `edge` from raw serving
   /// samples. Builds the 15-column per-edge feature matrix, trains a GBT
   /// on it under `gbt` with the optional integer sample `weights` (the
   /// retrain worker's quantised recency decay; empty = unweighted), and
-  /// recalibrates the residual interval. The global model and other edges
-  /// are untouched. Requires fit() (or load()), samples.size() >= 2,
-  /// finite observed rates > 0, and weights empty or parallel to samples.
+  /// recalibrates the residual interval. The new model replaces the edge's
+  /// entry; the global model, the other edges and every copy that shares
+  /// the old model are untouched. Requires fit() (or load()),
+  /// samples.size() >= 2, finite observed rates > 0, and weights empty or
+  /// parallel to samples.
   void refit_edge(const logs::EdgeKey& edge, std::span<const EdgeSample> samples,
                   std::span<const std::uint32_t> weights, const ml::GbtConfig& gbt);
 
@@ -211,12 +209,13 @@ class TransferPredictor {
 
  private:
   /// One serving model (per-edge or global). Its GradientBoostedTrees
-  /// carries the compiled FlatEnsemble that answers queries — the
-  /// per-edge compiled-model cache. The cache is derived state rebuilt at
-  /// the end of every GBT fit() and load(), so a (re)fit or load of the
-  /// predictor can never serve a stale compiled model.
+  /// carries the compiled FlatEnsemble that answers queries. fit(),
+  /// refit_edge() and load() build and compile each ensemble through a
+  /// local handle and commit it as const, so a committed model never
+  /// changes and predictor copies (and versions a host has published)
+  /// share it across threads; a refit replaces the pointer.
   struct Model {
-    std::unique_ptr<ml::GradientBoostedTrees> boosted;
+    std::shared_ptr<const ml::GradientBoostedTrees> boosted;
     std::vector<std::string> feature_names;
     /// Empirical training-residual ratio quantiles (actual / predicted).
     double ratio_p10 = 1.0;
@@ -239,24 +238,24 @@ class TransferPredictor {
   static void calibrate_interval(Model& model, const ml::Matrix& x,
                                  const std::vector<double>& y,
                                  ThreadPool* pool = nullptr);
-  /// The model file as text: save appends it to `out`, handing `out` to
-  /// `flush` after each model; load parses all of it from `in`, in file
+  /// The model file as text: load parses all of it from `in`, in file
   /// order (a malformed file fails at its first bad token), then compiles
-  /// every model's serving engine, all on the calling thread. clone() and
-  /// the stream and file overloads all go through these.
-  template <class Flush>
-  void save(std::string& out, Flush&& flush) const;
+  /// every model's serving engine, all on the calling thread. The stream
+  /// and file overloads go through it.
   static TransferPredictor load(TokenReader& in);
+  using Uncompiled = std::vector<std::shared_ptr<ml::GradientBoostedTrees>>;
   /// load's parse step, into a default-constructed predictor: options,
-  /// capabilities and uncompiled models.
-  void parse(TokenReader& in);
+  /// capabilities and models. Returns a handle to each model's ensemble,
+  /// in file order, for the compile step.
+  Uncompiled parse(TokenReader& in);
   /// One model's block of the model file (xfl-predictor-v2): `label`, the
   /// feature names, the residual band, then the GBT over raw feature rows,
-  /// parsed but not compiled. A v1 file (it also held standardisation
-  /// moments) fails on the magic.
+  /// parsed but not compiled (its handle goes to `uncompiled`). A v1 file
+  /// (it also held standardisation moments) fails on the magic.
   static void save_model(std::string& out, const char* label,
                          const Model& model);
-  static Model parse_model(TokenReader& in, const std::string& label);
+  static Model parse_model(TokenReader& in, const std::string& label,
+                           Uncompiled& uncompiled);
   const Model& model_for(const logs::EdgeKey& edge) const;
   /// The one batch routine behind every predict and explain entry point:
   /// group the transfers by serving model, write each group's raw feature

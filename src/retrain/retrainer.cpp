@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -36,6 +37,7 @@ struct RetrainMetrics {
   obs::Counter& rejected = obs::counter("retrain.rejected");
   obs::Counter& skipped = obs::counter("retrain.skipped");
   obs::Counter& errors = obs::counter("retrain.errors");
+  obs::Counter& stale = obs::counter("retrain.stale");
   obs::Counter& journal_drops = obs::counter("retrain.journal.append_errors");
   obs::Gauge& last_version = obs::gauge("retrain.last_version");
   obs::Gauge& candidate_mdape = obs::gauge("retrain.candidate_mdape_pct");
@@ -232,7 +234,9 @@ std::size_t RetrainWorker::run_cycle(RetrainTrigger trigger) {
           {record.transfer, record.load, record.observed_mbps});
     }
 
-    const serve::ModelHost::Snapshot incumbent = host_.snapshot();
+    // Each candidate is built on the predictor this cycle last published,
+    // so every edge it accepts keeps its refit.
+    serve::ModelHost::Snapshot incumbent = host_.snapshot();
     XFL_LOG(debug) << "retrain cycle starting"
                    << obs::kv("trigger", trigger_name(trigger))
                    << obs::kv("records", loaded.records.size())
@@ -280,17 +284,18 @@ std::size_t RetrainWorker::run_cycle(RetrainTrigger trigger) {
 
       double incumbent_mdape = 0.0;
       double candidate_mdape = 0.0;
-      core::TransferPredictor candidate;
+      std::shared_ptr<core::TransferPredictor> candidate;
       {
         XFL_SPAN("retrain.fit");
-        candidate = incumbent.predictor->clone();
-        candidate.refit_edge(edge, train, weights, options_.gbt);
+        candidate = std::make_shared<core::TransferPredictor>(
+            *incumbent.predictor);
+        candidate->refit_edge(edge, train, weights, options_.gbt);
       }
       retrain_metrics().refits.add(1);
       {
         XFL_SPAN("retrain.validate");
         incumbent_mdape = holdout_mdape_pct(*incumbent.predictor, holdout);
-        candidate_mdape = holdout_mdape_pct(candidate, holdout);
+        candidate_mdape = holdout_mdape_pct(*candidate, holdout);
       }
       retrain_metrics().incumbent_mdape.set(incumbent_mdape);
       retrain_metrics().candidate_mdape.set(candidate_mdape);
@@ -298,8 +303,22 @@ std::size_t RetrainWorker::run_cycle(RetrainTrigger trigger) {
       const bool accept =
           candidate_mdape + options_.min_improvement_pct <= incumbent_mdape;
       if (accept) {
-        const std::uint64_t version = host_.swap(
-            std::make_shared<core::TransferPredictor>(std::move(candidate)));
+        const std::uint64_t version = host_.swap(candidate, incumbent.version);
+        if (version == 0) {
+          // A reload published since the candidate's base was snapshotted,
+          // and the candidate would undo it. The next cycle starts from
+          // the reloaded model.
+          retrain_metrics().stale.add(1);
+          XFL_LOG(warn) << "retrain candidate built on a replaced version"
+                        << obs::kv("event", "retrain.stale")
+                        << obs::kv("edge", edge_name(edge))
+                        << obs::kv("built_on", incumbent.version)
+                        << obs::kv("serving", host_.version());
+          std::lock_guard lock(mutex_);
+          ++status_.refits;
+          break;
+        }
+        incumbent = {candidate, version};
         ++swaps;
         retrain_metrics().accepted.add(1);
         retrain_metrics().last_version.set(static_cast<double>(version));

@@ -4,9 +4,15 @@
 // scores the candidate against the incumbent on a held-out slice of the
 // newest observations, and — only when the candidate's windowed MdAPE
 // actually improves — publishes it through the ModelHost's atomic
-// versioned swap. A candidate that does not beat the incumbent is
-// rejected and the old version keeps serving; the gate means a refit can
-// never make the serving model worse on the evidence available.
+// versioned swap. A candidate is a copy of the incumbent (sharing its
+// immutable models) with one edge refit, and the incumbent of each edge
+// is what the cycle last published, so every edge a cycle accepts keeps
+// its refit. The swap publishes only over the version the candidate was
+// built on: if an operator reload landed meanwhile, the cycle ends
+// (counted in retrain.stale) rather than undo it. A candidate that does
+// not beat the incumbent is rejected and the old version keeps serving;
+// the gate means a refit can never make the serving model worse on the
+// evidence available.
 //
 // Triggers, in priority order once the worker thread wakes:
 //   - alarm:    ServeMonitor drift alarm rising edge (on_alarm()).

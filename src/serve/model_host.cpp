@@ -32,9 +32,11 @@ std::string ModelHost::source_path() const {
 }
 
 std::uint64_t ModelHost::swap(
-    std::shared_ptr<const core::TransferPredictor> next) {
+    std::shared_ptr<const core::TransferPredictor> next,
+    std::uint64_t built_on) {
   XFL_EXPECTS(next != nullptr && next->fitted());
   std::lock_guard lock(mutex_);
+  if (version_ != built_on) return 0;
   predictor_ = std::move(next);
   return ++version_;
 }

@@ -35,8 +35,12 @@ class ModelHost {
   std::uint64_t version() const;
   std::string source_path() const;
 
-  /// Publish an already-built predictor; returns the new version.
-  std::uint64_t swap(std::shared_ptr<const core::TransferPredictor> next);
+  /// Publish an already-built predictor that was built on the version
+  /// `built_on`; returns the new version. If another swap or a reload
+  /// published since, `next` would undo it: nothing is published and 0 is
+  /// returned.
+  std::uint64_t swap(std::shared_ptr<const core::TransferPredictor> next,
+                     std::uint64_t built_on);
 
   /// Load `path` (empty = source_path()) off the hot path and publish it.
   /// On success the path becomes the new default reload target and the

@@ -674,7 +674,7 @@ TEST(GoldenPredictor, FirstCorruptModelInFileOrderNamesTheError) {
             "GradientBoostedTrees::load: bad magic 'xfl-gbt-v0'");
 }
 
-// load_file and a clone of it against the same file walked token by
+// load_file and a copy of it against the same file walked token by
 // token, each model loaded alone through GradientBoostedTrees::load: each
 // predictor saves the file back byte for byte and answers and explains
 // every row bit for bit as its model does.
@@ -683,7 +683,7 @@ TEST(GoldenPredictor, LoadFileMatchesModelsLoadedOneByOne) {
   const std::string text = slurp(path);
   std::vector<core::TransferPredictor> predictors;
   predictors.push_back(core::TransferPredictor::load_file(path));
-  predictors.push_back(predictors.front().clone());
+  predictors.push_back(predictors.front());
   for (const auto& predictor : predictors) {
     std::ostringstream resaved;
     predictor.save(resaved);
@@ -768,7 +768,7 @@ TEST(GoldenPredictor, LoadFileMatchesModelsLoadedOneByOne) {
   }
 }
 
-// A load compiles on the calling thread: load_file and clone(), what a
+// A load compiles on the calling thread: load_file and a copy, what a
 // hot reload and a retrain cycle run beside the serve shards, start no
 // pool task.
 TEST(GoldenPredictor, LoadAndCloneStartNoPool) {
@@ -776,7 +776,7 @@ TEST(GoldenPredictor, LoadAndCloneStartNoPool) {
   const std::uint64_t before = tasks.value();
   const auto predictor =
       core::TransferPredictor::load_file(data_path("golden_predictor.txt"));
-  predictor.clone();
+  const core::TransferPredictor copy = predictor;
   EXPECT_EQ(tasks.value(), before);
 }
 

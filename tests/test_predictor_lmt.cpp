@@ -260,7 +260,7 @@ TEST(Predictor, SaveFileWithBareFilenameSyncsCwdParent) {
 TEST(Predictor, CloneAnswersIdenticallyAndIsIndependent) {
   TransferPredictor predictor(fast_options());
   predictor.fit(shared_log());
-  const TransferPredictor cloned = predictor.clone();
+  const TransferPredictor cloned = predictor;
   ASSERT_TRUE(cloned.fitted());
 
   PlannedTransfer planned;
@@ -271,11 +271,11 @@ TEST(Predictor, CloneAnswersIdenticallyAndIsIndependent) {
   features::ContentionFeatures load;
   load.k_sout = mbps(200.0);
   load.g_dst = 4.0;
-  // A clone is a save/load round trip: bit-identical answers.
+  // A copy shares the fitted models: bit-identical answers.
   EXPECT_EQ(cloned.predict_rate_mbps(planned, load),
             predictor.predict_rate_mbps(planned, load));
 
-  // Mutating the clone (refit of one edge) must not touch the original.
+  // Mutating a copy (refit of one edge) must not touch the original.
   std::vector<EdgeSample> samples;
   for (int i = 0; i < 40; ++i) {
     EdgeSample sample;
@@ -286,12 +286,22 @@ TEST(Predictor, CloneAnswersIdenticallyAndIsIndependent) {
     sample.observed_mbps = 100.0 + i;
     samples.push_back(sample);
   }
-  TransferPredictor mutated = predictor.clone();
+  TransferPredictor mutated = predictor;
+  std::ostringstream original_bytes;
+  predictor.save(original_bytes);
+  std::ostringstream copy_bytes;
+  mutated.save(copy_bytes);
+  EXPECT_EQ(copy_bytes.str(), original_bytes.str());
   ml::GbtConfig gbt;
   gbt.trees = 20;
   const double before = predictor.predict_rate_mbps(planned, load);
   mutated.refit_edge({0, 1}, samples, {}, gbt);
   EXPECT_EQ(predictor.predict_rate_mbps(planned, load), before);
+  // The refit replaced the copy's model for the edge, not the shared one
+  // the original still serves.
+  std::ostringstream after_refit;
+  predictor.save(after_refit);
+  EXPECT_EQ(after_refit.str(), original_bytes.str());
 }
 
 TEST(Predictor, ThrowingRefitLeavesPredictorUnchanged) {

@@ -422,6 +422,49 @@ TEST(RetrainWorker, RegimeShiftIsLearnedAndSwappedIn) {
   EXPECT_NE(json.find("\"last_decision\":\"accepted\""), std::string::npos);
 }
 
+// Two edges shift in one journal and one cycle accepts both refits: the
+// second candidate is built on the version the first one published, so
+// the final model serves both shifted regimes.
+TEST(RetrainWorker, TwoShiftedEdgesBothKeepTheirRefits) {
+  const std::string dir = fresh_dir("worker_two_edges");
+  TrainingJournal journal({dir});
+  serve::ModelHost host(shared_model());
+  const auto initial = host.snapshot();
+
+  const std::vector<std::vector<core::PlannedTransfer>> mixes = {
+      edge_mix(0, 1), edge_mix(2, 3)};
+  std::uint64_t trace_id = 0;
+  for (std::uint64_t i = 0; i < 60; ++i)
+    for (const auto& mix : mixes) {
+      const auto& planned = mix[i % mix.size()];
+      JournalRecord record;
+      record.trace_id = ++trace_id;
+      record.model_version = 1;
+      record.transfer = planned;
+      record.predicted_mbps = initial.predictor->predict_rate_mbps(planned);
+      record.observed_mbps = 0.45 * record.predicted_mbps;
+      journal.append(record);
+    }
+
+  RetrainWorker worker(host, journal, fast_retrain_options());
+  EXPECT_EQ(worker.run_cycle(RetrainTrigger::kManual), 2u);
+  EXPECT_EQ(host.version(), 3u);
+  EXPECT_EQ(worker.status().accepted, 2u);
+
+  const auto final_model = host.snapshot().predictor;
+  for (const auto& mix : mixes) {
+    SCOPED_TRACE(std::to_string(mix.front().src) + "->" +
+                 std::to_string(mix.front().dst));
+    double ape_sum = 0.0;
+    for (const auto& planned : mix) {
+      const double truth = 0.45 * initial.predictor->predict_rate_mbps(planned);
+      const double predicted = final_model->predict_rate_mbps(planned);
+      ape_sum += std::abs(predicted - truth) / truth;
+    }
+    EXPECT_LT(ape_sum / static_cast<double>(mix.size()), 0.25);
+  }
+}
+
 TEST(RetrainWorker, WorseCandidateIsRejectedAndOldVersionKeepsServing) {
   const std::string dir = fresh_dir("worker_reject");
   TrainingJournal journal({dir});
@@ -625,20 +668,19 @@ TEST(ModelHostStorm, SnapshotsStayAtomicUnderConcurrentReloads) {
   constexpr std::size_t kSwapsEach = 12;
   constexpr std::size_t kReaders = 4;
 
-  // Small, cheap-to-clone predictor (global model only, few trees).
+  // Small predictor (global model only, few trees).
   core::TransferPredictor::Options options;
   options.min_edge_transfers = 1 << 20;
   options.gbt.trees = 5;
   auto base = std::make_shared<core::TransferPredictor>(options);
   base->fit(shared_log());
 
-  // Clones built BEFORE the race so swap() is the only hot operation.
+  // Copies built BEFORE the race so swap() is the only hot operation.
   std::vector<std::vector<std::shared_ptr<const core::TransferPredictor>>>
       prepared(kSwappers);
   for (auto& mine : prepared)
     for (std::size_t i = 0; i < kSwapsEach; ++i)
-      mine.push_back(
-          std::make_shared<const core::TransferPredictor>(base->clone()));
+      mine.push_back(std::make_shared<const core::TransferPredictor>(*base));
 
   serve::ModelHost host(base);
 
@@ -679,7 +721,10 @@ TEST(ModelHostStorm, SnapshotsStayAtomicUnderConcurrentReloads) {
     swappers.emplace_back([&host, &prepared, &published, &published_mutex, s] {
       for (const auto& next : prepared[s]) {
         const core::TransferPredictor* raw = next.get();
-        const std::uint64_t version = host.swap(next);
+        // A swap publishes only over the version it was built on; a
+        // swapper that loses the race retries on the newer version.
+        std::uint64_t version = 0;
+        while (version == 0) version = host.swap(next, host.version());
         std::lock_guard lock(published_mutex);
         published[version] = raw;
       }

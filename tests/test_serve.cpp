@@ -16,6 +16,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -443,6 +444,43 @@ TEST(MicroBatcher, RejectsWhenQueueFullAndAfterStop) {
             MicroBatcher::Admission::kShuttingDown);
 }
 
+// The batch stages are timed in nanoseconds and recorded in microseconds,
+// so a 1-row batch's stages show as fractions, not as whole 0s and 1s.
+TEST(MicroBatcher, StageTimersResolveSubMicrosecondSteps) {
+  obs::Registry::instance().reset();
+  const std::vector<const obs::Histogram*> stages = {
+      &obs::histogram("serve.batch.assemble_us",
+                      obs::quantile_latency_bounds_us()),
+      &obs::histogram("serve.batch.predict_us",
+                      obs::quantile_latency_bounds_us()),
+      &obs::histogram("serve.batch.respond_us",
+                      obs::quantile_latency_bounds_us()),
+      &obs::histogram("serve.batch.latency_us",
+                      obs::default_latency_bounds_us())};
+  constexpr std::size_t kBatches = 1000;
+  ModelHost host(model_a());
+  MicroBatcher batcher(host, {.max_batch = 1, .queue_capacity = kBatches});
+  const auto mix = transfer_mix();
+  std::atomic<std::size_t> answered{0};
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    BatchItem item;
+    item.transfer = mix[i % mix.size()];
+    item.done = [&answered](const PredictOutcome& outcome) {
+      EXPECT_TRUE(outcome.ok);
+      answered.fetch_add(1);
+    };
+    ASSERT_EQ(submit_one(batcher, std::move(item)),
+              MicroBatcher::Admission::kAccepted);
+  }
+  batcher.drain_and_stop();
+  EXPECT_EQ(answered.load(), kBatches);
+  for (const obs::Histogram* stage : stages) {
+    const auto snap = stage->snapshot();
+    EXPECT_EQ(snap.count, kBatches);
+    EXPECT_NE(snap.sum, std::floor(snap.sum));
+  }
+}
+
 // ------------------------------------------------------------- model host
 
 TEST(ModelHost, FailedReloadKeepsServingOldModel) {
@@ -467,6 +505,24 @@ TEST(ModelHost, ReloadSwapsModelAndBumpsVersion) {
   const auto planned = transfer_mix()[0];
   EXPECT_EQ(after.predictor->predict_rate_mbps(planned),
             model_b()->predict_rate_mbps(planned));
+}
+
+TEST(ModelHost, SwapBuiltOnStaleVersionIsRefused) {
+  const std::string path_b = saved_model_path(model_b(), "host_stale_b.txt");
+  ModelHost host(model_a());
+  const std::uint64_t built_on = host.version();
+  const auto candidate = std::make_shared<const core::TransferPredictor>(
+      *model_a());
+  // An operator reload lands while the candidate is built on version 1.
+  ASSERT_EQ(host.reload_from_file(path_b), 2u);
+  const auto before = host.snapshot();
+  EXPECT_EQ(host.swap(candidate, built_on), 0u);
+  const auto after = host.snapshot();
+  EXPECT_EQ(after.predictor.get(), before.predictor.get());
+  EXPECT_EQ(after.version, before.version);
+  // Built on the version that serves, it publishes.
+  EXPECT_EQ(host.swap(candidate, after.version), 3u);
+  EXPECT_EQ(host.snapshot().predictor.get(), candidate.get());
 }
 
 // ------------------------------------------------------------- end to end
