@@ -25,7 +25,9 @@
 
 #include "common/units.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
+#include "serve/json.hpp"
 #include "serve/model_host.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -61,12 +63,17 @@ struct RunningServer {
   std::unique_ptr<PredictionServer> server;
 };
 
-/// A raw socket with none of PredictionClient's manners.
+/// A raw socket with none of PredictionClient's manners. A non-zero
+/// `receive_buffer` shrinks SO_RCVBUF before connecting, so a client that
+/// stops reading backs the server's replies up into its write buffer.
 class RawClient {
  public:
-  explicit RawClient(std::uint16_t port) {
+  explicit RawClient(std::uint16_t port, int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     EXPECT_GE(fd_, 0);
+    if (receive_buffer > 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof receive_buffer);
     sockaddr_in address{};
     address.sin_family = AF_INET;
     address.sin_port = htons(port);
@@ -376,6 +383,97 @@ TEST(ServeFaults, AbortiveCloseWithRequestsInFlightIsHarmless) {
     // Destructor closes the socket immediately: replies hit a dead peer.
   }
   expect_server_alive(*running.server);
+}
+
+// ---------------------------------------------------------- slow readers
+
+constexpr const char* kStatsLinePrefix =
+    "{\"cmd\":\"stats\",\"registry\":true,\"id\":\"s";
+
+/// The reply's "id", or empty when the line is not an intact JSON object.
+std::string reply_id(const std::string& line) {
+  try {
+    const JsonValue root = parse_json(line);
+    const JsonValue* id = root.find("id");
+    const JsonValue* ok = root.find("ok");
+    if (id == nullptr || !id->is_string() || ok == nullptr ||
+        !ok->is_bool() || !ok->boolean)
+      return {};
+    return id->string;
+  } catch (const std::exception&) {
+    return {};
+  }
+}
+
+TEST(ServeFaults, SlowReaderGetsEveryReplyIntactAndInOrder) {
+  // One shard: every predict of the connection is answered by one worker,
+  // in admission order, so both routes have a defined reply order.
+  RunningServer running({.shards = 1, .monitor = {}});
+  RawClient client(running.server->port(), 4096);
+  constexpr int kPredicts = 400;
+  constexpr int kStatsEvery = 10;
+  std::string wire;
+  for (int i = 0; i < kPredicts; ++i) {
+    wire += "{\"id\":\"p" + std::to_string(i) +
+            "\",\"src\":0,\"dst\":1,\"bytes\":1e10}\n";
+    if (i % kStatsEvery == 0)
+      wire += kStatsLinePrefix + std::to_string(i / kStatsEvery) + "\"}\n";
+  }
+  client.send_all(wire);
+  // Stop reading: stats replies (written by the poll thread) and predict
+  // replies (written by the batch worker) back up behind the small
+  // receive buffer, into the server's write buffer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  int next_predict = 0;
+  int next_stats = 0;
+  constexpr int kStats = (kPredicts + kStatsEvery - 1) / kStatsEvery;
+  while (next_predict < kPredicts || next_stats < kStats) {
+    const std::string line = client.read_line();
+    ASSERT_FALSE(line.empty())
+        << "stream ended after " << next_predict << " predicts and "
+        << next_stats << " stats replies";
+    const std::string id = reply_id(line);
+    ASSERT_FALSE(id.empty()) << line.substr(0, 200);
+    if (id[0] == 'p')
+      ASSERT_EQ(id, "p" + std::to_string(next_predict++));
+    else
+      ASSERT_EQ(id, "s" + std::to_string(next_stats++));
+  }
+  expect_server_alive(*running.server);
+}
+
+TEST(ServeFaults, ReaderThatNeverReadsIsClosedAtTheOutputCap) {
+  RunningServer running;
+  const obs::Counter& overflow = obs::counter("serve.conn.output_overflow");
+  const std::uint64_t before = overflow.value();
+  const auto wait_for_connections = [&](std::size_t count) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (running.server->connection_count() != count &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return running.server->connection_count() == count;
+  };
+  {
+    RawClient client(running.server->port(), 4096);
+    ASSERT_TRUE(wait_for_connections(1));
+    // Ask for registry-sized stats replies and never read one: the write
+    // buffer passes its 8 MB cap and the server drops the connection.
+    std::string batch;
+    for (int i = 0; i < 64; ++i)
+      batch += kStatsLinePrefix + std::to_string(i) + "\"}\n";
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (running.server->connection_count() != 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      client.send_all(batch);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(wait_for_connections(0));
+    EXPECT_EQ(overflow.value(), before + 1);
+  }
+  expect_server_alive(*running.server);
+  EXPECT_EQ(overflow.value(), before + 1);
 }
 
 }  // namespace
