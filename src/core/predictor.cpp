@@ -575,6 +575,9 @@ TransferPredictor::Uncompiled TransferPredictor::parse(TokenReader& in) {
   for (std::size_t i = 0; i < edge_count; ++i) {
     logs::EdgeKey edge;
     if (!in.read(edge.src, edge.dst)) fail("truncated edge key");
+    if (edge_models_.contains(edge))
+      fail("duplicate edge model " + std::to_string(edge.src) + " " +
+           std::to_string(edge.dst));
     edge_models_.emplace(edge, parse_model(in, "edge-model", uncompiled));
   }
   global_model_ = parse_model(in, "global-model", uncompiled);

@@ -30,9 +30,9 @@ struct BatcherMetrics {
       "serve.batch.size",
       std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128, 256});
   // Stage timers, fine log-spaced buckets so exported quantiles are
-  // meaningful: per-request queue wait, then the three batch stages. The
-  // stages are timed in nanoseconds and recorded in microseconds: an
-  // assembly takes about 2 us, so whole-microsecond ticks would misstate it.
+  // meaningful: per-request queue wait, then the three batch stages. All
+  // are timed in nanoseconds and recorded in microseconds: an assembly
+  // takes about 2 us, so whole-microsecond ticks would misstate it.
   obs::Histogram& queue_wait = obs::histogram(
       "serve.request.queue_wait_us", obs::quantile_latency_bounds_us());
   obs::Histogram& assemble = obs::histogram(
@@ -56,7 +56,7 @@ double us_since(std::uint64_t start_ns) {
 void deliver(const BatchItem& item, const PredictOutcome& outcome) {
   if (!item.done) return;
   try {
-    item.done(outcome);
+    item.done(item, outcome);
   } catch (const std::exception& error) {
     // A callback failure (e.g. a dead socket) must not take the batch
     // worker down with it.
@@ -99,9 +99,9 @@ std::size_t MicroBatcher::submit_burst(std::vector<BatchItem>& items,
         options_.queue_capacity -
         std::min(options_.queue_capacity, shard.queue.size());
     admitted = std::min(room, items.size());
-    const std::uint64_t now_us = obs::monotonic_us();
+    const std::uint64_t now_ns = obs::monotonic_ns();
     for (std::size_t i = 0; i < admitted; ++i) {
-      items[i].enqueue_us = now_us;
+      items[i].enqueue_ns = now_ns;
       shard.queue.push_back(std::move(items[i]));
     }
     shard.size.store(shard.queue.size(), std::memory_order_relaxed);
@@ -250,7 +250,6 @@ void MicroBatcher::process(std::vector<BatchItem>& batch) {
   XFL_SPAN("serve.batch");
   auto& metrics = batcher_metrics();
   const std::uint64_t start_ns = obs::monotonic_ns();
-  const std::uint64_t start_us = start_ns / 1000;
 
   // Cork the batch: every deliver() below (timeouts included) runs
   // between hook(true) and hook(false), so the server can coalesce all
@@ -283,13 +282,13 @@ void MicroBatcher::process(std::vector<BatchItem>& batch) {
     plain.transfers.reserve(batch.size());
     plain.loads.reserve(batch.size());
     for (const auto& item : batch) {
-      if (item.enqueue_us != 0)
+      if (item.enqueue_ns != 0)
         metrics.queue_wait.record(
-            static_cast<double>(start_us - item.enqueue_us));
+            static_cast<double>(start_ns - item.enqueue_ns) / 1000.0);
       // Items whose deadline passed while queued time out here — the cost
       // of predicting them would only push every later request further
       // past its own deadline.
-      if (item.deadline_us != 0 && start_us > item.deadline_us) {
+      if (item.deadline_ns != 0 && start_ns > item.deadline_ns) {
         PredictOutcome timeout;
         timeout.error = kErrTimeout;
         timeout.message = "deadline expired before batch execution";

@@ -54,16 +54,19 @@ struct BatchItem {
   /// Server-assigned trace id; propagated through the queue into the
   /// worker batch so the response and stage timings stay correlatable.
   std::uint64_t trace_id = 0;
-  /// obs::monotonic_us() when the frame was received (set by the server;
+  /// obs::monotonic_ns() when the frame was received (set by the server;
   /// the queue-wait histogram measures from submit, this one anchors the
   /// end-to-end server_ms figure).
-  std::uint64_t received_us = 0;
-  /// Absolute obs::monotonic_us() deadline; 0 = none. Checked when the
+  std::uint64_t received_ns = 0;
+  /// Absolute obs::monotonic_ns() deadline; 0 = none. Checked when the
   /// batch worker picks the item up.
-  std::uint64_t deadline_us = 0;
-  /// Set at admission; queue wait is measured from here.
-  std::uint64_t enqueue_us = 0;
-  std::function<void(const PredictOutcome&)> done;
+  std::uint64_t deadline_ns = 0;
+  /// obs::monotonic_ns() at admission; queue wait is measured from here.
+  std::uint64_t enqueue_ns = 0;
+  /// Called once with this item and its outcome, so the callback reads
+  /// the trace id, receipt time, transfer and load from the item instead
+  /// of capturing copies.
+  std::function<void(const BatchItem&, const PredictOutcome&)> done;
 };
 
 class MicroBatcher {
@@ -76,9 +79,10 @@ class MicroBatcher {
     std::size_t shards = 1;
     /// Called on the worker thread around every batch's callback runs:
     /// hook(true) before the first `done` of a batch, hook(false) after
-    /// the last (including early exits). Lets the server cork socket
-    /// writes for the whole batch and flush each connection once instead
-    /// of paying one send(2) per reply. May be empty.
+    /// the last (including early exits). The server always installs it
+    /// to cork socket writes for the whole batch, so every predict,
+    /// explain and timeout reply is flushed once per connection per
+    /// batch. May be empty.
     std::function<void(bool)> batch_hook{};
   };
 

@@ -143,6 +143,10 @@ PredictReply PredictionClient::parse_reply(const std::string& line) {
   const JsonValue root = parse_json(line);
   if (!root.is_object())
     throw std::runtime_error("PredictionClient: reply is not an object");
+  return parse_reply(root);
+}
+
+PredictReply PredictionClient::parse_reply(const JsonValue& root) {
   PredictReply reply;
   if (const JsonValue* id = root.find("id"); id && id->is_string())
     reply.id = id->string;
@@ -183,15 +187,32 @@ PredictReply PredictionClient::parse_reply(const std::string& line) {
   return reply;
 }
 
-PredictReply PredictionClient::round_trip(const std::string& line,
-                                          const std::string& id) {
+JsonValue PredictionClient::round_trip(const std::string& line,
+                                       const std::string& id) {
   send_document(line);
   // Replies can be reordered by the batcher relative to other traffic on
-  // this connection, so spin until ours appears.
+  // this connection, so skip documents until ours appears.
   for (;;) {
-    const PredictReply reply = parse_reply(read_document());
-    if (reply.id == id) return reply;
+    JsonValue root = parse_json(read_document());
+    if (!root.is_object())
+      throw std::runtime_error("PredictionClient: reply is not an object");
+    const JsonValue* reply_id = root.find("id");
+    if (reply_id != nullptr && reply_id->is_string() &&
+        reply_id->string == id)
+      return root;
   }
+}
+
+JsonValue PredictionClient::admin(std::string_view cmd,
+                                  std::string_view extra) {
+  const std::string id = std::to_string(next_id_++);
+  std::string line = "{\"cmd\":";
+  append_json_string(line, cmd);
+  line += ",\"id\":";
+  append_json_string(line, id);
+  line += extra;
+  line += '}';
+  return round_trip(line, id);
 }
 
 PredictReply PredictionClient::packed_reply(std::uint64_t id) {
@@ -229,8 +250,8 @@ PredictReply PredictionClient::predict(
     return packed_reply(id);
   }
   const std::string text = std::to_string(id);
-  return round_trip(predict_request_line(text, transfer, load, deadline_ms),
-                    text);
+  return parse_reply(round_trip(
+      predict_request_line(text, transfer, load, deadline_ms), text));
 }
 
 PredictReply PredictionClient::explain(
@@ -243,61 +264,45 @@ PredictReply PredictionClient::explain(
     return packed_reply(id);
   }
   const std::string text = std::to_string(id);
-  return round_trip(
-      explain_request_line(text, transfer, load, deadline_ms, top_k), text);
+  return parse_reply(round_trip(
+      explain_request_line(text, transfer, load, deadline_ms, top_k), text));
 }
 
 FeedbackReply PredictionClient::feedback(const std::string& trace_id,
                                          double observed_mbps) {
   const std::string id = std::to_string(next_id_++);
-  send_document(feedback_request_line(id, trace_id, observed_mbps));
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id == nullptr || !reply_id->is_string() ||
-        reply_id->string != id)
-      continue;
-    FeedbackReply reply;
-    reply.id = id;
-    if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
-      reply.ok = ok->boolean;
-    if (const JsonValue* m = root.find("matched"); m && m->is_bool())
-      reply.matched = m->boolean;
-    if (const JsonValue* v = root.find("ape_pct"); v && v->is_number())
-      reply.ape_pct = v->number;
-    if (const JsonValue* v = root.find("predicted_mbps");
-        v && v->is_number())
-      reply.predicted_mbps = v->number;
-    if (const JsonValue* v = root.find("version"); v && v->is_number())
-      reply.model_version = static_cast<std::uint64_t>(v->number);
-    if (const JsonValue* v = root.find("mdape_pct"); v && v->is_number())
-      reply.mdape_pct = v->number;
-    if (const JsonValue* v = root.find("window"); v && v->is_number())
-      reply.window = static_cast<std::uint64_t>(v->number);
-    if (const JsonValue* a = root.find("alarm"); a && a->is_bool())
-      reply.alarm = a->boolean;
-    return reply;
-  }
+  const JsonValue root =
+      round_trip(feedback_request_line(id, trace_id, observed_mbps), id);
+  FeedbackReply reply;
+  reply.id = id;
+  if (const JsonValue* ok = root.find("ok"); ok && ok->is_bool())
+    reply.ok = ok->boolean;
+  if (const JsonValue* m = root.find("matched"); m && m->is_bool())
+    reply.matched = m->boolean;
+  if (const JsonValue* v = root.find("ape_pct"); v && v->is_number())
+    reply.ape_pct = v->number;
+  if (const JsonValue* v = root.find("predicted_mbps"); v && v->is_number())
+    reply.predicted_mbps = v->number;
+  if (const JsonValue* v = root.find("version"); v && v->is_number())
+    reply.model_version = static_cast<std::uint64_t>(v->number);
+  if (const JsonValue* v = root.find("mdape_pct"); v && v->is_number())
+    reply.mdape_pct = v->number;
+  if (const JsonValue* v = root.find("window"); v && v->is_number())
+    reply.window = static_cast<std::uint64_t>(v->number);
+  if (const JsonValue* a = root.find("alarm"); a && a->is_bool())
+    reply.alarm = a->boolean;
+  return reply;
 }
 
-bool PredictionClient::ping() {
-  const std::string id = std::to_string(next_id_++);
-  std::string line = "{\"cmd\":\"ping\",\"id\":";
-  append_json_string(line, id);
-  line += "}";
-  return round_trip(line, id).ok;
-}
+bool PredictionClient::ping() { return parse_reply(admin("ping")).ok; }
 
 std::uint64_t PredictionClient::reload(const std::string& path) {
-  const std::string id = std::to_string(next_id_++);
-  std::string line = "{\"cmd\":\"reload\",\"id\":";
-  append_json_string(line, id);
+  std::string extra;
   if (!path.empty()) {
-    line += ",\"path\":";
-    append_json_string(line, path);
+    extra = ",\"path\":";
+    append_json_string(extra, path);
   }
-  line += "}";
-  const PredictReply reply = round_trip(line, id);
+  const PredictReply reply = parse_reply(admin("reload", extra));
   if (!reply.ok)
     throw std::runtime_error("PredictionClient: reload failed: " +
                              reply.message);
@@ -305,34 +310,11 @@ std::uint64_t PredictionClient::reload(const std::string& path) {
 }
 
 JsonValue PredictionClient::stats(bool registry) {
-  const std::string id = std::to_string(next_id_++);
-  std::string line = "{\"cmd\":\"stats\",\"id\":";
-  append_json_string(line, id);
-  if (registry) line += ",\"registry\":true";
-  line += "}";
-  send_document(line);
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id != nullptr && reply_id->is_string() &&
-        reply_id->string == id)
-      return root;
-  }
+  return admin("stats", registry ? ",\"registry\":true" : "");
 }
 
 JsonValue PredictionClient::retrain_status() {
-  const std::string id = std::to_string(next_id_++);
-  std::string line = "{\"cmd\":\"retrain-status\",\"id\":";
-  append_json_string(line, id);
-  line += "}";
-  send_document(line);
-  for (;;) {
-    const JsonValue root = parse_json(read_document());
-    const JsonValue* reply_id = root.find("id");
-    if (reply_id != nullptr && reply_id->is_string() &&
-        reply_id->string == id)
-      return root;
-  }
+  return admin("retrain-status");
 }
 
 }  // namespace xfl::serve

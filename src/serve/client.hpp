@@ -112,6 +112,7 @@ class PredictionClient {
   void send_line(const std::string& line);  ///< Throws on transport error.
   std::string read_line();                  ///< Blocks; throws on EOF.
   static PredictReply parse_reply(const std::string& line);
+  static PredictReply parse_reply(const JsonValue& root);
 
   // Low-level binary framing (after negotiate_binary()).
   void send_raw(std::string_view bytes);
@@ -119,7 +120,11 @@ class PredictionClient {
   std::pair<BinaryType, std::string> read_frame();
 
  private:
-  PredictReply round_trip(const std::string& line, const std::string& id);
+  /// Send one JSON request and block for the reply carrying its id,
+  /// skipping replies to other (pipelined) requests.
+  JsonValue round_trip(const std::string& line, const std::string& id);
+  /// Round-trip the admin line {"cmd":<cmd>,"id":<next id><extra>}.
+  JsonValue admin(std::string_view cmd, std::string_view extra = {});
   /// Block for the packed reply to request `id`, skipping kJson frames
   /// and other ids (pipelined low-level traffic).
   PredictReply packed_reply(std::uint64_t id);

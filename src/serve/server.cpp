@@ -30,6 +30,7 @@ struct ServerMetrics {
   obs::Gauge& active = obs::gauge("serve.conn.active");
   obs::Gauge& uptime = obs::gauge("serve.uptime_seconds");
   obs::Counter& frame_timeouts = obs::counter("serve.conn.frame_timeout");
+  obs::Counter& output_overflows = obs::counter("serve.conn.output_overflow");
   obs::Counter& binary_upgrades = obs::counter("serve.conn.binary");
   obs::Counter& requests = obs::counter("serve.request.count");
   obs::Counter& admin = obs::counter("serve.request.admin");
@@ -67,7 +68,8 @@ StageQuantiles stage_quantiles(const char* name) {
 }
 
 /// A write buffer past this limit means the peer stopped reading long
-/// ago; treat it like a dead socket instead of buffering without bound.
+/// ago; treat it like a dead socket instead of buffering without bound
+/// (counted in serve.conn.output_overflow).
 constexpr std::size_t kMaxOutBufferBytes = 8u << 20;
 
 /// Upper bound on flushing unread responses to slow clients during stop();
@@ -133,16 +135,44 @@ struct PredictionServer::Connection {
   std::atomic<bool> read_closed{false};  ///< EOF seen or input abandoned.
   std::atomic<std::size_t> in_flight{0}; ///< Requests awaiting a response.
   std::mutex out_mutex;
-  std::string out;            ///< Bytes the socket would not take yet.
+  /// Bytes the socket has not taken yet. Non-empty means a flush is owed:
+  /// either a batch worker's cork holds the connection or want_write is
+  /// set and EPOLLOUT sends the rest.
+  std::string out;
   bool want_write = false;    ///< EPOLLOUT wanted (out non-empty).
   bool closed = false;        ///< Logical close: drop further output.
   bool write_failed = false;  ///< Peer is gone; connection is doomed.
+
+  /// The one write loop (caller holds out_mutex): send what the socket
+  /// takes from `out`. A hard error dooms the connection and drops the
+  /// buffer. Returns true when the poll thread must act: the peer is
+  /// gone, or a remainder newly waits for EPOLLOUT.
+  bool flush_out() {
+    std::size_t sent = 0;
+    while (sent < out.size()) {
+      const ssize_t n =
+          ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      write_failed = true;  // EPIPE, ECONNRESET, ...
+      out.clear();
+      return true;
+    }
+    out.erase(0, sent);
+    if (out.empty() || want_write) return false;
+    want_write = true;
+    return true;
+  }
 };
 
-/// Per-thread cork: batch workers collect the connections they wrote to
-/// during one batch and flush each exactly once at batch end. Thread
-/// local, so shards never contend and non-worker threads (poll, admin)
-/// see an inactive cork and keep the immediate-send fast path.
+/// Per-thread cork: a batch worker collects the connections it wrote to
+/// during one batch and flushes each exactly once at batch end. Thread
+/// local, so shards never contend; other threads (poll, reload) see an
+/// inactive cork and flush as they write.
 struct PredictionServer::Cork {
   bool active = false;
   std::vector<std::shared_ptr<Connection>> pending;
@@ -562,7 +592,7 @@ void PredictionServer::process_input(
     // Parse time in ns / 1000: a parse takes well under a microsecond.
     metrics.parse.record(
         static_cast<double>(obs::monotonic_ns() - received_ns) / 1000.0);
-    handle_frame(conn, frame, received_ns / 1000, burst);
+    handle_frame(conn, frame, received_ns, burst);
   }
   flush_predict_burst(conn, burst);
   if (conn->dead) return;
@@ -577,7 +607,7 @@ void PredictionServer::process_input(
 }
 
 void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
-                                    Frame& frame, std::uint64_t received_us,
+                                    Frame& frame, std::uint64_t received_ns,
                                     std::vector<PendingPredict>& burst) {
   XFL_SPAN("serve.request");
   auto& metrics = server_metrics();
@@ -608,7 +638,7 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
 
     case Frame::Kind::kFeedback:
       metrics.feedback.add(1);
-      handle_feedback(conn, frame.reply.id, frame.feedback);
+      handle_feedback(conn, frame.reply, frame.feedback);
       return;
 
     case Frame::Kind::kPredict:
@@ -616,34 +646,36 @@ void PredictionServer::handle_frame(const std::shared_ptr<Connection>& conn,
   }
 
   metrics.requests.add(1);
-  const std::uint64_t trace_id =
-      next_trace_.fetch_add(1, std::memory_order_relaxed);
   BatchItem item;
   item.transfer = frame.predict.transfer;
   item.load = frame.predict.load;
   item.explain = frame.predict.explain;
-  item.trace_id = trace_id;
-  item.received_us = received_us;
+  item.trace_id = next_trace_.fetch_add(1, std::memory_order_relaxed);
+  item.received_ns = received_ns;
   if (frame.predict.deadline_ms > 0)
-    item.deadline_us = obs::monotonic_us() + frame.predict.deadline_ms * 1000;
+    item.deadline_ns =
+        obs::monotonic_ns() + frame.predict.deadline_ms * 1'000'000;
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
   // `this` outlives every callback: stop() drains the batcher before the
-  // server (and its monitor) is torn down.
-  item.done = [this, conn, reply = frame.reply, trace_id, received_us,
-               transfer = frame.predict.transfer,
-               load = frame.predict.load](const PredictOutcome& outcome) {
+  // server (and its monitor) is torn down. The item answered carries the
+  // trace id, receipt time, transfer and load.
+  item.done = [this, conn, reply = frame.reply](const BatchItem& answered,
+                                                const PredictOutcome& outcome) {
     auto& m = server_metrics();
-    const std::uint64_t server_us = obs::monotonic_us() - received_us;
-    m.server_time.record(static_cast<double>(server_us));
+    const double server_us =
+        static_cast<double>(obs::monotonic_ns() - answered.received_ns) /
+        1000.0;
+    m.server_time.record(server_us);
     if (outcome.ok) {
       m.ok.add(1);
-      monitor_.record_prediction(trace_id, outcome.rate_mbps,
-                                 outcome.model_version, transfer, load);
+      monitor_.record_prediction(answered.trace_id, outcome.rate_mbps,
+                                 outcome.model_version, answered.transfer,
+                                 answered.load);
     } else {
       m.errors.add(1);
     }
-    queue_output(conn, encode_reply(reply, outcome, trace_id,
-                                    static_cast<double>(server_us) / 1000.0));
+    queue_output(conn, encode_reply(reply, outcome, answered.trace_id,
+                                    server_us / 1000.0));
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
       request_attention(conn);
@@ -678,8 +710,8 @@ void PredictionServer::flush_predict_burst(
     for (std::size_t i = admitted; i < burst.size(); ++i) {
       counter.add(1);
       const double rejected_ms =
-          static_cast<double>(obs::monotonic_us() - items[i].received_us) /
-          1000.0;
+          static_cast<double>(obs::monotonic_ns() - items[i].received_ns) /
+          1e6;
       queue_output(conn, encode_reply(burst[i].reply, rejected,
                                       items[i].trace_id, rejected_ms));
       conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -689,7 +721,7 @@ void PredictionServer::flush_predict_burst(
 }
 
 void PredictionServer::handle_feedback(
-    const std::shared_ptr<Connection>& conn, const std::string& id,
+    const std::shared_ptr<Connection>& conn, const ReplyTo& reply,
     const FeedbackRequest& feedback) {
   // Explained BEFORE the join consumes the journal entry: feedback
   // arrives orders of magnitude below predict rate, so one single-row
@@ -719,15 +751,16 @@ void PredictionServer::handle_feedback(
       monitor_.record_feedback(feedback.trace_id, feedback.observed_mbps);
   if (result.matched && feedback_hook_)
     feedback_hook_(result, feedback.trace_id, feedback.observed_mbps);
-  send_response(conn, feedback_response(
-                          id, trace_id_string(feedback.trace_id), result));
+  send_response(conn, reply,
+                feedback_response(reply.id, trace_id_string(feedback.trace_id),
+                                  result));
 }
 
 void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
                                     const ReplyTo& reply,
                                     const AdminRequest& admin) {
   if (admin.cmd == "ping") {
-    send_response(conn, pong_response(reply.id, host_.version()));
+    send_response(conn, reply, pong_response(reply.id, host_.version()));
     return;
   }
   if (admin.cmd == "stats") {
@@ -767,16 +800,16 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
     report.attribution_shift = monitor_.last_shift();
     if (admin.registry)
       report.registry_json = obs::Registry::instance().to_json();
-    send_response(conn, stats_response(reply.id, report));
+    send_response(conn, reply, stats_response(reply.id, report));
     return;
   }
   if (admin.cmd == "retrain-status") {
     // The provider is one status-struct snapshot under a worker mutex —
     // cheap enough to answer inline like stats.
-    send_response(conn, retrain_status_response(
-                            reply.id,
-                            retrain_status_ ? retrain_status_()
-                                            : std::string()));
+    send_response(conn, reply,
+                  retrain_status_response(reply.id, retrain_status_
+                                                        ? retrain_status_()
+                                                        : std::string()));
     return;
   }
   // reload: runs on a short-lived thread of its own — a multi-second
@@ -784,17 +817,15 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
   conn->in_flight.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lock(admin_mutex_);
   admin_threads_.emplace_back([this, conn, reply, path = admin.path] {
-    std::string response;
     try {
-      response = reload_response(reply.id, host_.reload_from_file(path));
-      if (reply.wrap) response = binary_json_frame(response);
+      send_response(conn, reply,
+                    reload_response(reply.id, host_.reload_from_file(path)));
     } catch (const std::exception& error) {
       PredictOutcome failed;
       failed.error = kErrReloadFailed;
       failed.message = error.what();
-      response = encode_reply(reply, failed, 0, 0.0);
+      queue_output(conn, encode_reply(reply, failed, 0, 0.0));
     }
-    queue_output(conn, response);
     conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
     if (conn->read_closed.load(std::memory_order_relaxed))
       request_attention(conn);
@@ -802,8 +833,9 @@ void PredictionServer::handle_admin(const std::shared_ptr<Connection>& conn,
 }
 
 void PredictionServer::send_response(const std::shared_ptr<Connection>& conn,
+                                     const ReplyTo& reply,
                                      std::string json_line) {
-  if (conn->binary) json_line = binary_json_frame(json_line);
+  if (reply.wrap) json_line = binary_json_frame(json_line);
   queue_output(conn, json_line);
 }
 
@@ -816,26 +848,7 @@ void PredictionServer::cork_end() {
     bool need_attention = false;
     {
       std::lock_guard lock(conn->out_mutex);
-      if (conn->closed || conn->write_failed) continue;
-      while (!conn->out.empty()) {
-        const ssize_t n = ::send(conn->fd, conn->out.data(), conn->out.size(),
-                                 MSG_NOSIGNAL);
-        if (n > 0) {
-          conn->out.erase(0, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        conn->write_failed = true;  // EPIPE, ECONNRESET, ...
-        conn->out.clear();
-        break;
-      }
-      if (conn->write_failed) {
-        need_attention = true;
-      } else if (!conn->out.empty() && !conn->want_write) {
-        conn->want_write = true;
-        need_attention = true;
-      }
+      need_attention = conn->flush_out();
     }
     // A fully-flushed reply may have been the last thing a half-closed
     // peer was owed; only the poll thread may act on that.
@@ -851,64 +864,32 @@ void PredictionServer::cork_end() {
 void PredictionServer::queue_output(const std::shared_ptr<Connection>& conn,
                                     std::string_view bytes) {
   Cork& cork = cork_state();
-  if (cork.active) {
-    // Corked (batch worker): append only; cork_end() does one send per
-    // connection for the whole batch instead of one per reply.
-    bool need_attention = false;
-    {
-      std::lock_guard lock(conn->out_mutex);
-      if (conn->closed || conn->write_failed) return;
-      const bool was_empty = conn->out.empty();
-      conn->out.append(bytes.data(), bytes.size());
-      if (conn->out.size() > kMaxOutBufferBytes) {
-        conn->write_failed = true;
-        conn->out.clear();
-        need_attention = true;
-      } else if (was_empty) {
-        // First write this batch (an already non-empty buffer is either
-        // in cork.pending from an earlier reply or being flushed via
-        // EPOLLOUT by the poll thread).
-        cork.pending.push_back(conn);
-      }
-    }
-    if (need_attention) request_attention(conn);
-    return;
-  }
   bool need_attention = false;
+  bool overflowed = false;
   {
     std::lock_guard lock(conn->out_mutex);
     if (conn->closed || conn->write_failed) return;
-    if (conn->out.empty()) {
-      // Fast path: the socket usually takes a whole response in one
-      // non-blocking send; only the remainder is buffered.
-      std::size_t sent = 0;
-      while (sent < bytes.size()) {
-        const ssize_t n = ::send(conn->fd, bytes.data() + sent,
-                                 bytes.size() - sent, MSG_NOSIGNAL);
-        if (n > 0) {
-          sent += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        conn->write_failed = true;  // EPIPE, ECONNRESET, ...
-        need_attention = true;
-        break;
-      }
-      if (!conn->write_failed && sent < bytes.size())
-        conn->out.assign(bytes.data() + sent, bytes.size() - sent);
-    } else {
-      conn->out.append(bytes.data(), bytes.size());
-    }
+    const bool was_empty = conn->out.empty();
+    conn->out.append(bytes.data(), bytes.size());
     if (conn->out.size() > kMaxOutBufferBytes) {
       conn->write_failed = true;
       conn->out.clear();
-      need_attention = true;
+      overflowed = need_attention = true;
+    } else if (was_empty) {
+      // A non-empty buffer already has its flush owed (a cork or
+      // EPOLLOUT). An empty one is flushed at batch end by a worker's
+      // cork, or here, now, by any other thread.
+      if (cork.active)
+        cork.pending.push_back(conn);
+      else
+        need_attention = conn->flush_out();
     }
-    if (!conn->write_failed && !conn->out.empty() && !conn->want_write) {
-      conn->want_write = true;
-      need_attention = true;
-    }
+  }
+  if (overflowed) {
+    server_metrics().output_overflows.add(1);
+    XFL_LOG(warn) << "reader fell behind; connection dropped"
+                  << obs::kv("fd", conn->fd)
+                  << obs::kv("cap_bytes", kMaxOutBufferBytes);
   }
   if (need_attention) request_attention(conn);
 }
@@ -918,17 +899,7 @@ void PredictionServer::handle_writable(
   if (conn->dead) return;
   {
     std::lock_guard lock(conn->out_mutex);
-    while (!conn->out.empty() && !conn->write_failed) {
-      const ssize_t n = ::send(conn->fd, conn->out.data(), conn->out.size(),
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->out.erase(0, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      conn->write_failed = true;
-    }
+    conn->flush_out();
     if (conn->out.empty()) conn->want_write = false;
   }
   update_epoll_interest(*conn);

@@ -4,8 +4,8 @@
 // thousand mostly-idle connections cost ten thousand fds and zero
 // threads — not ten thousand blocked readers. Parsed predict requests
 // flow into the sharded MicroBatcher (each connection is pinned to one
-// shard; workers steal only on imbalance) and responses are appended to
-// a per-connection write buffer from the batch workers; partial reads
+// shard; workers steal only on imbalance) and every reply is appended to
+// a per-connection write buffer, whatever thread wrote it; partial reads
 // and short writes are first-class connection states, never blocked
 // threads. Connections speak line-delimited JSON by default and may
 // negotiate the length-prefixed binary framing (see protocol.hpp).
@@ -107,10 +107,11 @@ class PredictionServer {
   struct Connection;
   struct Cork;
 
-  /// Worker-thread write corking (MicroBatcher::Options::batch_hook):
-  /// between cork_begin() and cork_end(), queue_output on that thread
-  /// only appends to the connection's buffer; cork_end() flushes every
-  /// touched connection with one send(2) burst each.
+  /// Worker-thread write corking, installed as every batcher's
+  /// MicroBatcher::Options::batch_hook: between cork_begin() and
+  /// cork_end(), queue_output on that thread appends to the connection's
+  /// buffer and registers the connection; cork_end() flushes each one
+  /// once, so a batch costs one send burst per connection.
   static Cork& cork_state();
   void cork_begin();
   void cork_end();
@@ -129,20 +130,22 @@ class PredictionServer {
   /// submit_burst instead of one lock round trip each.
   struct PendingPredict;
   void handle_frame(const std::shared_ptr<Connection>& conn, Frame& frame,
-                    std::uint64_t received_us,
+                    std::uint64_t received_ns,
                     std::vector<PendingPredict>& burst);
   void flush_predict_burst(const std::shared_ptr<Connection>& conn,
                            std::vector<PendingPredict>& burst);
   void handle_admin(const std::shared_ptr<Connection>& conn,
                     const ReplyTo& reply, const AdminRequest& admin);
   void handle_feedback(const std::shared_ptr<Connection>& conn,
-                       const std::string& id, const FeedbackRequest& feedback);
-  /// Route one JSON response line over the connection's negotiated
-  /// framing (wrapped in a kJson binary frame after negotiation).
+                       const ReplyTo& reply, const FeedbackRequest& feedback);
+  /// Queue one JSON reply line, wrapped in a kJson binary frame when
+  /// `reply.wrap` (the framing frozen at admission) says so.
   void send_response(const std::shared_ptr<Connection>& conn,
-                     std::string json_line);
-  /// Append bytes to the connection's write buffer, flush what the
-  /// socket will take, and arrange EPOLLOUT for the rest. Any thread.
+                     const ReplyTo& reply, std::string json_line);
+  /// Append bytes to the connection's write buffer (dooming a connection
+  /// whose buffer passes the 8 MB cap). A buffer that was empty is then
+  /// flushed: at batch end inside a cork, else now; EPOLLOUT sends what
+  /// the socket would not take. Any thread.
   void queue_output(const std::shared_ptr<Connection>& conn,
                     std::string_view bytes);
   /// Structured error + stop reading; the connection closes once the

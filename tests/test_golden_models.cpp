@@ -440,6 +440,22 @@ TEST(GoldenPredictor, ShrunkFeatureCountRejected) {
       shrunk, "feature count does not match the model's trees");
 }
 
+// A file listing one edge twice would load the first block and silently
+// drop the second, leaving that edge on the global model: refuse it.
+TEST(GoldenPredictor, DuplicateEdgeKeyRejected) {
+  std::string text = slurp(data_path("golden_predictor.txt"));
+  const auto first = text.find("\nedge-model\n");
+  ASSERT_NE(first, std::string::npos);
+  const auto first_key = text.rfind('\n', first - 1) + 1;
+  const std::string key = text.substr(first_key, first - first_key);
+  ASSERT_EQ(key, "0 1");
+  const auto second = text.find("\nedge-model\n", first + 1);
+  ASSERT_NE(second, std::string::npos);
+  const auto second_key = text.rfind('\n', second - 1) + 1;
+  text.replace(second_key, second - second_key, key);
+  expect_predictor_load_error(text, "duplicate edge model 0 1");
+}
+
 TEST(GoldenPredictor, TreesWiderThanTheirFeatureNamesRejected) {
   // Give the first edge model's GBT one feature more than its feature
   // names (importance block stripped, which is legal): it would load and

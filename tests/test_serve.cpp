@@ -383,7 +383,7 @@ TEST(MicroBatcher, BatchedAnswersMatchDirectCallsBitIdentically) {
     BatchItem item;
     item.transfer = mix[i];
     item.load = heavy_load();
-    item.done = [&, i](const PredictOutcome& outcome) {
+    item.done = [&, i](const BatchItem&, const PredictOutcome& outcome) {
       ASSERT_TRUE(outcome.ok);
       std::lock_guard lock(mutex);
       answered.emplace_back(i, outcome.rate_mbps);
@@ -407,8 +407,8 @@ TEST(MicroBatcher, ExpiredDeadlineTimesOutInsteadOfPredicting) {
   std::atomic<int> timeouts{0};
   BatchItem item;
   item.transfer = transfer_mix()[0];
-  item.deadline_us = 1;  // Monotonic clock is far past 1us already.
-  item.done = [&](const PredictOutcome& outcome) {
+  item.deadline_ns = 1;  // Monotonic clock is far past 1ns already.
+  item.done = [&](const BatchItem&, const PredictOutcome& outcome) {
     EXPECT_FALSE(outcome.ok);
     EXPECT_STREQ(outcome.error, kErrTimeout);
     timeouts.fetch_add(1);
@@ -428,7 +428,9 @@ TEST(MicroBatcher, RejectsWhenQueueFullAndAfterStop) {
   auto make_item = [&] {
     BatchItem item;
     item.transfer = transfer_mix()[0];
-    item.done = [&](const PredictOutcome&) { answered.fetch_add(1); };
+    item.done = [&](const BatchItem&, const PredictOutcome&) {
+      answered.fetch_add(1);
+    };
     return item;
   };
   EXPECT_EQ(submit_one(batcher, make_item()),
@@ -444,11 +446,14 @@ TEST(MicroBatcher, RejectsWhenQueueFullAndAfterStop) {
             MicroBatcher::Admission::kShuttingDown);
 }
 
-// The batch stages are timed in nanoseconds and recorded in microseconds,
-// so a 1-row batch's stages show as fractions, not as whole 0s and 1s.
+// The batch stages and the queue wait are timed in nanoseconds and
+// recorded in microseconds, so a 1-row batch's stages show as fractions,
+// not as whole 0s and 1s.
 TEST(MicroBatcher, StageTimersResolveSubMicrosecondSteps) {
   obs::Registry::instance().reset();
   const std::vector<const obs::Histogram*> stages = {
+      &obs::histogram("serve.request.queue_wait_us",
+                      obs::quantile_latency_bounds_us()),
       &obs::histogram("serve.batch.assemble_us",
                       obs::quantile_latency_bounds_us()),
       &obs::histogram("serve.batch.predict_us",
@@ -465,7 +470,8 @@ TEST(MicroBatcher, StageTimersResolveSubMicrosecondSteps) {
   for (std::size_t i = 0; i < kBatches; ++i) {
     BatchItem item;
     item.transfer = mix[i % mix.size()];
-    item.done = [&answered](const PredictOutcome& outcome) {
+    item.done = [&answered](const BatchItem&,
+                            const PredictOutcome& outcome) {
       EXPECT_TRUE(outcome.ok);
       answered.fetch_add(1);
     };
