@@ -250,8 +250,8 @@ BENCHMARK(BM_GbtPredictKernel)
 // ensembles (default config: 200 trees, depth 4), so the caches see a
 // rotation like the served model's 32 models do. Arg 0 is the row count,
 // arg 1 the forced ml::Kernel (1 = scalar, 2 = quantized, whose calls
-// below the few-row crossover take the few-row walk). DESIGN.md §7.1
-// cites these times for the crossover.
+// below the word-walk crossover take the predicate-word walk). DESIGN.md
+// §7.1 cites these times for the crossover.
 void BM_GbtPredictRows(benchmark::State& state) {
   constexpr std::size_t kModels = 32;
   constexpr std::size_t kCols = 15;
@@ -303,7 +303,7 @@ void BM_GbtPredictRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtPredictRows)
     ->ArgNames({"rows", "kernel"})
-    ->ArgsProduct({{1, 2, 3, 4, 6, 8, 16}, {1, 2}});
+    ->ArgsProduct({{1, 2, 3, 4, 6, 8, 12, 16}, {1, 2}});
 
 // Batch prediction of 20000 rows: arg 0 = serial predict_batch, 1 =
 // predict_batch over a caller-owned hardware-concurrency pool, the path

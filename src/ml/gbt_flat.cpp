@@ -136,6 +136,8 @@ FlatEnsemble FlatEnsemble::Builder::build() && {
         depth_of.push_back(depth_of[k] + 1);
         depth_of.push_back(depth_of[k] + 1);
         tree_depth = std::max(tree_depth, depth_of[k] + 1);
+        flat.min_cols_ = std::max(flat.min_cols_,
+                                  static_cast<std::size_t>(node.feature) + 1);
         flat.feature_.push_back(node.feature);
         flat.value_.push_back(node.threshold_or_value);
         flat.left_.push_back(base + child_slot);
@@ -237,6 +239,12 @@ constexpr std::int64_t kMaxQuantPaddedSlots = std::int64_t{1} << 20;
 /// Deepest tree the gather-free AVX2 quantized walk handles (its node
 /// masks for one tree must fit a 16-entry shuffle table: 2^d - 1 <= 15).
 constexpr std::int32_t kMaxVectorQuantDepth = 4;
+/// Word-walk limits: a tree's 15 slots fit one 16-byte word, the code
+/// table is two 16-byte shuffle tables, and a code (0..ranks) fits a byte
+/// below the pad rank 255.
+constexpr std::int32_t kMaxWordDepth = 4;
+constexpr std::size_t kMaxWordFeatures = 32;
+constexpr std::int32_t kMaxWordRanks = 255;
 
 /// Cell of value v in a feature's rank-search acceleration grid. Only
 /// monotonicity in v matters for correctness (clamping keeps it so under
@@ -267,6 +275,7 @@ void FlatEnsemble::build_quantized() {
     qgrid_lo_.clear();
     qgrid_scale_.clear();
     qgridrank_.clear();
+    qword_.clear();
     obs::counter("gbt.flat.quantize_fallback").add(1);
     XFL_LOG(warn) << "quantized kernel unavailable for this ensemble; "
                      "dispatch falls back to the exact kernel"
@@ -275,30 +284,64 @@ void FlatEnsemble::build_quantized() {
                   << obs::kv("nodes", feature_.size());
   };
 
-  // Distinct split thresholds per feature; ranks are table positions.
-  std::int32_t max_feature = -1;
-  for (std::size_t i = 0; i < feature_.size(); ++i) {
-    if (feature_[i] < 0) continue;
-    if (std::isnan(value_[i])) return reject("nan split threshold");
-    max_feature = std::max(max_feature, feature_[i]);
-  }
-  if (max_feature > kMaxQuantFeature)
-    return reject("feature id exceeds int16 code range");
-  quant_features_ = max_feature + 1;
-
-  std::vector<std::vector<double>> tables(
-      static_cast<std::size_t>(quant_features_));
   for (std::size_t i = 0; i < feature_.size(); ++i)
-    if (feature_[i] >= 0)
-      tables[static_cast<std::size_t>(feature_[i])].push_back(value_[i]);
-  for (auto& table : tables) {
-    std::sort(table.begin(), table.end());
-    table.erase(std::unique(table.begin(), table.end()), table.end());
-    if (table.size() > static_cast<std::size_t>(kMaxTableEntries))
-      return reject("threshold table exceeds int16 rank space");
-  }
+    if (feature_[i] >= 0 && std::isnan(value_[i]))
+      return reject("nan split threshold");
+  if (min_cols_ > static_cast<std::size_t>(kMaxQuantFeature) + 1)
+    return reject("feature id exceeds int16 code range");
+  const auto features = static_cast<std::int32_t>(min_cols_);
 
-  // Padded complete-tree size check before allocating anything.
+  // Split nodes grouped by feature (a counting sort), each group sorted by
+  // threshold. One pass over a group then writes its distinct thresholds
+  // (ranks are table positions) and gives every split node its rank.
+  std::vector<std::int32_t> group(min_cols_ + 1, 0);
+  for (const std::int32_t f : feature_)
+    if (f >= 0) ++group[static_cast<std::size_t>(f) + 1];
+  for (std::size_t f = 0; f < min_cols_; ++f) group[f + 1] += group[f];
+  std::vector<std::pair<double, std::int32_t>> splits(
+      static_cast<std::size_t>(group.back()));
+  {
+    std::vector<std::int32_t> next(group.begin(), group.end() - 1);
+    for (std::size_t i = 0; i < feature_.size(); ++i)
+      if (feature_[i] >= 0)
+        splits[static_cast<std::size_t>(
+            next[static_cast<std::size_t>(feature_[i])]++)] = {
+            value_[i], static_cast<std::int32_t>(i)};
+  }
+  std::vector<std::int32_t> node_rank(feature_.size(), 0);
+
+  // Threshold tables (padded to a power-of-two size with at least one
+  // +inf terminator, so the rank scan needs no bounds check) and
+  // per-feature predicate-mask regions: one mask rank per distinct
+  // threshold.
+  qtable_off_.assign(1, 0);
+  qmask_off_.assign(1, 0);
+  std::int32_t widest_table = 0;
+  for (std::int32_t f = 0; f < features; ++f) {
+    const auto first = splits.begin() + group[static_cast<std::size_t>(f)];
+    const auto last = splits.begin() + group[static_cast<std::size_t>(f) + 1];
+    std::sort(first, last,
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const std::size_t table = qtable_.size();
+    for (auto it = first; it != last; ++it) {
+      if (qtable_.size() == table || qtable_.back() != it->first)
+        qtable_.push_back(it->first);
+      node_rank[static_cast<std::size_t>(it->second)] =
+          static_cast<std::int32_t>(qtable_.size() - table) - 1;
+    }
+    const std::size_t ranks = qtable_.size() - table;
+    if (ranks > static_cast<std::size_t>(kMaxTableEntries))
+      return reject("threshold table exceeds int16 rank space");
+    widest_table = std::max(widest_table, static_cast<std::int32_t>(ranks));
+    qmask_off_.push_back(qmask_off_.back() +
+                         static_cast<std::int32_t>(ranks));
+    qtable_.insert(qtable_.end(), std::bit_ceil(ranks + 1) - ranks,
+                   std::numeric_limits<double>::infinity());
+    qtable_off_.push_back(static_cast<std::int32_t>(qtable_.size()));
+  }
+  const std::int32_t pad_mask = qmask_off_.back();
+
+  // Padded complete-tree size check before allocating the trees.
   std::int64_t padded = 0, padded_leaves = 0;
   for (const std::int32_t d : depth_) {
     if (d > kMaxQuantTreeDepth) return reject("tree too deep to pad");
@@ -307,23 +350,6 @@ void FlatEnsemble::build_quantized() {
   }
   if (padded > kMaxQuantPaddedSlots)
     return reject("padded form exceeds size cap");
-
-  // Threshold tables (padded to a power-of-two size with at least one
-  // +inf terminator, so the rank scan needs no bounds check) and
-  // per-feature predicate-mask regions: one mask rank per distinct
-  // threshold.
-  qtable_off_.assign(1, 0);
-  qmask_off_.assign(1, 0);
-  for (const auto& table : tables) {
-    qmask_off_.push_back(qmask_off_.back() +
-                         static_cast<std::int32_t>(table.size()));
-    const std::size_t pow2 = std::bit_ceil(table.size() + 1);
-    qtable_.insert(qtable_.end(), table.begin(), table.end());
-    qtable_.insert(qtable_.end(), pow2 - table.size(),
-                   std::numeric_limits<double>::infinity());
-    qtable_off_.push_back(static_cast<std::int32_t>(qtable_.size()));
-  }
-  const std::int32_t pad_mask = qmask_off_.back();
 
   // Rank-search acceleration grid: ~2 uniform cells per threshold (capped
   // for huge tables), each storing the rank of its first threshold. The
@@ -334,29 +360,43 @@ void FlatEnsemble::build_quantized() {
   // the start rank never overshoots, whatever floating-point rounding
   // does.
   qgrid_off_.assign(1, 0);
-  for (const auto& table : tables) {
-    if (table.empty()) {
+  for (std::int32_t f = 0; f < features; ++f) {
+    const auto fi = static_cast<std::size_t>(f);
+    const double* table = qtable_.data() + qtable_off_[fi];
+    const auto ranks =
+        static_cast<std::size_t>(qmask_off_[fi + 1] - qmask_off_[fi]);
+    if (ranks == 0) {
       qgrid_lo_.push_back(0.0);
       qgrid_scale_.push_back(0.0);
       qgrid_off_.push_back(qgrid_off_.back());
       continue;
     }
     const auto cells = static_cast<std::int32_t>(
-        std::min<std::size_t>(2048, std::bit_ceil(4 * table.size())));
-    const double lo = table.front();
-    const double hi = table.back();
+        std::min<std::size_t>(2048, std::bit_ceil(4 * ranks)));
+    const double lo = table[0];
+    const double hi = table[ranks - 1];
     const double scale =
         hi > lo ? static_cast<double>(cells) / (hi - lo) : 0.0;
     qgrid_lo_.push_back(lo);
     qgrid_scale_.push_back(scale);
     std::size_t rank = 0;
     for (std::int32_t c = 0; c < cells; ++c) {
-      while (rank < table.size() &&
-             quant_grid_cell(table[rank], lo, scale, cells) < c)
+      while (rank < ranks && quant_grid_cell(table[rank], lo, scale, cells) < c)
         ++rank;
       qgridrank_.push_back(static_cast<std::int16_t>(rank));
     }
     qgrid_off_.push_back(static_cast<std::int32_t>(qgridrank_.size()));
+  }
+
+  // Predicate-word slots, when the ensemble fits the word walk and the
+  // CPU can run it; every slot starts as padding (feature 0, rank 255).
+  const bool word = cpu_supports_avx2() && max_depth_ <= kMaxWordDepth &&
+                    min_cols_ <= kMaxWordFeatures &&
+                    widest_table <= kMaxWordRanks;
+  if (word) {
+    qword_.assign(64 * ((roots_.size() + 1) / 2), 0);
+    for (std::size_t p = 0; p < qword_.size(); p += 64)
+      std::memset(qword_.data() + p + 32, 255, 32);
   }
 
   qsplit_off_.reserve(roots_.size());
@@ -373,12 +413,13 @@ void FlatEnsemble::build_quantized() {
     qmask_idx_.resize(qmask_idx_.size() + static_cast<std::size_t>(internal),
                       pad_mask);
     qleaf_.resize(qleaf_.size() + (std::size_t{1} << d), 0.0);
+    std::uint8_t* slot_feature =
+        word ? qword_.data() + 64 * (t / 2) + 16 * (t % 2) : nullptr;
 
     // Copy the tree into its padded slots. A leaf shallower than d turns
-    // into a virtual split (feature 0, rank 0) whose two children are the
-    // same leaf, so routing through the padding cannot change the reached
-    // value; nodes at depth d are always leaves (d is the deepest split
-    // path).
+    // into a virtual split whose two children are the same leaf, so
+    // routing through the padding cannot change the reached value; nodes
+    // at depth d are always leaves (d is the deepest split path).
     const auto fill = [&](auto&& self, std::int32_t orig,
                           std::int32_t slot) -> void {
       if (slot >= internal) {
@@ -389,18 +430,19 @@ void FlatEnsemble::build_quantized() {
       }
       const std::int32_t f = feature_[static_cast<std::size_t>(orig)];
       if (f >= 0) {
-        const auto& table = tables[static_cast<std::size_t>(f)];
-        const auto rank = static_cast<std::int32_t>(
-            std::lower_bound(table.begin(), table.end(),
-                             value_[static_cast<std::size_t>(orig)]) -
-            table.begin());
+        const std::int32_t rank = node_rank[static_cast<std::size_t>(orig)];
         qmask_idx_[static_cast<std::size_t>(soff + slot)] =
             qmask_off_[static_cast<std::size_t>(f)] + rank;
+        if (word) {
+          slot_feature[slot] = static_cast<std::uint8_t>(f);
+          slot_feature[32 + slot] = static_cast<std::uint8_t>(rank);
+        }
         self(self, left_[static_cast<std::size_t>(orig)], 2 * slot + 1);
         self(self, left_[static_cast<std::size_t>(orig)] + 1, 2 * slot + 2);
       } else {
         // Virtual padding split: both children are the same leaf, so the
-        // predicate is irrelevant — point it at the zeroed pad mask.
+        // predicate is irrelevant — point it at the zeroed pad mask (its
+        // word slot keeps the pad rank).
         self(self, orig, 2 * slot + 1);
         self(self, orig, 2 * slot + 2);
       }
@@ -425,13 +467,17 @@ namespace {
 /// (row pointers, node cursors, accumulators) stays in registers / L1;
 /// large enough that the dependent-load chains of the walks overlap.
 constexpr std::size_t kRowBlock = 16;
-/// Blocks of fewer rows than this take the quantized kernel's few-row
-/// walk instead of a 16-lane block. A block pays for its mask build and
-/// shuffle-table fill whatever its row count; the few-row walk pays per
-/// row. Forced either way over BM_GbtPredictRows' 32 rotating ensembles
-/// on a 4-core AVX-512 Xeon, the few-row walk won at 4 rows (8.8 vs
-/// 10.7 us per call) and lost at 5 (11.8 vs 10.8 us); DESIGN.md §7.1.
+/// Blocks of fewer rows than kWordRows take the predicate-word walk, and
+/// where an ensemble has no word slots, blocks of fewer than kFewRows take
+/// the few-row walk, instead of a 16-lane block. A block pays for its
+/// mask build and shuffle-table fill whatever its row count; the walks
+/// pay per row. Forced either way over BM_GbtPredictRows' 32 rotating
+/// ensembles on a 4-core AVX-512 Xeon (medians of 8 interleaved rounds),
+/// the word walk won at 12 rows (7.5 vs 8.6 us per call) and lost at 16
+/// (9.9 vs 8.3 us); the few-row walk won at 4 rows (8.8 vs 10.7 us) and
+/// lost at 5 (11.8 vs 10.8 us). DESIGN.md §7.1.
 constexpr std::size_t kFewRows = 5;
+constexpr std::size_t kWordRows = 13;
 }  // namespace
 
 void FlatEnsemble::predict_rows_scalar(const Matrix& x, std::size_t begin,
@@ -544,7 +590,7 @@ void FlatEnsemble::build_block_masks(const Matrix& x, std::size_t block,
                                      std::uint16_t* masks) const {
   const double* rows[kRowBlock];
   for (std::size_t r = 0; r < count; ++r) rows[r] = x.row(block + r).data();
-  for (std::int32_t f = 0; f < quant_features_; ++f) {
+  for (std::int32_t f = 0; f < static_cast<std::int32_t>(min_cols_); ++f) {
     const RankScan scan = rank_scan(f);
     if (scan.ranks == 0) continue;  // Feature never split: no masks.
     std::uint16_t* mf = masks + qmask_off_[static_cast<std::size_t>(f)];
@@ -567,7 +613,7 @@ void FlatEnsemble::build_row_preds(const Matrix& x, std::size_t first,
   for (std::size_t r = 0; r < count; ++r) {
     const double* row = x.row(first + r).data();
     std::uint8_t* pr = pred + r * stride;
-    for (std::int32_t f = 0; f < quant_features_; ++f) {
+    for (std::int32_t f = 0; f < static_cast<std::int32_t>(min_cols_); ++f) {
       const RankScan scan = rank_scan(f);
       if (scan.ranks == 0) continue;
       // A row with code c routes right at ranks 0..c-1.
@@ -577,6 +623,22 @@ void FlatEnsemble::build_row_preds(const Matrix& x, std::size_t first,
       std::memset(pf + code, 0, static_cast<std::size_t>(scan.ranks) - code);
     }
     pr[stride - 1] = 0;  // Virtual padding splits read this entry.
+  }
+}
+
+void FlatEnsemble::build_row_codes(const Matrix& x, std::size_t first,
+                                   std::size_t count,
+                                   std::uint8_t* codes) const {
+  for (std::size_t r = 0; r < count; ++r) {
+    const double* row = x.row(first + r).data();
+    std::uint8_t* code = codes + r * kMaxWordFeatures;
+    std::memset(code, 0, kMaxWordFeatures);
+    for (std::int32_t f = 0; f < static_cast<std::int32_t>(min_cols_); ++f) {
+      const RankScan scan = rank_scan(f);
+      if (scan.ranks == 0) continue;
+      code[f] = static_cast<std::uint8_t>(
+          scan.code(row[static_cast<std::size_t>(f)]));
+    }
   }
 }
 
@@ -804,6 +866,112 @@ __attribute__((target("avx2"))) void quant_block_avx2(
   _mm256_storeu_pd(acc + 12, a3);
 }
 
+/// Predicate-word walk: N rows (N <= 2) through every tree. `codes` holds
+/// each row's 32-byte code table (build_row_codes) and `qword` the
+/// ensemble's slot bytes (FlatEnsemble::qword_). Per tree pair, one byte
+/// shuffle of each code half by the slot feature ids (a blend on id >= 16
+/// picks the half), one unsigned compare against the slot ranks and one
+/// movemask give each row a 32-bit word: bit s of half j says the row
+/// routes right at slot s of tree 2p + j. Each tree then walks 4 levels,
+/// s = 2s + 1 + ((w >> s) & 1), eight trees at a time in 32-bit lanes; a
+/// tree of depth d < 4 meets only pad slots below level d, which route
+/// left, so its depth-d leaf index is (s - 15) >> (4 - d). Leaves are
+/// added scalar, mul-then-add in tree order (no FMA in this target), so
+/// the result is bit-identical to every other kernel.
+template <std::size_t N>
+__attribute__((target("avx2"))) void quant_word_walk(
+    const QuantView& m, const std::uint8_t* qword, const std::uint8_t* codes,
+    double* acc) {
+  __m256i code_lo[N], code_hi[N];
+  double sum[N];
+  for (std::size_t r = 0; r < N; ++r) {
+    const std::uint8_t* code = codes + r * kMaxWordFeatures;
+    code_lo[r] = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(code)));
+    code_hi[r] = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(code + 16)));
+    sum[r] = acc[r];
+  }
+  const double scale = m.scale;
+  // word[r] = row r's predicate bits for the tree pair at `slots`.
+  const auto pair_words = [&](const std::uint8_t* slots,
+                              std::uint32_t* word)
+      __attribute__((target("avx2"), always_inline)) {
+    const __m256i feature =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots));
+    const __m256i rank =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots + 32));
+    // Feature ids are below 32: bit 4 shifted to bit 7 selects the high
+    // half, and pshufb reads only bits 0-3 of an index below 128.
+    const __m256i high = _mm256_slli_epi16(feature, 3);
+    for (std::size_t r = 0; r < N; ++r) {
+      const __m256i code =
+          _mm256_blendv_epi8(_mm256_shuffle_epi8(code_lo[r], feature),
+                             _mm256_shuffle_epi8(code_hi[r], feature), high);
+      // code <= rank (unsigned) <=> max(code, rank) == rank: routes left.
+      const __m256i left =
+          _mm256_cmpeq_epi8(_mm256_max_epu8(code, rank), rank);
+      word[r] = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(left));
+    }
+  };
+
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i four = _mm256_set1_epi32(4);
+  const __m256i fifteen = _mm256_set1_epi32(15);
+  // Lane k takes pair word k / 2, shifted so tree k's half sits at bit 0
+  // (the walk reads bits 0-14 only).
+  const __m256i spread = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+  const __m256i halves = _mm256_setr_epi32(0, 16, 0, 16, 0, 16, 0, 16);
+  alignas(32) std::int32_t leaf[N][8];
+  std::size_t t = 0;
+  for (; t + 8 <= m.tree_count; t += 8, qword += 4 * 64) {
+    std::uint32_t word[4][N];
+    for (std::size_t p = 0; p < 4; ++p) pair_words(qword + 64 * p, word[p]);
+    const __m256i shift = _mm256_sub_epi32(
+        four, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m.depth + t)));
+    const __m256i base = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(m.qleaf_off + t));
+    for (std::size_t r = 0; r < N; ++r) {
+      const __m256i w = _mm256_srlv_epi32(
+          _mm256_permutevar8x32_epi32(
+              _mm256_castsi128_si256(_mm_setr_epi32(
+                  static_cast<int>(word[0][r]), static_cast<int>(word[1][r]),
+                  static_cast<int>(word[2][r]), static_cast<int>(word[3][r]))),
+              spread),
+          halves);
+      __m256i s = _mm256_add_epi32(one, _mm256_and_si256(w, one));
+      for (int level = 1; level < 4; ++level)
+        s = _mm256_add_epi32(
+            _mm256_add_epi32(_mm256_add_epi32(s, s), one),
+            _mm256_and_si256(_mm256_srlv_epi32(w, s), one));
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(leaf[r]),
+          _mm256_add_epi32(
+              base, _mm256_srlv_epi32(_mm256_sub_epi32(s, fifteen), shift)));
+    }
+    for (std::size_t k = 0; k < 8; ++k)
+      for (std::size_t r = 0; r < N; ++r)
+        sum[r] += scale * m.qleaf[leaf[r][k]];
+  }
+  // Fewer than eight trees left: walk them a pair at a time in scalar.
+  for (; t < m.tree_count; t += 2, qword += 64) {
+    std::uint32_t word[N];
+    pair_words(qword, word);
+    for (std::size_t j = 0; j < 2 && t + j < m.tree_count; ++j) {
+      const std::int32_t shift = 4 - m.depth[t + j];
+      const double* ql = m.qleaf + m.qleaf_off[t + j];
+      for (std::size_t r = 0; r < N; ++r) {
+        const std::uint32_t w = word[r] >> (16 * j);
+        std::uint32_t s = 1 + (w & 1u);
+        for (int level = 1; level < 4; ++level)
+          s = 2 * s + 1 + ((w >> s) & 1u);
+        sum[r] += scale * ql[(s - 15) >> shift];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < N; ++r) acc[r] = sum[r];
+}
+
 }  // namespace
 
 #endif  // XFL_X86_KERNELS
@@ -815,16 +983,20 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
                        qsplit_off_.data(), qleaf_off_.data(),
                        depth_.data(),      roots_.size(),
                        scale_};
+  // Blocks of fewer rows than this take the word walk, or the few-row
+  // walk where the ensemble has no word slots.
+  const std::size_t few_rows = qword_.empty() ? kFewRows : kWordRows;
   // One buffer holds either the block's predicate-mask table (one uint16
   // per predicate, +1 zeroed pad entry for virtual padding splits) or two
   // rows of few-row predicates (the same entries as bytes). A few hundred
-  // to a few thousand entries for histogram-trained models.
+  // to a few thousand entries for histogram-trained models; a call made
+  // only of word walks reads neither it nor the shuffle tables below.
   const std::size_t entries = mask_count() + 1;
   constexpr std::size_t kStackMasks = 4096;
   std::uint16_t masks_stack[kStackMasks];
   std::vector<std::uint16_t> masks_heap;
   std::uint16_t* masks = masks_stack;
-  if (entries > kStackMasks) {
+  if (entries > kStackMasks && (qword_.empty() || end - begin >= few_rows)) {
     masks_heap.resize(entries);
     masks = masks_heap.data();
   }
@@ -835,7 +1007,7 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
   alignas(32) std::uint16_t qbits_stack[kStackTreeBits];
   std::vector<std::uint16_t> qbits_heap;
   std::uint16_t* qbits = qbits_stack;
-  if (use_avx2 && end - begin >= kFewRows &&
+  if (use_avx2 && end - begin >= few_rows &&
       roots_.size() * kRowBlock > kStackTreeBits) {
     qbits_heap.resize(roots_.size() * kRowBlock);
     qbits = qbits_heap.data();
@@ -847,13 +1019,25 @@ void FlatEnsemble::predict_rows_quantized(const Matrix& x, std::size_t begin,
     // Seed every lane: the vector form accumulates dead tail lanes too
     // (walked but never stored), so they must hold defined values.
     for (std::size_t r = 0; r < kRowBlock; ++r) acc[r] = base_score_;
-    if (count < kFewRows) {
-      // Few-row walk, two rows at a time: the same leaves in the same
-      // tree order, without paying for a 16-lane block. Two rows of
-      // predicate bytes fit the block's mask buffer.
-      auto* pred = reinterpret_cast<std::uint8_t*>(masks);
+    if (count < few_rows) {
+      // Two rows at a time: the same leaves in the same tree order,
+      // without paying for a 16-lane block.
       for (std::size_t r = 0; r < count; r += 2) {
         const std::size_t pair = std::min<std::size_t>(2, count - r);
+#if XFL_X86_KERNELS
+        if (!qword_.empty()) {  // Predicate-word walk.
+          alignas(32) std::uint8_t codes[2 * kMaxWordFeatures];
+          build_row_codes(x, block + r, pair, codes);
+          if (pair == 2)
+            quant_word_walk<2>(view, qword_.data(), codes, acc + r);
+          else
+            quant_word_walk<1>(view, qword_.data(), codes, acc + r);
+          continue;
+        }
+#endif
+        // Few-row walk, the fallback where the word walk cannot run. Two
+        // rows of predicate bytes fit the block's mask buffer.
+        auto* pred = reinterpret_cast<std::uint8_t*>(masks);
         build_row_preds(x, block + r, pair, pred);
         if (pair == 2)
           quant_walk_few<2>(view, pred, entries, acc + r);
@@ -889,6 +1073,8 @@ void FlatEnsemble::explain_batch(const Matrix& x,
   // Ensembles built with Builder::set_attribution(false) cannot explain.
   XFL_EXPECTS(attr_.size() == feature_.size());
   if (x.rows() == 0) return;
+  // Every walk reads row[f] for each split feature f.
+  XFL_EXPECTS(x.cols() >= min_cols_);
   XFL_SPAN("gbt.explain.batch");
   auto& metrics = explain_metrics();
   const std::uint64_t start_us = obs::monotonic_us();
@@ -932,6 +1118,8 @@ void FlatEnsemble::predict_batch(const Matrix& x, std::span<double> out,
                                  ThreadPool* pool, Kernel kernel) const {
   XFL_EXPECTS(out.size() == x.rows());
   if (x.rows() == 0) return;
+  // Every kernel reads row[f] for each split feature f.
+  XFL_EXPECTS(x.cols() >= min_cols_);
   XFL_SPAN("gbt.predict.batch");
   auto& metrics = serve_metrics();
   const std::uint64_t start_us = obs::monotonic_us();

@@ -79,15 +79,27 @@
 //
 //     A block costs its mask build and shuffle-table fill whatever its
 //     row count, and per-edge serving calls the kernel with 1-3 rows. So
-//     blocks of fewer than kFewRows (5) rows take the *few-row walk*
-//     over the same arrays instead: each row ranks each feature once
-//     (the same rank routine as the block masks), fills one byte per
-//     predicate (feature, rank), and walks every padded tree branch-free
-//     with slot = 2*slot + 1 + pred[qmask_idx[slot]] for depth(t) levels,
-//     two rows interleaved per tree. Lone leaves (depth 0) and trees
-//     deeper than 4 need no special case. The crossover was measured
-//     with both paths forced over BM_GbtPredictRows' 32 rotating
-//     ensembles (DESIGN.md §7.1).
+//     blocks of fewer than kWordRows rows take the *predicate-word walk*
+//     instead. Each row ranks each feature once (the same rank routine as
+//     the block masks) into a byte code table. Each padded tree also
+//     carries its 15 slot feature ids and 15 slot ranks as bytes (32
+//     bytes per tree, written by the same build pass as the masks; pad
+//     slots rank 255, so they never route right). One AVX2 byte shuffle
+//     of the code table, one unsigned compare and one movemask turn every
+//     split predicate of two trees into two 16-bit words, and each tree
+//     walks its word in a register, slot = 2*slot + 1 + bit(slot), for 4
+//     levels; its leaf is qleaf[(slot - 15) >> (4 - depth)]. An ensemble
+//     is word-walkable when its trees are at most 4 deep, it splits on at
+//     most 32 features and no feature has more than 255 thresholds; the
+//     trainer's defaults always are.
+//
+//     `quant_walk_few` is the fallback for ensembles that are not
+//     word-walkable and for builds or CPUs without AVX2: blocks of fewer
+//     than kFewRows rows fill one byte per predicate (feature, rank) and
+//     walk every padded tree with slot = 2*slot + 1 + pred[qmask_idx
+//     [slot]] for depth(t) levels, two rows interleaved per tree. Both
+//     crossovers were measured with the paths forced over
+//     BM_GbtPredictRows' 32 rotating ensembles (DESIGN.md §7.1).
 //
 // Quantization error bound: rank codes preserve the `x <= t` predicate
 // exactly whenever every threshold is representable in the table — which
@@ -209,8 +221,9 @@ class FlatEnsemble {
   /// kQuantized request to kScalar.
   Kernel effective_kernel(Kernel requested = Kernel::kAuto) const;
 
-  /// Predict every row of x into out (out.size() == x.rows()), blocking
-  /// rows across `pool` when provided. Block boundaries never change
+  /// Predict every row of x into out (out.size() == x.rows(), and x must
+  /// hold every split feature: x.cols() > the highest split feature id),
+  /// blocking rows across `pool` when provided. Block boundaries never change
   /// results: each row owns its output slot and its own walk. `kernel`
   /// forces a family member (kAuto = the ensemble's choice); every kernel
   /// returns bit-identical results, so forcing is a perf lever, never a
@@ -220,7 +233,8 @@ class FlatEnsemble {
                      Kernel kernel = Kernel::kAuto) const;
 
   /// Explain every row of x (predictions/bias sized x.rows(),
-  /// contributions row-major x.rows() * x.cols()), serially. Saabas path
+  /// contributions row-major x.rows() * x.cols(), x as wide as for
+  /// predict_batch), serially. Saabas path
   /// attributions: per row, zero the row's contribution slots, credit
   /// attr[child] to the split feature along every tree's decision path,
   /// recompute the prediction with the scalar kernel's exact operation
@@ -270,6 +284,14 @@ class FlatEnsemble {
   void build_row_preds(const Matrix& x, std::size_t first, std::size_t count,
                        std::uint8_t* pred) const;
 
+  /// Word-walk form of the same ranking: for each of the `count` rows
+  /// starting at `first`, 32 bytes at codes[r * 32] hold code(f) = the
+  /// number of thresholds of f below x(r, f) (NaN above all) for every
+  /// split feature f, and 0 elsewhere. Only word-walkable ensembles call
+  /// it, so every code fits a byte.
+  void build_row_codes(const Matrix& x, std::size_t first, std::size_t count,
+                       std::uint8_t* codes) const;
+
   /// Total predicate-mask entries per block (sum of per-feature distinct
   /// threshold counts); buffers hold one extra pad entry.
   std::size_t mask_count() const {
@@ -293,6 +315,9 @@ class FlatEnsemble {
   /// Per-tree depth: the lockstep kernel steps exactly this many times.
   std::vector<std::int32_t> depth_;
   int max_depth_ = 0;
+  /// 1 + the highest split feature id: the narrowest matrix the kernels
+  /// may read (predict_batch and explain_batch check it).
+  std::size_t min_cols_ = 0;
 
   // Quantized form (present iff quantized_ok_). Trees are padded to
   // complete binary trees: tree t's internal slots are qmask_idx_
@@ -302,7 +327,6 @@ class FlatEnsemble {
   // zeroed pad mask (index mask_count()).
   bool quantized_ok_ = false;
   std::string quant_reject_;
-  std::int32_t quant_features_ = 0;  ///< 1 + max feature id seen in splits.
   std::vector<std::int32_t> qmask_idx_;
   std::vector<double> qleaf_;
   std::vector<std::int32_t> qsplit_off_;
@@ -326,6 +350,14 @@ class FlatEnsemble {
   std::vector<double> qgrid_lo_;
   std::vector<double> qgrid_scale_;
   std::vector<std::int16_t> qgridrank_;
+  /// Predicate-word slots, present iff the ensemble is word-walkable and
+  /// the CPU runs AVX2. Trees t = 2p and 2p + 1 share the 64 bytes at
+  /// qword_[64p]: the 15 padded split slots' feature ids of tree 2p, then
+  /// those of tree 2p + 1 (16 bytes each, last byte unused), then their
+  /// slot ranks likewise. Virtual padding splits, slots below a shallow
+  /// tree and the missing partner of an odd last tree hold feature 0,
+  /// rank 255.
+  std::vector<std::uint8_t> qword_;
 };
 
 }  // namespace xfl::ml

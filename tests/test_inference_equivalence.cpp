@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/number.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -354,8 +355,8 @@ std::int32_t grow_random(RawTree& tree, Rng& rng, int depth,
   return index;
 }
 
-/// Every row count from 1 to 17 — below and above the few-row crossover
-/// and past one 16-row block — through the forced quantized kernel, the
+/// Every row count from 1 to 17 — below and above the word-walk and
+/// few-row crossovers and past one 16-row block — through the forced quantized kernel, the
 /// scalar kernel and the one-row path, each against the node walk. Rows
 /// are drawn from `pool` in a rotation, so every value meets every count.
 void expect_every_row_count_exact(
@@ -464,6 +465,132 @@ TEST(InferenceEquivalence, FewRowWalkExactOnHeapMaskBuffer) {
   for (std::size_t i = 0; i < values.size(); ++i)
     pool.push_back({values[i], values[(i * 5 + 2) % values.size()]});
   expect_every_row_count_exact(model, pool);
+}
+
+// The predicate-word walk on ensembles either side of each of its limits
+// (at most 255 thresholds on a feature, 32 split features, depth 4): the
+// ones inside take the word walk below its crossover, the ones outside
+// the few-row walk, and both must match the node walk bit for bit. Odd
+// tree counts, fewer than eight trees and lone leaves reach the walk's
+// pair and tail handling.
+TEST(InferenceEquivalence, WordWalkExactAtItsLimits) {
+  Rng rng(3434);
+  const std::vector<double> coarse = {-2.0, -1.25, -0.5, 0.0,
+                                      0.3,  0.75,  1.5,  2.5};
+  // Rows of `cols` values drawn from `values` in a rotation that differs
+  // per column.
+  const auto rows_from = [](const std::vector<double>& values,
+                            std::size_t cols, std::size_t count) {
+    std::vector<std::vector<double>> pool(count);
+    for (std::size_t i = 0; i < count; ++i)
+      for (std::size_t c = 0; c < cols; ++c)
+        pool[i].push_back(values[(i * (2 * c + 1) + 3 * c) % values.size()]);
+    return pool;
+  };
+
+  // 255 and 256 distinct thresholds on feature 0: one stump per threshold
+  // (an odd count for 255) plus depth-4 trees over both features.
+  for (const int count : {255, 256}) {
+    std::vector<double> thresholds;
+    for (int i = 0; i < count; ++i)
+      thresholds.push_back(-2.5 + 0.02 * static_cast<double>(i));
+    std::vector<RawTree> trees;
+    for (const double t : thresholds)
+      trees.push_back({{0.0, t, 1, 2},
+                       {-1.0, rng.normal(), 0, 0},
+                       {-1.0, rng.normal(), 0, 0}});
+    for (int t = 0; t < 10; ++t) {
+      RawTree tree;
+      grow_random(tree, rng, 4, 2, thresholds);
+      trees.push_back(std::move(tree));
+    }
+    const GradientBoostedTrees model = load_raw(2, 0.05, 0.25, trees);
+    SCOPED_TRACE(count);
+    const auto values = edge_values(thresholds, rng);
+    expect_every_row_count_exact(model, rows_from(values, 2, values.size()));
+  }
+
+  // 32 and 33 split features, each split at least once; ids 16 and up
+  // read the high half of the word walk's code table.
+  for (const std::int32_t features : {32, 33}) {
+    std::vector<RawTree> trees;
+    for (std::int32_t f = 0; f < features; ++f)
+      trees.push_back({{static_cast<double>(f),
+                        coarse[static_cast<std::size_t>(f) % coarse.size()],
+                        1, 2},
+                       {-1.0, rng.normal(), 0, 0},
+                       {-1.0, rng.normal(), 0, 0}});
+    for (int t = 0; t < 40; ++t) {
+      RawTree tree;
+      grow_random(tree, rng, 4, features, coarse);
+      trees.push_back(std::move(tree));
+    }
+    const GradientBoostedTrees model = load_raw(
+        static_cast<std::size_t>(features), 0.1, -0.5, trees);
+    SCOPED_TRACE(features);
+    expect_every_row_count_exact(
+        model, rows_from(edge_values(coarse, rng),
+                         static_cast<std::size_t>(features), 120));
+  }
+
+  // Depths 0-4 mixed (and 0-5, past the limit), lone-leaf trees, odd tree
+  // counts, and fewer trees than one eight-tree step.
+  for (const int deepest : {4, 5}) {
+    for (const int tree_count : {3, 7, 37}) {
+      std::vector<RawTree> trees;
+      for (int t = 0; t < tree_count; ++t) {
+        RawTree tree;
+        if (t % 4 == 1)
+          tree.push_back({-1.0, rng.normal(), 0, 0});  // Lone leaf.
+        else
+          grow_random(tree, rng, t % (deepest + 1), 3, coarse);
+        trees.push_back(std::move(tree));
+      }
+      if (tree_count == 37) {  // Reach the deepest level at least once.
+        // A left-leaf spine: split d is node 2d, its left leaf 2d + 1 and
+        // its right child 2d + 2 (the next split, or the last leaf).
+        RawTree ordered;
+        for (int d = 0; d < deepest; ++d) {
+          ordered.push_back({static_cast<double>(d % 3), coarse[d + 1],
+                             static_cast<double>(ordered.size() + 1),
+                             static_cast<double>(ordered.size() + 2)});
+          ordered.push_back({-1.0, rng.normal(), 0, 0});
+        }
+        ordered.push_back({-1.0, rng.normal(), 0, 0});
+        trees.push_back(std::move(ordered));
+      }
+      const GradientBoostedTrees model = load_raw(3, 0.1, 0.5, trees);
+      SCOPED_TRACE(testing::Message() << "deepest " << deepest << " trees "
+                                      << tree_count);
+      EXPECT_LE(model.flat().max_depth(), deepest);
+      expect_every_row_count_exact(
+          model, rows_from(edge_values(coarse, rng), 3, 90));
+    }
+  }
+}
+
+// A matrix narrower than the highest split feature is refused by every
+// kernel and by explain, instead of each row's walk reading past its end.
+TEST(InferenceEquivalence, NarrowMatrixIsAContractViolation) {
+  const FlatEnsemble flat = build_raw({{{2.0, 0.5, 1, 2},
+                                        {-1.0, 1.0, 0, 0},
+                                        {-1.0, 2.0, 0, 0}}});
+  Matrix narrow(3, 2);
+  std::vector<double> out(narrow.rows());
+  for (const Kernel kernel :
+       {Kernel::kAuto, Kernel::kScalar, Kernel::kQuantized})
+    EXPECT_THROW(flat.predict_batch(narrow, out, nullptr, kernel),
+                 ContractViolation)
+        << kernel_name(kernel);
+  std::vector<double> bias(narrow.rows());
+  std::vector<double> contributions(narrow.rows() * narrow.cols());
+  EXPECT_THROW(flat.explain_batch(narrow, out, bias, contributions),
+               ContractViolation);
+
+  Matrix wide(3, 3);
+  wide.at(1, 2) = 1.0;
+  EXPECT_NO_THROW(flat.predict_batch(wide, out));
+  EXPECT_EQ(out, (std::vector<double>{1.5, 2.5, 1.5}));
 }
 
 // The compiled engine reports a shape consistent with its source config.
