@@ -109,7 +109,7 @@ void radix_sort(std::vector<std::uint64_t>& keys,
 }  // namespace
 
 void GradientBoostedTrees::build_bins(const Matrix& x,
-                                      std::vector<std::uint16_t>& codes) {
+                                      MappedVector<std::uint16_t>& codes) {
   const std::size_t n = x.rows();
   const std::size_t width = x.cols();
   bin_edges_.assign(width, {});
@@ -237,7 +237,7 @@ void accumulate_rows(const std::uint16_t* codes, std::size_t stride,
 }  // namespace
 
 GradientBoostedTrees::Tree GradientBoostedTrees::grow_tree(
-    const std::vector<std::uint16_t>& codes, const std::vector<double>& grad,
+    const MappedVector<std::uint16_t>& codes, const std::vector<double>& grad,
     std::span<const std::uint32_t> weights, std::vector<std::uint32_t>& sampled,
     std::vector<std::uint32_t>& unsampled, const std::vector<std::size_t>& cols,
     const std::vector<double>& inv_hess, FitScratch& fit_scratch,
@@ -546,7 +546,7 @@ void GradientBoostedTrees::fit(const Matrix& x, std::span<const double> y,
   trees_.clear();
   importance_gain_.assign(feature_count_, 0.0);
 
-  std::vector<std::uint16_t> codes;
+  MappedVector<std::uint16_t> codes;
   {
     XFL_SPAN("gbt.fit.bin");
     const std::uint64_t bin_start_us = obs::monotonic_us();

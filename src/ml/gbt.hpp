@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_vector.hpp"
 #include "ml/matrix.hpp"
 
 namespace xfl {
@@ -189,7 +190,7 @@ class GradientBoostedTrees {
   /// means value in (edges[b-1], edges[b]]. A row's codes are adjacent, so
   /// the row-wise histogram build reads one short run per row for all of
   /// its columns.
-  void build_bins(const Matrix& x, std::vector<std::uint16_t>& codes);
+  void build_bins(const Matrix& x, MappedVector<std::uint16_t>& codes);
   /// Grow one tree over the sampled rows. `sampled` and `unsampled` together
   /// partition [0, n); both are reordered in place as nodes split so each
   /// node owns a contiguous range. On return `leaf_of[r]` names the leaf
@@ -214,7 +215,7 @@ class GradientBoostedTrees {
   /// `inv_hess[h]` must hold 1 / (h + lambda) for every integer hessian sum
   /// h in [0, total weight]. `weights` is empty (all rows weigh 1) or one
   /// integer multiplicity per row; histogram counts accumulate it.
-  Tree grow_tree(const std::vector<std::uint16_t>& codes,
+  Tree grow_tree(const MappedVector<std::uint16_t>& codes,
                  const std::vector<double>& grad,
                  std::span<const std::uint32_t> weights,
                  std::vector<std::uint32_t>& sampled,

@@ -8,6 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "common/mapped_vector.hpp"
+
 namespace xfl::ml {
 
 /// Dense row-major matrix of doubles.
@@ -51,7 +53,8 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  /// Mapped when large, so a freed dataset leaves nothing resident.
+  MappedVector<double> data_;
 };
 
 /// Solve min ||A x - b||_2 by Householder QR with column pivoting disabled

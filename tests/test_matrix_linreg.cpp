@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -48,6 +49,39 @@ TEST(Matrix, RowSpanAndColumn) {
   const auto col = m.column(1);
   EXPECT_DOUBLE_EQ(col[0], 2.0);
   EXPECT_DOUBLE_EQ(col[1], 4.0);
+}
+
+TEST(Matrix, LargeStorageIsMappedAndKeepsValuesAcrossGrowth) {
+  // Rows pushed one by one grow the storage from heap blocks into mapped
+  // ones; every value survives each move and each copy.
+  constexpr std::size_t kCols = 16;
+  const std::size_t rows = 2 * kMappedBlockBytes / (kCols * sizeof(double));
+  Matrix grown;
+  std::vector<double> row(kCols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < kCols; ++c)
+      row[c] = static_cast<double>(r * kCols + c);
+    grown.push_row(row);
+  }
+  const Matrix copy = grown;
+  const Matrix* const both[] = {&grown, &copy};
+  for (const Matrix* m : both) {
+    ASSERT_EQ(m->rows(), rows);
+    bool same = true;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < kCols; ++c)
+        same = same && m->at(r, c) == static_cast<double>(r * kCols + c);
+    EXPECT_TRUE(same);
+  }
+
+  // A sized matrix of 1 MiB or more is zero-filled mapped pages.
+  const Matrix zeroed(rows, kCols);
+  bool zero = true;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (const double v : zeroed.row(r)) zero = zero && v == 0.0;
+  EXPECT_TRUE(zero);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(zeroed.row(0).data()) % 4096, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.row(0).data()) % 4096, 0u);
 }
 
 TEST(Matrix, SelectColumnsAndRows) {
